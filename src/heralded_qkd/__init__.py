@@ -21,7 +21,6 @@ from .analysis import (
 from .keyrate import (
     ChannelParams,
     KeyRateReport,
-    SourceParams,
     expected_click_prob,
     key_rate,
     qber,
@@ -34,10 +33,10 @@ from .protocol import (
     ProtocolSpec,
     binary_entropy,
     eve_info_single,
-    eve_info_two,
     get_protocol,
     mutual_info_ab,
     pns_applicable,
+    positivity_margin,
     solve_qber_threshold,
 )
 from .source_detector import (

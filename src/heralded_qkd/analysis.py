@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class ScanSeries:
     protocol: ProtocolSpec
     response: HeraldResponse
     dark_b: float
-    metadata: dict = field(default_factory=dict)
 
 
 def _rate_at(
@@ -323,7 +322,6 @@ def scan_key_rate(
     dark_b: float,
     t_grid,
     bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS,
-    metadata: dict | None = None,
 ) -> ScanSeries:
     """Optimize the pump strength independently at each grid transmission."""
     t_grid = list(t_grid)
@@ -336,10 +334,7 @@ def scan_key_rate(
     for t in t_grid:
         ch = ChannelParams(transmission=t, dark_b=dark_b)
         points.append((t, optimize_lambda(spec, r, ch, bounds=bounds)))
-    return ScanSeries(
-        points=points, protocol=spec, response=r, dark_b=dark_b,
-        metadata=metadata or {},
-    )
+    return ScanSeries(points=points, protocol=spec, response=r, dark_b=dark_b)
 
 
 def fit_power_law(

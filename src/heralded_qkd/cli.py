@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis
 from .keyrate import ChannelParams, key_rate, renormalized_key_rate
-from .protocol import ProtocolSpec, get_protocol
+from .protocol import PROTOCOLS, ProtocolSpec, get_protocol
 from .source_detector import (
     HeraldResponse,
     MultiplexedDetectorParams,
@@ -111,7 +111,7 @@ def _build_response(args) -> HeraldResponse:
 
 
 def _lambda_bounds(args) -> tuple[float, float]:
-    upper = args.lambda_max if getattr(args, "lambda_max", None) else 1.0
+    upper = args.lambda_max if getattr(args, "lambda_max", None) is not None else 1.0
     return (1e-8, upper)
 
 
@@ -358,7 +358,8 @@ def _fitted_prefactor(spec: ProtocolSpec, r: HeraldResponse, args) -> float:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--protocol", choices=["bb84", "sarg04"], default="bb84")
+    # no argparse default: it would block the config file's value
+    p.add_argument("--protocol", choices=sorted(PROTOCOLS))
     p.add_argument("--source", choices=["wcp", "binary", "multiplexed", "custom"])
     p.add_argument("--stages", type=int)
     p.add_argument("--eta-a", dest="eta_a", type=float)
@@ -424,6 +425,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
+        if args.protocol is None:
+            args.protocol = "bb84"
         return args.func(args)
     except (CliError, ValueError, ZeroDivisionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,17 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .protocol import (
-    ProtocolSpec,
-    eve_info_single,
-    mutual_info_ab,
-    pns_applicable,
-)
+from .protocol import ProtocolSpec, pns_applicable, positivity_margin
 from .source_detector import HeraldResponse, PhotonStatistics
 
 __all__ = [
     "ChannelParams",
-    "SourceParams",
     "KeyRateReport",
     "expected_click_prob",
     "qber",
@@ -29,11 +23,6 @@ __all__ = [
     "key_rate",
     "renormalized_key_rate",
 ]
-
-# above these the perturbative model assumptions (d_B << 1, lambda << 1)
-# become questionable; flagged, not rejected
-_DARK_B_ADVISORY = 1e-2
-_LAMBDA_ADVISORY = 1.0
 
 
 @dataclass(frozen=True)
@@ -49,27 +38,6 @@ class ChannelParams:
             raise ValueError(f"transmission must be in [0, 1], got {self.transmission}")
         if not 0.0 <= self.dark_b < 1.0:
             raise ValueError(f"dark_b must be in [0, 1), got {self.dark_b}")
-
-    @property
-    def model_valid(self) -> bool:
-        """False when d_B is large enough to strain the d_B << 1 assumption."""
-        return self.dark_b <= _DARK_B_ADVISORY
-
-
-@dataclass(frozen=True)
-class SourceParams:
-    """Mean pair-generation number per pulse."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError(f"pump strength must be nonnegative, got {self.lam}")
-
-    @property
-    def model_valid(self) -> bool:
-        """False outside the perturbative weak-pumping regime."""
-        return self.lam <= _LAMBDA_ADVISORY
 
 
 @dataclass(frozen=True)
@@ -89,34 +57,44 @@ class KeyRateReport:
     secure: bool
 
 
+def _clicks(
+    stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
+) -> tuple[float, float]:
+    """Detection probability p_exp and its dark-count error term d_B * P(herald)."""
+    t = ch.transmission
+    dark = ch.dark_b * (stats.p0 * r.q0 + stats.p1 * r.q1 + stats.p2 * r.q2)
+    return t * stats.p1 * r.q1 + 2.0 * t * stats.p2 * r.q2 + 2.0 * dark, dark
+
+
+def _detection(
+    stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
+) -> tuple[float, float, float]:
+    """(p_exp, QBER, single-photon fraction y) of one setting."""
+    p_exp, dark = _clicks(stats, r, ch)
+    if p_exp == 0.0:
+        raise ZeroDivisionError(
+            "QBER and single-photon fraction undefined at zero detection probability"
+        )
+    return p_exp, dark / p_exp, 1.0 - stats.p2 * r.q2 / p_exp
+
+
 def expected_click_prob(
     stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
 ) -> float:
     """Probability of a detection event at Bob per emitted pulse."""
-    t = ch.transmission
-    herald = stats.p0 * r.q0 + stats.p1 * r.q1 + stats.p2 * r.q2
-    return t * stats.p1 * r.q1 + 2.0 * t * stats.p2 * r.q2 + 2.0 * ch.dark_b * herald
+    return _clicks(stats, r, ch)[0]
 
 
 def qber(stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams) -> float:
     """Quantum bit error rate; half of all dark-count events are errors."""
-    p_exp = expected_click_prob(stats, r, ch)
-    if p_exp == 0.0:
-        raise ZeroDivisionError("QBER undefined at zero detection probability")
-    herald = stats.p0 * r.q0 + stats.p1 * r.q1 + stats.p2 * r.q2
-    return ch.dark_b * herald / p_exp
+    return _detection(stats, r, ch)[1]
 
 
 def single_photon_fraction(
     stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
 ) -> float:
     """Fraction of detection events attributable to single-photon pulses."""
-    p_exp = expected_click_prob(stats, r, ch)
-    if p_exp == 0.0:
-        raise ZeroDivisionError(
-            "single-photon fraction undefined at zero detection probability"
-        )
-    return 1.0 - stats.p2 * r.q2 / p_exp
+    return _detection(stats, r, ch)[2]
 
 
 def key_rate(
@@ -132,41 +110,20 @@ def key_rate(
     the single-photon information function, key_rate is NaN and secure is
     False.
     """
-    p_exp = expected_click_prob(stats, r, ch)
-    if p_exp == 0.0:
-        raise ZeroDivisionError("key rate undefined at zero detection probability")
-    q = qber(stats, r, ch)
-    y = single_photon_fraction(stats, r, ch)
+    p_exp, q, y = _detection(stats, r, ch)
     # the printed multiphoton fraction can exceed 1 at large pump strength
     # and low transmission, driving y <= 0; the model does not apply there
-    if y <= 0.0:
+    margin = math.nan if y <= 0.0 else positivity_margin(spec, q, y)
+    if math.isnan(margin):
         return KeyRateReport(
             p_exp=p_exp, qber=q, y=y, key_rate=math.nan, pns_valid=False,
             secure=False,
-        )
-    margin = _positivity_margin(spec, q, y)
-    if math.isnan(margin):
-        return KeyRateReport(
-            p_exp=p_exp, qber=q, y=y, key_rate=math.nan, pns_valid=False, secure=False
         )
     k = p_exp * spec.p_sift * margin
     valid = pns_applicable(spec, q, y)
     return KeyRateReport(
         p_exp=p_exp, qber=q, y=y, key_rate=k, pns_valid=valid,
         secure=(k > 0.0 and valid),
-    )
-
-
-def _positivity_margin(spec: ProtocolSpec, q: float, y: float) -> float:
-    """I_AB(Q) - y*I_AE^(1)(Q/y) - (1-y)*I_AE^(2), or NaN out of domain."""
-    ratio = q / y
-    limit = 0.5
-    if ratio > limit or (spec.name == "sarg04" and ratio == limit):
-        return math.nan
-    return (
-        mutual_info_ab(q)
-        - y * eve_info_single(spec, ratio)
-        - (1.0 - y) * spec.i_ae_two
     )
 
 
@@ -180,4 +137,4 @@ def renormalized_key_rate(spec: ProtocolSpec, q: float, y: float) -> float:
         raise ValueError(f"require Q >= 0 and 0 < y <= 1, got Q={q}, y={y}")
     if not pns_applicable(spec, q, y):
         return math.nan
-    return spec.p_sift * _positivity_margin(spec, q, y)
+    return spec.p_sift * positivity_margin(spec, q, y)

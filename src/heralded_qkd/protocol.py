@@ -10,6 +10,7 @@ bounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,13 +18,14 @@ __all__ = [
     "ProtocolSpec",
     "BB84",
     "SARG04",
+    "PROTOCOLS",
     "get_protocol",
     "binary_entropy",
     "mutual_info_ab",
     "eve_info_single",
-    "eve_info_two",
     "solve_qber_threshold",
     "compute_xi",
+    "positivity_margin",
     "pns_applicable",
 ]
 
@@ -49,27 +51,34 @@ def mutual_info_ab(q: float) -> float:
     return 1.0 - binary_entropy(q)
 
 
+def _sarg04_eve_info(q: float) -> float:
+    # (1-q)log2(1-q) - (1-2q)log2(1-2q) + q(1 - log2 q), with the q = 0 limit
+    if q == 0.0:
+        return 0.0
+    return (
+        _xlog2x(1.0 - q)
+        - _xlog2x(1.0 - 2.0 * q)
+        + q * (1.0 - math.log2(q))
+    )
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A four-state protocol: sifting fraction and Eve-information model.
+    """A four-state protocol as data: sifting fraction and Eve's information.
 
-    The threshold QBER and the linearization factor are pure functions of the
-    protocol and are computed lazily on first access, then cached.  Instances
+    eve_info is Eve's single-photon information gain I_AE^(1)(Q), defined on
+    the closed QBER domain [0, q_max]; i_ae_two is her two-photon gain
+    I_AE^(2).  The threshold QBER and the linearization factor follow from
+    these and are computed lazily on first access, then cached.  Instances
     are immutable and safe to share across threads (a cache race merely
     recomputes the same value).
     """
 
     name: str
     p_sift: float
-
-    def eve_info_single(self, q: float) -> float:
-        """Eve's information gain on single-photon pulses, bits."""
-        return eve_info_single(self, q)
-
-    @cached_property
-    def i_ae_two(self) -> float:
-        """Eve's information gain on two-photon pulses, bits."""
-        return eve_info_two(self)
+    eve_info: Callable[[float], float]
+    q_max: float
+    i_ae_two: float
 
     @cached_property
     def q_threshold(self) -> float:
@@ -82,54 +91,43 @@ class ProtocolSpec:
         return compute_xi(self)
 
 
-BB84 = ProtocolSpec(name="bb84", p_sift=0.5)
-SARG04 = ProtocolSpec(name="sarg04", p_sift=0.25)
+# BB84: I_AE^(1) = H(Q) on [0, 1/2]; multiphoton pulses are fully insecure.
+BB84 = ProtocolSpec(
+    name="bb84", p_sift=0.5, eve_info=binary_entropy, q_max=0.5, i_ae_two=1.0,
+)
+# SARG04: the collective-attack expression on [0, 1/2); the two-photon gain
+# is bounded by the Holevo quantity H((2+sqrt(2))/4).
+SARG04 = ProtocolSpec(
+    name="sarg04",
+    p_sift=0.25,
+    eve_info=_sarg04_eve_info,
+    q_max=math.nextafter(0.5, 0.0),
+    i_ae_two=binary_entropy((2.0 + math.sqrt(2.0)) / 4.0),
+)
 
-_PROTOCOLS = {"bb84": BB84, "sarg04": SARG04}
+PROTOCOLS = {"bb84": BB84, "sarg04": SARG04}
 
 
 def get_protocol(name: str) -> ProtocolSpec:
     """Look up a built-in protocol by (case-insensitive) name."""
     try:
-        return _PROTOCOLS[name.lower()]
+        return PROTOCOLS[name.lower()]
     except KeyError:
         raise ValueError(
-            f"unknown protocol {name!r}; expected one of {sorted(_PROTOCOLS)}"
+            f"unknown protocol {name!r}; expected one of {sorted(PROTOCOLS)}"
         ) from None
 
 
 def eve_info_single(spec: ProtocolSpec, q: float) -> float:
     """Eve's single-photon information gain at QBER q, in bits.
 
-    BB84: H(q) on [0, 1/2].  SARG04: the collective-attack expression
-    (1-q)log2(1-q) - (1-2q)log2(1-2q) + q(1 - log2 q), valid on [0, 1/2).
+    Raises ValueError outside the protocol's domain [0, spec.q_max].
     """
-    if q < 0.0:
-        raise ValueError(f"QBER must be nonnegative, got {q}")
-    if spec.name == "bb84":
-        if q > 0.5:
-            raise ValueError(f"BB84 QBER must be in [0, 1/2], got {q}")
-        return binary_entropy(q)
-    if q >= 0.5:
-        raise ValueError(f"SARG04 QBER must be in [0, 1/2), got {q}")
-    if q == 0.0:
-        return 0.0
-    return (
-        _xlog2x(1.0 - q)
-        - _xlog2x(1.0 - 2.0 * q)
-        + q * (1.0 - math.log2(q))
-    )
-
-
-def eve_info_two(spec: ProtocolSpec) -> float:
-    """Eve's two-photon information gain, in bits.
-
-    Multiphoton pulses are completely insecure under BB84 (1 bit); under
-    SARG04 the gain is bounded by the Holevo quantity H((2+sqrt(2))/4).
-    """
-    if spec.name == "bb84":
-        return 1.0
-    return binary_entropy((2.0 + math.sqrt(2.0)) / 4.0)
+    if not 0.0 <= q <= spec.q_max:
+        raise ValueError(
+            f"{spec.name} QBER must be in [0, {spec.q_max!r}], got {q}"
+        )
+    return spec.eve_info(q)
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
@@ -169,11 +167,17 @@ def solve_qber_threshold(spec: ProtocolSpec, tol: float = 1e-12) -> float:
     return _bisect(residual, eps, 0.5 - eps, tol)
 
 
-def _positivity_margin(spec: ProtocolSpec, q: float, y: float) -> float:
-    """I_AB(Q) - y*I_AE^(1)(Q/y) - (1-y)*I_AE^(2); positive means secure."""
+def positivity_margin(spec: ProtocolSpec, q: float, y: float) -> float:
+    """I_AB(Q) - y*I_AE^(1)(Q/y) - (1-y)*I_AE^(2); positive means secure.
+
+    NaN when Q/y leaves the domain of the single-photon information function.
+    """
+    ratio = q / y
+    if ratio > spec.q_max:
+        return math.nan
     return (
         mutual_info_ab(q)
-        - y * eve_info_single(spec, q / y)
+        - y * spec.eve_info(ratio)
         - (1.0 - y) * spec.i_ae_two
     )
 
@@ -182,7 +186,7 @@ def _solve_contour_q(spec: ProtocolSpec, y: float, q_th: float) -> float:
     """Q on the zero contour of the key-positivity margin at fixed y."""
 
     def f(q: float) -> float:
-        return _positivity_margin(spec, q, y)
+        return positivity_margin(spec, q, y)
 
     # the contour sits just below q_th for y slightly under 1
     return _bisect(f, 1e-12, q_th, 1e-12)
@@ -216,8 +220,4 @@ def pns_applicable(spec: ProtocolSpec, q: float, y: float) -> bool:
     if q < 0.0 or not 0.0 < y <= 1.0:
         raise ValueError(f"require Q >= 0 and 0 < y <= 1, got Q={q}, y={y}")
     ratio = q / y
-    if spec.name == "bb84":
-        return ratio <= 0.5
-    if ratio >= 0.5:
-        return False
-    return eve_info_single(spec, ratio) <= spec.i_ae_two
+    return ratio <= spec.q_max and spec.eve_info(ratio) <= spec.i_ae_two

@@ -97,8 +97,8 @@ def poisson_pair_stats(lam: float) -> PhotonStatistics:
 
     p2 is the exact complement 1 - p0 - p1, not the quadratic approximation.
     """
-    if lam < 0.0:
-        raise ValueError(f"pump strength must be nonnegative, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"pump strength must be finite and nonnegative, got {lam}")
     p0 = math.exp(-lam)
     p1 = lam * p0
     # -expm1(-lam) avoids the catastrophic cancellation of 1 - p0 - p1 at

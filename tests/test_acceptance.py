@@ -33,7 +33,6 @@ from heralded_qkd.protocol import (
     BB84,
     SARG04,
     binary_entropy,
-    eve_info_two,
     solve_qber_threshold,
 )
 from heralded_qkd.source_detector import (
@@ -67,7 +66,7 @@ def test_criterion_1_threshold_constants():
         ("SARG04 Q_th", solve_qber_threshold(SARG04), 0.0968, 5e-4),
         ("BB84 xi", BB84.xi, 1.25, 0.01),
         ("SARG04 xi", SARG04.xi, 0.64, 0.01),
-        ("SARG04 I_AE2", eve_info_two(SARG04), 0.6009, 1e-4),
+        ("SARG04 I_AE2", SARG04.i_ae_two, 0.6009, 1e-4),
     ]
     for label, got, expected, tol in checks:
         assert abs(got - expected) <= tol, f"{label}: {got} != {expected} +- {tol}"

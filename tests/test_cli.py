@@ -71,6 +71,24 @@ class TestDetector:
 
 
 class TestKeyrate:
+    def test_zero_lambda_max_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "keyrate", "--t", "0.01", "--dark-b", "1e-5",
+            "--lambda-max", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "bounds" in err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_pump_strength_rejected(self, capsys, lam):
+        code, out, err = run_cli(
+            capsys, "keyrate", "--t", "0.01", "--dark-b", "1e-5", "--lam", lam,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "pump strength" in err
+
     def test_single_evaluation(self, capsys):
         code, out, _ = run_cli(
             capsys, "keyrate", "--protocol", "bb84", "--source", "wcp",
@@ -273,6 +291,18 @@ class TestConfigFile:
         )
         assert float(parse_csv(out_override)[0]["T"]) == 0.05
         assert out_base != out_override
+
+    def test_config_selects_protocol(self, capsys, tmp_path):
+        cfg = tmp_path / "sarg.json"
+        cfg.write_text(json.dumps({"protocol": {"protocol": "sarg04"}}))
+        code, out, _ = run_cli(capsys, "threshold", "--config", str(cfg))
+        assert code == 0
+        assert parse_csv(out)[0]["protocol"] == "sarg04"
+        # a flag still overrides the config
+        _, out, _ = run_cli(
+            capsys, "threshold", "--config", str(cfg), "--protocol", "bb84"
+        )
+        assert parse_csv(out)[0]["protocol"] == "bb84"
 
     def test_missing_config(self, capsys):
         code, _, err = run_cli(

@@ -1,0 +1,72 @@
+"""Byte-for-byte regression test of the CLI's stdout against recorded files.
+
+Each case's expected stdout lives in tests/golden/<name>.txt.  Any change to
+these bytes is a change of the output contract and must be explained.
+Regenerate the files (only for a deliberate output change) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from heralded_qkd.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+_MULTIPLEXED = ["--source", "multiplexed", "--stages", "3", "--eta-a", "0.6",
+                "--dark-a", "1e-6", "--eta-c", "0.98"]
+_BINARY = ["--source", "binary", "--eta-a", "0.6", "--dark-a", "1e-6"]
+_SCAN = ["--dark-b", "1e-5", "--t-min", "1e-5", "--t-max", "1e-1",
+         "--points", "12"]
+_CONTOUR = ["--q-points", "6", "--y-points", "5"]
+
+CASES = {
+    "threshold_bb84_csv": ["threshold", "--protocol", "bb84"],
+    "threshold_bb84_json": ["threshold", "--protocol", "bb84", "--format", "json"],
+    "threshold_sarg04_csv": ["threshold", "--protocol", "sarg04"],
+    "threshold_sarg04_json": ["threshold", "--protocol", "sarg04", "--format", "json"],
+    "detector_oracle": ["detector", "--stages", "3", "--eta-a", "0.6",
+                        "--dark-a", "1e-6", "--eta-c", "0.98", "--oracle"],
+    "keyrate_lam": ["keyrate", *_BINARY, "--t", "0.01", "--dark-b", "1e-5",
+                    "--lam", "0.05"],
+    "keyrate_opt": ["keyrate", *_BINARY, "--t", "0.01", "--dark-b", "1e-5"],
+    "scan_wcp_csv": ["scan", "--source", "wcp", *_SCAN],
+    "scan_wcp_json": ["scan", "--source", "wcp", *_SCAN, "--format", "json"],
+    "scan_multiplexed_csv": ["scan", "--protocol", "sarg04", *_MULTIPLEXED, *_SCAN],
+    "scan_multiplexed_json": ["scan", "--protocol", "sarg04", *_MULTIPLEXED, *_SCAN,
+                              "--format", "json"],
+    "tmin_bb84": ["tmin", "--protocol", "bb84", *_BINARY, "--dark-b", "1e-5"],
+    "tmin_sarg04": ["tmin", "--protocol", "sarg04", *_BINARY, "--dark-b", "1e-5"],
+    "contour_csv": ["contour", "--protocol", "sarg04", *_CONTOUR],
+    "contour_json": ["contour", "--protocol", "sarg04", *_CONTOUR, "--format", "json"],
+    "compare_stages_fit": ["compare-stages", "--eta-a-list", "0.4", "0.8",
+                           "--eta-c", "0.98", "--dark-a", "1e-6", "--dark-b", "1e-5",
+                           "--n-max", "3", "--fit"],
+}
+
+
+def run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name):
+    code, out = run(CASES[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, out = run(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.txt").write_bytes(out.encode())

@@ -5,7 +5,6 @@ import pytest
 
 from heralded_qkd.keyrate import (
     ChannelParams,
-    SourceParams,
     expected_click_prob,
     key_rate,
     qber,
@@ -205,13 +204,3 @@ class TestParams:
             ChannelParams(-0.1, 0.0)
         with pytest.raises(ValueError):
             ChannelParams(0.5, 1.0)
-
-    def test_channel_advisory_flag(self):
-        assert ChannelParams(0.5, 1e-5).model_valid
-        assert not ChannelParams(0.5, 0.05).model_valid
-
-    def test_source_advisory_flag(self):
-        assert SourceParams(0.3).model_valid
-        assert not SourceParams(1.5).model_valid
-        with pytest.raises(ValueError):
-            SourceParams(-1.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from heralded_qkd.protocol import (
@@ -10,10 +10,10 @@ from heralded_qkd.protocol import (
     SARG04,
     binary_entropy,
     eve_info_single,
-    eve_info_two,
     get_protocol,
     mutual_info_ab,
     pns_applicable,
+    positivity_margin,
     solve_qber_threshold,
 )
 
@@ -106,14 +106,14 @@ class TestEveInfoSingle:
 
 class TestEveInfoTwo:
     def test_bb84(self):
-        assert eve_info_two(BB84) == 1.0
+        assert BB84.i_ae_two == 1.0
 
     def test_sarg_holevo_value(self):
-        assert eve_info_two(SARG04) == pytest.approx(0.6009, abs=1e-4)
-        assert eve_info_two(SARG04) == pytest.approx(HOLEVO_SARG, abs=1e-12)
+        assert SARG04.i_ae_two == pytest.approx(0.6009, abs=1e-4)
+        assert SARG04.i_ae_two == pytest.approx(HOLEVO_SARG, abs=1e-12)
 
     def test_entropy_symmetry_equivalent(self):
-        assert eve_info_two(SARG04) == pytest.approx(
+        assert SARG04.i_ae_two == pytest.approx(
             binary_entropy((2.0 - math.sqrt(2.0)) / 4.0), abs=1e-12
         )
 
@@ -189,6 +189,34 @@ class TestPnsApplicable:
     def test_out_of_domain_is_false(self):
         assert not pns_applicable(SARG04, 0.4, 0.5)
         assert not pns_applicable(BB84, 0.4, 0.5)
+
+
+class TestPositivityMargin:
+    def test_domain_ends(self):
+        # BB84's domain [0, 1/2] is closed, SARG04's [0, 1/2) is open
+        assert SARG04.q_max == math.nextafter(0.5, 0.0)
+        assert math.isfinite(positivity_margin(BB84, 0.25, 0.5))
+        assert math.isnan(positivity_margin(SARG04, 0.25, 0.5))
+        assert math.isfinite(positivity_margin(SARG04, 0.2, 0.5))
+        for spec in (BB84, SARG04):
+            assert math.isnan(positivity_margin(spec, 0.3, 0.5))
+
+    @given(st.sampled_from([BB84, SARG04]), st.floats(0.0, 0.25),
+           st.floats(0.5, 1.0))
+    def test_matches_definition(self, spec, q, y):
+        assume(q / y <= spec.q_max)
+        expected = (
+            mutual_info_ab(q)
+            - y * eve_info_single(spec, q / y)
+            - (1.0 - y) * spec.i_ae_two
+        )
+        assert positivity_margin(spec, q, y) == expected
+
+    def test_vanishes_at_threshold(self):
+        for spec in (BB84, SARG04):
+            assert positivity_margin(spec, spec.q_threshold, 1.0) == pytest.approx(
+                0.0, abs=1e-11
+            )
 
 
 class TestProtocolSpec:

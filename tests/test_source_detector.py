@@ -40,8 +40,9 @@ class TestPoissonPairStats:
         assert 0.0 <= s.p0 <= 1.0 and 0.0 <= s.p1 <= 1.0 and 0.0 <= s.p2 <= 1.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_pair_stats(-0.1)
+        for lam in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="pump strength"):
+                poisson_pair_stats(lam)
 
 
 class TestMultiplexedResponse:
