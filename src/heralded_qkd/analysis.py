@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .protocol import ProtocolSpec
 from .source_detector import (
     HeraldResponse,
     MultiplexedDetectorParams,
+    PhotonStatistics,
     distance_factor,
     multiplexed_response,
     poisson_pair_stats,
@@ -76,11 +78,23 @@ class ScanSeries:
     dark_b: float
 
 
-def _rate_at(
-    spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, lam: float
+@lru_cache(maxsize=8)
+def _lambda_grid(
+    lo: float, hi: float, n: int
+) -> tuple[tuple[float, ...], tuple[PhotonStatistics, ...]]:
+    """Coarse logarithmic pump-strength grid and its pair statistics.
+
+    Depends only on the bounds and the grid size, so one build serves every
+    optimization that shares them.
+    """
+    grid = tuple(float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n))
+    return grid, tuple(poisson_pair_stats(lam) for lam in grid)
+
+
+def _score(
+    spec: ProtocolSpec, stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
 ) -> tuple[float, KeyRateReport | None]:
     """Key rate as an optimization score; model-invalid points score -inf."""
-    stats = poisson_pair_stats(lam)
     try:
         report = key_rate(spec, stats, r, ch)
     except ZeroDivisionError:
@@ -88,6 +102,13 @@ def _rate_at(
     if math.isnan(report.key_rate):
         return -math.inf, report
     return report.key_rate, report
+
+
+def _rate_at(
+    spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, lam: float
+) -> tuple[float, KeyRateReport | None]:
+    """Optimization score at pump strength lam."""
+    return _score(spec, poisson_pair_stats(lam), r, ch)
 
 
 def optimize_lambda(
@@ -109,23 +130,20 @@ def optimize_lambda(
     if not 0.0 < lo < hi:
         raise ValueError(f"bounds must satisfy 0 < lo < hi, got {bounds}")
 
-    grid = np.logspace(math.log10(lo), math.log10(hi), grid_points)
-    evaluations = 0
-    scores = []
-    for lam in grid:
-        score, _ = _rate_at(spec, r, ch, float(lam))
-        scores.append(score)
-        evaluations += 1
+    grid, grid_stats = _lambda_grid(lo, hi, grid_points)
+    scores = [_score(spec, stats, r, ch)[0] for stats in grid_stats]
+    evaluations = len(scores)
 
-    best_idx = int(np.argmax(scores))
+    # first maximum, as np.argmax; scores are never NaN
+    best_idx = max(range(grid_points), key=scores.__getitem__)
     if scores[best_idx] == -math.inf:
         return OptimizationResult(
             lambda_opt=math.nan, report=None, converged=False,
             evaluations=evaluations,
         )
 
-    a = float(grid[max(best_idx - 1, 0)])
-    b = float(grid[min(best_idx + 1, grid_points - 1)])
+    a = grid[max(best_idx - 1, 0)]
+    b = grid[min(best_idx + 1, grid_points - 1)]
 
     # golden-section refinement on the bracket
     c = b - _INV_GOLDEN * (b - a)
@@ -150,7 +168,7 @@ def optimize_lambda(
     # keep the best of refinement and coarse grid (refinement can only help
     # inside the bracket, but guard against flat -inf plateaus at the edges)
     if scores[best_idx] > score:
-        lam_opt = float(grid[best_idx])
+        lam_opt = grid[best_idx]
         score, report = _rate_at(spec, r, ch, lam_opt)
         evaluations += 1
 

@@ -55,31 +55,91 @@ class CliError(Exception):
     """Configuration or validation failure; maps to a nonzero exit code."""
 
 
+_SECTIONS = ("protocol", "detector", "channel", "solver", "output")
+
+# applied after the config merge: an argparse default would block the
+# config file's value
+_DEFAULTS = {
+    "protocol": "bb84",
+    "q_min": 0.0, "q_max": 0.25, "q_points": 26,
+    "y_min": 0.5, "y_max": 1.0, "y_points": 26,
+}
+
+
 def _load_config(path: str) -> dict:
+    """Flat {key: value} of a config file's nested sections and top level."""
     try:
         with open(path) as f:
-            return json.load(f)
+            cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(
+            f"config {path} must hold a JSON object, got {type(cfg).__name__}"
+        )
+    flat = {}
+    for section in _SECTIONS:
+        if isinstance(cfg.get(section), dict):
+            flat.update(cfg[section])
+    flat.update(
+        {k: v for k, v in cfg.items() if not (k in _SECTIONS and isinstance(v, dict))}
+    )
+    return flat
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file's nested sections."""
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value checked and converted as its command-line flag would be."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise CliError(f"config key {key!r}: expected true or false, got {value!r}")
+        return value
+    items = value if action.nargs == "+" else [value]
+    if not isinstance(items, list) or not items:
+        raise CliError(f"config key {key!r}: expected a nonempty list, got {value!r}")
+    converted = []
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise CliError(f"config key {key!r}: invalid value {item!r}")
+        try:
+            # through the text form, so 2.5 is no more an int here than on
+            # the command line
+            item = action.type(str(item)) if action.type else str(item)
+        except ValueError:
+            raise CliError(
+                f"config key {key!r}: invalid {action.type.__name__} value {item!r}"
+            ) from None
+        if action.choices is not None and item not in action.choices:
+            raise CliError(
+                f"config key {key!r}: {item!r} is not one of {sorted(action.choices)}"
+            )
+        converted.append(item)
+    return converted if action.nargs == "+" else converted[0]
+
+
+def _merge_config(args: argparse.Namespace, parser) -> argparse.Namespace:
+    """Fill unset flags from the config file, checked like the flags themselves."""
     if not getattr(args, "config", None):
         return args
-    cfg = _load_config(args.config)
-    flat = {}
-    for section in ("protocol", "detector", "channel", "solver", "output"):
-        value = cfg.get(section)
-        if isinstance(value, dict):
-            flat.update(value)
-        elif value is not None:
-            flat[section] = value
-    flat.update({k: v for k, v in cfg.items() if not isinstance(v, dict)})
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = {
+        a.dest: a
+        for a in subparsers.choices[args.command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    flat = _load_config(args.config)
+    unknown = sorted(k for k in flat if k.replace("-", "_") not in actions)
+    if unknown:
+        raise CliError(
+            f"unknown config key(s) for {args.command}: {', '.join(unknown)}"
+        )
     for key, value in flat.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        action = actions[key.replace("-", "_")]
+        value = _config_value(action, key, value)
+        current = getattr(args, action.dest)
+        if current is None or current is False:
+            setattr(args, action.dest, value)
     return args
 
 
@@ -120,6 +180,11 @@ def _t_grid(args) -> list[float]:
         return [args.t]
     _require(args, "t_min", "t_max")
     points = args.points if args.points is not None else 50
+    if points < 2:
+        raise CliError(
+            f"--points must be at least 2 for a T range, got {points} "
+            f"(use --t for one T)"
+        )
     if not 0.0 < args.t_min < args.t_max <= 1.0:
         raise CliError(
             f"T range must satisfy 0 < t_min < t_max <= 1, "
@@ -289,12 +354,15 @@ def cmd_tmin(args) -> int:
 
 def cmd_contour(args) -> int:
     spec = get_protocol(args.protocol)
-    q_grid = np.linspace(args.q_min, args.q_max, args.q_points)
-    y_grid = np.linspace(args.y_min, args.y_max, args.y_points)
     if not (0.0 <= args.q_min < args.q_max <= 0.25):
         raise CliError("Q grid must lie within [0, 0.25]")
     if not (0.0 < args.y_min < args.y_max <= 1.0):
         raise CliError("y grid must lie within (0, 1]")
+    for flag, points in (("--q-points", args.q_points), ("--y-points", args.y_points)):
+        if points < 2:
+            raise CliError(f"{flag} must be at least 2, got {points}")
+    q_grid = np.linspace(args.q_min, args.q_max, args.q_points)
+    y_grid = np.linspace(args.y_min, args.y_max, args.y_points)
     header = ["Q", "y", "renormalized_key_rate"]
     rows = []
     for q in q_grid:
@@ -358,7 +426,6 @@ def _fitted_prefactor(spec: ProtocolSpec, r: HeraldResponse, args) -> float:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    # no argparse default: it would block the config file's value
     p.add_argument("--protocol", choices=sorted(PROTOCOLS))
     p.add_argument("--source", choices=["wcp", "binary", "multiplexed", "custom"])
     p.add_argument("--stages", type=int)
@@ -402,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contour")
     _add_common(p)
-    p.add_argument("--q-min", dest="q_min", type=float, default=0.0)
-    p.add_argument("--q-max", dest="q_max", type=float, default=0.25)
-    p.add_argument("--q-points", dest="q_points", type=int, default=26)
-    p.add_argument("--y-min", dest="y_min", type=float, default=0.5)
-    p.add_argument("--y-max", dest="y_max", type=float, default=1.0)
-    p.add_argument("--y-points", dest="y_points", type=int, default=26)
+    p.add_argument("--q-min", dest="q_min", type=float)
+    p.add_argument("--q-max", dest="q_max", type=float)
+    p.add_argument("--q-points", dest="q_points", type=int)
+    p.add_argument("--y-min", dest="y_min", type=float)
+    p.add_argument("--y-max", dest="y_max", type=float)
+    p.add_argument("--y-points", dest="y_points", type=int)
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("compare-stages")
@@ -424,11 +491,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
-        if args.protocol is None:
-            args.protocol = "bb84"
+        args = _merge_config(args, parser)
+        for name, default in _DEFAULTS.items():
+            if hasattr(args, name) and getattr(args, name) is None:
+                setattr(args, name, default)
         return args.func(args)
-    except (CliError, ValueError, ZeroDivisionError, RuntimeError) as exc:
+    except (CliError, ValueError, ZeroDivisionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

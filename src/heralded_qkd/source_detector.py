@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_STAGES = 6
+# the largest stage count whose 2**stages bins still convert to a float
+_MAX_STAGES = 1023
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,10 @@ class MultiplexedDetectorParams:
     eta_c: float = 1.0
 
     def __post_init__(self):
-        if self.stages < 0 or self.stages != int(self.stages):
-            raise ValueError(f"stages must be a nonnegative integer, got {self.stages}")
+        if not 0 <= self.stages <= _MAX_STAGES or self.stages != int(self.stages):
+            raise ValueError(
+                f"stages must be an integer in [0, {_MAX_STAGES}], got {self.stages}"
+            )
         for label, value in (
             ("eta_a", self.eta_a),
             ("dark_a", self.dark_a),

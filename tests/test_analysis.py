@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from heralded_qkd import analysis
 from heralded_qkd.analysis import (
     fit_power_law,
     lambda_opt_heralded,
@@ -85,6 +86,46 @@ class TestOptimizeLambda:
         with pytest.raises(ValueError):
             optimize_lambda(BB84, wcp_response(), ChannelParams(0.1, 0.0),
                             bounds=(1.0, 0.5))
+
+
+class TestLambdaGrid:
+    """The cached coarse grid must equal a fresh build, bit for bit."""
+
+    @staticmethod
+    def fresh_grid(lo, hi, n):
+        grid = [float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n)]
+        return grid, [poisson_pair_stats(lam) for lam in grid]
+
+    def test_matches_logspace_and_pair_stats(self):
+        grid, stats = analysis._lambda_grid(1e-8, 1.0, 200)
+        assert isinstance(grid, tuple) and isinstance(stats, tuple)
+        expected_grid, expected_stats = self.fresh_grid(1e-8, 1.0, 200)
+        assert list(grid) == expected_grid
+        assert list(stats) == expected_stats
+
+    def test_cold_and_warm_cache_agree(self):
+        r = multiplexed_response(
+            MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1e-6, eta_c=0.98)
+        )
+        ch = ChannelParams(0.01, 1e-5)
+        analysis._lambda_grid.cache_clear()
+        cold = optimize_lambda(BB84, r, ch)
+        assert analysis._lambda_grid.cache_info().misses == 1
+        warm = optimize_lambda(BB84, r, ch)
+        assert analysis._lambda_grid.cache_info().hits >= 1
+        assert warm == cold
+        assert cold.evaluations == 229
+
+    @pytest.mark.parametrize("bounds, n", [((1e-6, 0.5), 200), ((1e-8, 1.0), 50)])
+    def test_custom_bounds_and_grid_size(self, bounds, n):
+        analysis._lambda_grid.cache_clear()
+        optimize_lambda(BB84, binary_response(), ChannelParams(0.01, 1e-5),
+                        bounds=bounds, grid_points=n)
+        optimize_lambda(BB84, binary_response(), ChannelParams(0.01, 1e-5))
+        assert analysis._lambda_grid.cache_info().currsize == 2
+        grid, stats = analysis._lambda_grid(*bounds, n)
+        assert len(grid) == n
+        assert (list(grid), list(stats)) == self.fresh_grid(*bounds, n)
 
 
 class TestShortDistanceKeyRate:

@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heralded_qkd.cli import main
 from heralded_qkd.protocol import BB84, SARG04
@@ -170,6 +173,12 @@ class TestScan:
         assert out == ""
         assert path.read_text().startswith("#")
 
+    def test_output_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, *self.ARGS, "--output", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_bad_range(self, capsys):
         code, _, err = run_cli(
             capsys, "scan", "--source", "wcp", "--dark-b", "1e-5",
@@ -177,6 +186,24 @@ class TestScan:
         )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_range_needs_two_points(self, capsys, points):
+        code, out, err = run_cli(
+            capsys, "scan", "--source", "wcp", "--dark-b", "1e-5",
+            "--t-min", "1e-3", "--t-max", "1e-2", "--points", points,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --points must be at least 2")
+
+    def test_single_t_ignores_points(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--source", "wcp", "--dark-b", "1e-5",
+            "--t", "0.01", "--points", "1",
+        )
+        assert code == 0
+        assert [r["T"] for r in parse_csv(out)] == ["0.01"]
 
 
 class TestTmin:
@@ -237,6 +264,14 @@ class TestContour:
             capsys, "contour", "--q-min", "0", "--q-max", "0.4"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--q-points", "--y-points"])
+    @pytest.mark.parametrize("points", ["1", "0"])
+    def test_grid_needs_two_points(self, capsys, flag, points):
+        code, out, err = run_cli(capsys, "contour", flag, points)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be at least 2")
 
 
 class TestCompareStages:
@@ -304,8 +339,132 @@ class TestConfigFile:
         )
         assert parse_csv(out)[0]["protocol"] == "bb84"
 
+    def test_benchmark_config_keys(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "detector": {"source": "multiplexed", "stages": 2, "eta_a": 0.8,
+                         "dark_a": 1e-06, "eta_c": 0.97},
+            "channel": {"dark_b": 2e-05, "t_min": 1e-03, "t_max": 0.1,
+                        "points": 3},
+            "output": {"format": "json"},
+        }))
+        code, from_config, _ = run_cli(capsys, "scan", "--config", str(cfg))
+        _, from_flags, _ = run_cli(
+            capsys, "scan", "--source", "multiplexed", "--stages", "2",
+            "--eta-a", "0.8", "--dark-a", "1e-06", "--eta-c", "0.97",
+            "--dark-b", "2e-05", "--t-min", "1e-03", "--t-max", "0.1",
+            "--points", "3", "--format", "json",
+        )
+        assert code == 0
+        assert from_config == from_flags
+
+    def test_values_convert_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"source": "wcp", "dark_b": "1e-5", "t": 0.01}))
+        code, from_config, _ = run_cli(capsys, "keyrate", "--config", str(cfg))
+        _, from_flags, _ = run_cli(
+            capsys, "keyrate", "--source", "wcp", "--dark-b", "1e-5", "--t", "0.01"
+        )
+        assert code == 0
+        assert from_config == from_flags
+
+    def test_defaulted_and_boolean_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"q_points": 3, "y_points": 2}))
+        _, from_config, _ = run_cli(capsys, "contour", "--config", str(cfg))
+        _, from_flags, _ = run_cli(
+            capsys, "contour", "--q-points", "3", "--y-points", "2"
+        )
+        assert from_config == from_flags
+        # a flag still overrides the config
+        _, out, _ = run_cli(
+            capsys, "contour", "--config", str(cfg), "--q-points", "4"
+        )
+        assert len(parse_csv(out)) == 8
+        cfg.write_text(json.dumps({"stages": 1, "eta_a": 0.6, "dark_a": 1e-6,
+                                   "oracle": True}))
+        code, out, _ = run_cli(capsys, "detector", "--config", str(cfg))
+        assert code == 0
+        assert "delta_q0" in out
+
+    @pytest.mark.parametrize("config, message", [
+        ({"dark_b": "abc"}, "config key 'dark_b': invalid float value"),
+        ({"stages": 2.5}, "config key 'stages': invalid int value"),
+        ({"stages": True}, "config key 'stages': invalid value"),
+        ({"dark_b": [1e-5]}, "config key 'dark_b': invalid value"),
+        ({"format": "xml"}, "config key 'format': 'xml' is not one of"),
+        ({"oracle": "yes"}, "config key 'oracle': expected true or false"),
+        ({"bogus_key": 3, "channel": {"t": 0.1}}, "unknown config key(s) for "
+                                                   "keyrate: bogus_key"),
+        ({"n_max": 3}, "unknown config key(s) for keyrate: n_max"),
+        ({"detector": "binary"}, "unknown config key(s) for keyrate: detector"),
+    ])
+    def test_bad_config(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            capsys, "keyrate", "--source", "wcp", "--t", "0.01",
+            "--dark-b", "1e-5", "--config", str(cfg),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    def test_top_level_list(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps([{"dark_b": 1e-5}]))
+        code, _, err = run_cli(capsys, "threshold", "--config", str(cfg))
+        assert code == 1
+        assert err == f"error: config {cfg} must hold a JSON object, got list\n"
+
     def test_missing_config(self, capsys):
         code, _, err = run_cli(
             capsys, "keyrate", "--source", "wcp", "--config", "/nonexistent.json"
         )
         assert code == 1
+
+
+class TestIntegerFlags:
+    """Any integer count reaches the user as a result or a one-line error."""
+
+    @staticmethod
+    def exit_code(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1
+        return code
+
+    def test_stage_bound(self, capsys):
+        base = ("detector", "--eta-a", "0.6", "--dark-a", "1e-6")
+        assert run_cli(capsys, *base, "--stages", "1023")[0] == 0
+        code, _, err = run_cli(capsys, *base, "--stages", "2000")
+        assert code == 1
+        assert err == "error: stages must be an integer in [0, 1023], got 2000\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers())
+    def test_stages(self, stages):
+        self.exit_code("detector", "--eta-a", "0.6", "--dark-a", "1e-6",
+                       "--stages", stages)
+
+    # point counts are bounded above only by the time the user will wait
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(max_value=8))
+    @example(1)
+    def test_scan_points(self, points):
+        code = self.exit_code("scan", "--source", "wcp", "--dark-b", "1e-5",
+                              "--t-min", "1e-3", "--t-max", "1e-2",
+                              "--points", points)
+        assert code == (0 if points >= 2 else 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(max_value=40), st.integers(max_value=40))
+    def test_contour_points(self, q_points, y_points):
+        code = self.exit_code("contour", "--q-points", q_points,
+                              "--y-points", y_points)
+        assert code == (0 if min(q_points, y_points) >= 2 else 1)

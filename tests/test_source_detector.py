@@ -88,6 +88,11 @@ class TestMultiplexedResponse:
             MultiplexedDetectorParams(stages=-1, eta_a=0.5, dark_a=0.0)
         with pytest.raises(ValueError):
             MultiplexedDetectorParams(stages=1, eta_a=1.5, dark_a=0.0)
+        # 2**stages bins must convert to a float
+        MultiplexedDetectorParams(stages=1023, eta_a=0.5, dark_a=0.0)
+        for stages in (1024, 2000, math.inf, math.nan):
+            with pytest.raises(ValueError, match="stages"):
+                MultiplexedDetectorParams(stages=stages, eta_a=0.5, dark_a=0.0)
 
 
 ORACLE_GRID = [
