@@ -73,9 +73,6 @@ class ScanSeries:
     """Per-transmission optimization results for one protocol/detector setup."""
 
     points: list[tuple[float, OptimizationResult]]
-    protocol: ProtocolSpec
-    response: HeraldResponse
-    dark_b: float
 
 
 @lru_cache(maxsize=8)
@@ -87,7 +84,9 @@ def _lambda_grid(
     Depends only on the bounds and the grid size, so one build serves every
     optimization that shares them.
     """
-    grid = tuple(float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n))
+    # an inf from overflow is rejected by poisson_pair_stats; no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = tuple(float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n))
     return grid, tuple(poisson_pair_stats(lam) for lam in grid)
 
 
@@ -352,7 +351,7 @@ def scan_key_rate(
     for t in t_grid:
         ch = ChannelParams(transmission=t, dark_b=dark_b)
         points.append((t, optimize_lambda(spec, r, ch, bounds=bounds)))
-    return ScanSeries(points=points, protocol=spec, response=r, dark_b=dark_b)
+    return ScanSeries(points=points)
 
 
 def fit_power_law(

@@ -33,6 +33,7 @@ from .source_detector import (
 
 INSECURE = "insecure"
 INVALID = "invalid"
+_LAMBDA_MIN = analysis.DEFAULT_LAMBDA_BOUNDS[0]
 
 
 def _fmt(x) -> str:
@@ -56,14 +57,6 @@ class CliError(Exception):
 
 
 _SECTIONS = ("protocol", "detector", "channel", "solver", "output")
-
-# applied after the config merge: an argparse default would block the
-# config file's value
-_DEFAULTS = {
-    "protocol": "bb84",
-    "q_min": 0.0, "q_max": 0.25, "q_points": 26,
-    "y_min": 0.5, "y_max": 1.0, "y_points": 26,
-}
 
 
 def _load_config(path: str) -> dict:
@@ -116,73 +109,66 @@ def _config_value(action: argparse.Action, key: str, value):
     return converted if action.nargs == "+" else converted[0]
 
 
-def _merge_config(args: argparse.Namespace, parser) -> argparse.Namespace:
-    """Fill unset flags from the config file, checked like the flags themselves."""
-    if not getattr(args, "config", None):
-        return args
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Make the config file's values the subcommand's defaults, below its flags."""
     subparsers = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
+    command = subparsers.choices[args.command]
     actions = {
         a.dest: a
-        for a in subparsers.choices[args.command]._actions
+        for a in command._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
     flat = _load_config(args.config)
     unknown = sorted(k for k in flat if k.replace("-", "_") not in actions)
     if unknown:
-        raise CliError(
-            f"unknown config key(s) for {args.command}: {', '.join(unknown)}"
-        )
+        # repr keeps a key with a line break on the error's one line
+        names = ", ".join(k if k.isprintable() else repr(k) for k in unknown)
+        raise CliError(f"unknown config key(s) for {args.command}: {names}")
+    defaults = {}
     for key, value in flat.items():
-        action = actions[key.replace("-", "_")]
-        value = _config_value(action, key, value)
-        current = getattr(args, action.dest)
-        if current is None or current is False:
-            setattr(args, action.dest, value)
-    return args
+        dest = key.replace("-", "_")
+        defaults[dest] = _config_value(actions[dest], key, value)
+    command.set_defaults(**defaults)
 
 
 def _require(args, *names):
     for name in names:
-        if getattr(args, name, None) is None:
+        if getattr(args, name) is None:
             raise CliError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _detector_params(args) -> MultiplexedDetectorParams:
+    _require(args, "eta_a", "dark_a")
+    return MultiplexedDetectorParams(
+        stages=args.stages, eta_a=args.eta_a, dark_a=args.dark_a, eta_c=args.eta_c
+    )
+
+
 def _build_response(args) -> HeraldResponse:
-    source = args.source or "wcp"
-    if source == "wcp":
+    if args.source == "wcp":
         return wcp_response()
-    if source == "custom":
+    if args.source == "custom":
         _require(args, "q0", "q1", "q2")
         return HeraldResponse(q0=args.q0, q1=args.q1, q2=args.q2)
-    if source in ("binary", "multiplexed"):
-        _require(args, "eta_a", "dark_a")
-        stages = 0 if source == "binary" else (args.stages if args.stages is not None else 0)
-        return multiplexed_response(
-            MultiplexedDetectorParams(
-                stages=stages,
-                eta_a=args.eta_a,
-                dark_a=args.dark_a,
-                eta_c=args.eta_c if args.eta_c is not None else 1.0,
+    if args.source in ("binary", "multiplexed"):
+        if args.source == "binary" and args.stages != 0:
+            raise CliError(
+                f"a binary source has no stages, got {args.stages} "
+                f"(use --source multiplexed)"
             )
-        )
-    raise CliError(f"unknown source kind {source!r}")
-
-
-def _lambda_bounds(args) -> tuple[float, float]:
-    upper = args.lambda_max if getattr(args, "lambda_max", None) is not None else 1.0
-    return (1e-8, upper)
+        return multiplexed_response(_detector_params(args))
+    raise CliError(f"unknown source kind {args.source!r}")
 
 
 def _t_grid(args) -> list[float]:
-    if getattr(args, "t", None) is not None:
+    if args.t is not None:
         return [args.t]
     _require(args, "t_min", "t_max")
-    points = args.points if args.points is not None else 50
-    if points < 2:
+    if args.points < 2:
         raise CliError(
-            f"--points must be at least 2 for a T range, got {points} "
+            f"--points must be at least 2 for a T range, got {args.points} "
             f"(use --t for one T)"
         )
     if not 0.0 < args.t_min < args.t_max <= 1.0:
@@ -190,14 +176,12 @@ def _t_grid(args) -> list[float]:
             f"T range must satisfy 0 < t_min < t_max <= 1, "
             f"got [{args.t_min}, {args.t_max}]"
         )
-    return [
-        float(t)
-        for t in np.logspace(math.log10(args.t_min), math.log10(args.t_max), points)
-    ]
+    grid = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.points)
+    return [float(t) for t in grid]
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as f:
             f.write(text)
     else:
@@ -206,8 +190,7 @@ def _emit(args, text: str) -> None:
 
 def _emit_table(args, header: list[str], rows: list[list], comments: list[str]):
     """Write a table as CSV (with # comments) or JSON, same values either way."""
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    if args.format == "csv":
         lines = [f"# {c}" for c in comments]
         lines.append(",".join(header))
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -233,14 +216,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_detector(args) -> int:
-    _require(args, "eta_a", "dark_a")
-    stages = args.stages if args.stages is not None else 0
-    params = MultiplexedDetectorParams(
-        stages=stages,
-        eta_a=args.eta_a,
-        dark_a=args.dark_a,
-        eta_c=args.eta_c if args.eta_c is not None else 1.0,
-    )
+    params = _detector_params(args)
     r = multiplexed_response(params)
     header = [
         "q0", "q1", "q2", "short_distance_factor", "distance_factor",
@@ -249,10 +225,10 @@ def cmd_detector(args) -> int:
     dist = distance_factor(r) if r.q1 > 0.0 else math.nan
     row = [
         r.q0, r.q1, r.q2, short_distance_factor(r), dist,
-        advantage_threshold(stages),
+        advantage_threshold(args.stages),
     ]
     comments = [
-        f"stages={stages} eta_a={_fmt(params.eta_a)} dark_a={_fmt(params.dark_a)}"
+        f"stages={args.stages} eta_a={_fmt(params.eta_a)} dark_a={_fmt(params.dark_a)}"
         f" eta_c={_fmt(params.eta_c)}"
     ]
     if args.oracle:
@@ -288,7 +264,9 @@ def cmd_keyrate(args) -> int:
             lambda_opt=args.lam, report=rep, converged=True, evaluations=1
         )
     else:
-        res = analysis.optimize_lambda(spec, r, ch, bounds=_lambda_bounds(args))
+        res = analysis.optimize_lambda(
+            spec, r, ch, bounds=(_LAMBDA_MIN, args.lambda_max)
+        )
     header = ["T", "lambda_opt", "p_exp", "qber", "y", "key_rate",
               "secure", "pns_valid"]
     _emit_table(args, header, [_scan_row(args.t, res)],
@@ -302,10 +280,10 @@ def cmd_scan(args) -> int:
     _require(args, "dark_b")
     grid = _t_grid(args)
     series = analysis.scan_key_rate(
-        spec, r, args.dark_b, grid, bounds=_lambda_bounds(args)
+        spec, r, args.dark_b, grid, bounds=(_LAMBDA_MIN, args.lambda_max)
     )
     comments = [
-        f"protocol={spec.name} source={args.source or 'wcp'} "
+        f"protocol={spec.name} source={args.source} "
         f"dark_b={_fmt(args.dark_b)} q0={_fmt(r.q0)} q1={_fmt(r.q1)} q2={_fmt(r.q2)}",
     ]
     if r.q1 > 0.0:
@@ -345,7 +323,9 @@ def cmd_tmin(args) -> int:
         lam_c,
         analysis.tmin_heralded(spec, r, args.dark_b),
         lam_h,
-        analysis.tmin_numerical(spec, r, args.dark_b, bounds=_lambda_bounds(args)),
+        analysis.tmin_numerical(
+            spec, r, args.dark_b, bounds=(_LAMBDA_MIN, args.lambda_max)
+        ),
     ]
     _emit_table(args, header, [row],
                 [f"protocol={spec.name} dark_b={_fmt(args.dark_b)}"])
@@ -385,39 +365,42 @@ def cmd_contour(args) -> int:
 def cmd_compare_stages(args) -> int:
     spec = get_protocol(args.protocol)
     _require(args, "eta_a_list", "dark_a", "dark_b")
-    eta_c = args.eta_c if args.eta_c is not None else 1.0
-    n_max = args.n_max if args.n_max is not None else 5
     header = ["eta_a", "stages", "ratio_vs_binary", "is_optimal"]
     if args.fit:
         header.append("fitted_ratio_vs_binary")
     rows = []
     for eta_a in args.eta_a_list:
-        binary = multiplexed_response(
-            MultiplexedDetectorParams(stages=0, eta_a=eta_a, dark_a=args.dark_a,
-                                      eta_c=eta_c)
+        best_n = analysis.optimal_stage_count(
+            eta_a, args.eta_c, args.dark_a, args.n_max
         )
-        base = short_distance_factor(binary)
-        best_n = analysis.optimal_stage_count(eta_a, eta_c, args.dark_a, n_max)
-        fitted_base = _fitted_prefactor(spec, binary, args) if args.fit else None
-        for n in range(n_max + 1):
-            r = multiplexed_response(
+        # stage 0, the binary detector, is the base of every ratio
+        responses = [
+            multiplexed_response(
                 MultiplexedDetectorParams(stages=n, eta_a=eta_a,
-                                          dark_a=args.dark_a, eta_c=eta_c)
+                                          dark_a=args.dark_a, eta_c=args.eta_c)
             )
-            row = [eta_a, n, short_distance_factor(r) / base, n == best_n]
+            for n in range(args.n_max + 1)
+        ]
+        factors = [short_distance_factor(r) for r in responses]
+        if args.fit:
+            fitted = [_fitted_prefactor(spec, r, args.dark_b) for r in responses]
+        for n in range(args.n_max + 1):
+            row = [eta_a, n, factors[n] / factors[0], n == best_n]
             if args.fit:
-                row.append(_fitted_prefactor(spec, r, args) / fitted_base)
+                row.append(fitted[n] / fitted[0])
             rows.append(row)
     _emit_table(args, header, rows,
-                [f"protocol={spec.name} eta_c={_fmt(eta_c)} "
-                 f"dark_a={_fmt(args.dark_a)} n_max={n_max}"])
+                [f"protocol={spec.name} eta_c={_fmt(args.eta_c)} "
+                 f"dark_a={_fmt(args.dark_a)} n_max={args.n_max}"])
     return 0
 
 
-def _fitted_prefactor(spec: ProtocolSpec, r: HeraldResponse, args) -> float:
+def _fitted_prefactor(
+    spec: ProtocolSpec, r: HeraldResponse, dark_b: float
+) -> float:
     """Quadratic-model prefactor fitted to a numerically optimized scan."""
     grid = np.logspace(-3.5, -2, 12)
-    series = analysis.scan_key_rate(spec, r, args.dark_b, grid)
+    series = analysis.scan_key_rate(spec, r, dark_b, grid)
     _, prefactor = analysis.fit_power_law(series)
     return prefactor
 
@@ -425,27 +408,62 @@ def _fitted_prefactor(spec: ProtocolSpec, r: HeraldResponse, args) -> float:
 # --- argument parsing ------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--protocol", choices=sorted(PROTOCOLS))
-    p.add_argument("--source", choices=["wcp", "binary", "multiplexed", "custom"])
-    p.add_argument("--stages", type=int)
-    p.add_argument("--eta-a", dest="eta_a", type=float)
-    p.add_argument("--eta-c", dest="eta_c", type=float)
-    p.add_argument("--dark-a", dest="dark_a", type=float)
-    p.add_argument("--dark-b", dest="dark_b", type=float)
-    p.add_argument("--q0", type=float)
-    p.add_argument("--q1", type=float)
-    p.add_argument("--q2", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p.add_argument("--lam", type=float, help="fixed pump strength (skip optimization)")
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--output")
-    p.add_argument("--config", help="JSON config file; flags override it")
+# Every flag of every subcommand, with its one definition: flag name ->
+# add_argument keywords.  A flag without a default reads None when unset.
+_FLAGS = {
+    "protocol": {"choices": sorted(PROTOCOLS), "default": "bb84"},
+    "source": {"choices": ["wcp", "binary", "multiplexed", "custom"],
+               "default": "wcp"},
+    "stages": {"type": int, "default": 0},
+    "eta-a": {"type": float},
+    "eta-c": {"type": float, "default": 1.0},
+    "dark-a": {"type": float},
+    "dark-b": {"type": float},
+    "q0": {"type": float},
+    "q1": {"type": float},
+    "q2": {"type": float},
+    "t": {"type": float},
+    "t-min": {"type": float},
+    "t-max": {"type": float},
+    "points": {"type": int, "default": 50},
+    "lambda-max": {"type": float, "default": analysis.DEFAULT_LAMBDA_BOUNDS[1]},
+    "lam": {"type": float, "help": "fixed pump strength (skip optimization)"},
+    "oracle": {"action": "store_true"},
+    "q-min": {"type": float, "default": 0.0},
+    "q-max": {"type": float, "default": 0.25},
+    "q-points": {"type": int, "default": 26},
+    "y-min": {"type": float, "default": 0.5},
+    "y-max": {"type": float, "default": 1.0},
+    "y-points": {"type": int, "default": 26},
+    "eta-a-list": {"type": float, "nargs": "+"},
+    "n-max": {"type": int, "default": 5},
+    "fit": {"action": "store_true"},
+    "format": {"choices": ["csv", "json"], "default": "csv"},
+    "output": {},
+    "config": {"help": "JSON config file; flags override it"},
+}
+
+_SOURCE = ("source", "stages", "eta-a", "eta-c", "dark-a", "q0", "q1", "q2")
+_IO = ("format", "output", "config")
+
+# subcommand -> (handler, exactly the flags it reads)
+_COMMANDS = {
+    "threshold": (cmd_threshold, ("protocol", *_IO)),
+    "detector": (cmd_detector,
+                 ("stages", "eta-a", "eta-c", "dark-a", "oracle", *_IO)),
+    "keyrate": (cmd_keyrate,
+                ("protocol", *_SOURCE, "dark-b", "t", "lam", "lambda-max", *_IO)),
+    "scan": (cmd_scan,
+             ("protocol", *_SOURCE, "dark-b", "t", "t-min", "t-max", "points",
+              "lambda-max", *_IO)),
+    "tmin": (cmd_tmin, ("protocol", *_SOURCE, "dark-b", "lambda-max", *_IO)),
+    "contour": (cmd_contour,
+                ("protocol", "q-min", "q-max", "q-points", "y-min", "y-max",
+                 "y-points", *_IO)),
+    "compare-stages": (cmd_compare_stages,
+                       ("protocol", "eta-a-list", "eta-c", "dark-a", "dark-b",
+                        "n-max", "fit", *_IO)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,35 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "with weak coherent pulses or heralded single-photon sources.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, func in [
-        ("threshold", cmd_threshold),
-        ("detector", cmd_detector),
-        ("keyrate", cmd_keyrate),
-        ("scan", cmd_scan),
-        ("tmin", cmd_tmin),
-    ]:
-        p = sub.add_parser(name)
-        _add_common(p)
+    for name, (func, flags) in _COMMANDS.items():
+        # no prefix matching: "--lam" must not pass for "--lambda-max"
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(func=func)
-
-    p = sub.add_parser("contour")
-    _add_common(p)
-    p.add_argument("--q-min", dest="q_min", type=float)
-    p.add_argument("--q-max", dest="q_max", type=float)
-    p.add_argument("--q-points", dest="q_points", type=int)
-    p.add_argument("--y-min", dest="y_min", type=float)
-    p.add_argument("--y-max", dest="y_max", type=float)
-    p.add_argument("--y-points", dest="y_points", type=int)
-    p.set_defaults(func=cmd_contour)
-
-    p = sub.add_parser("compare-stages")
-    _add_common(p)
-    p.add_argument("--eta-a-list", dest="eta_a_list", type=float, nargs="+")
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--fit", action="store_true")
-    p.set_defaults(func=cmd_compare_stages)
-
     return parser
 
 
@@ -491,10 +486,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
-        for name, default in _DEFAULTS.items():
-            if hasattr(args, name) and getattr(args, name) is None:
-                setattr(args, name, default)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, ZeroDivisionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -201,8 +201,10 @@ def approx_distance_factor(params: MultiplexedDetectorParams) -> float:
     eta = params.effective_efficiency
     if eta == 0.0:
         raise ValueError("effective efficiency must be positive")
-    return math.sqrt(params.dark_a) * math.sqrt(
-        1.0 + 2.0 ** (params.stages + 1) * (1.0 - eta) / eta
+    # sqrt(1 + 2**(N+1) (1 - eta)/eta) without forming 2**(N+1), which
+    # overflows a float at the largest stage count
+    return math.sqrt(params.dark_a) * math.hypot(
+        1.0, 2.0 ** ((params.stages + 1) / 2) * math.sqrt((1.0 - eta) / eta)
     )
 
 

@@ -391,8 +391,7 @@ class TestScanAndFit:
                  OptimizationResult(lambda_opt=t, report=rep, converged=True,
                                     evaluations=1))
             )
-        series = ScanSeries(points=points, protocol=BB84, response=wcp_response(),
-                            dark_b=0.0)
+        series = ScanSeries(points=points)
         exponent, prefactor = fit_power_law(series)
         assert exponent == pytest.approx(2.0, abs=1e-9)
         assert prefactor == pytest.approx(c, rel=1e-9)

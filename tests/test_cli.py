@@ -1,13 +1,18 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heralded_qkd.cli import main
+from heralded_qkd import analysis
+from heralded_qkd.cli import build_parser, main
 from heralded_qkd.protocol import BB84, SARG04
 
 
@@ -20,6 +25,21 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = [line for line in text.splitlines() if not line.startswith("#")]
     return list(csv.DictReader(io.StringIO("\n".join(rows))))
+
+
+def exit_code(*argv):
+    """Run the CLI; it must end in a result or in a one-line error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        # numpy's floating-point warnings would print beside the result
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([str(a) for a in argv])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+    return code
 
 
 class TestThreshold:
@@ -83,6 +103,11 @@ class TestKeyrate:
         assert out == ""
         assert err.startswith("error:") and "bounds" in err
 
+    @pytest.mark.parametrize("lambda_max", ["inf", "1.7976931348623157e308"])
+    def test_overflowing_lambda_max_rejected(self, lambda_max):
+        assert exit_code("keyrate", "--t", "0.01", "--dark-b", "1e-5",
+                         "--lambda-max", lambda_max) == 1
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_pump_strength_rejected(self, capsys, lam):
         code, out, err = run_cli(
@@ -110,6 +135,22 @@ class TestKeyrate:
         assert code == 0
         row = parse_csv(out)[0]
         assert float(row["key_rate"]) > 0
+
+
+    def test_binary_source_has_no_stages(self, capsys, tmp_path):
+        argv = ["keyrate", "--source", "binary", "--eta-a", "0.6",
+                "--dark-a", "1e-6", "--t", "0.01", "--dark-b", "1e-5"]
+        _, plain, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--stages", "0")
+        assert (code, out) == (0, plain)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"stages": 4}))
+        for extra in (["--stages", "4"], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert code == 1
+            assert out == ""
+            assert err == ("error: a binary source has no stages, got 4 "
+                           "(use --source multiplexed)\n")
 
 
 class TestScan:
@@ -302,6 +343,24 @@ class TestCompareStages:
         )
 
 
+    def test_one_fit_per_stage(self, capsys, monkeypatch):
+        fits = []
+        scan = analysis.scan_key_rate
+
+        def counting_scan(*args, **kwargs):
+            fits.append(args[1])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "scan_key_rate", counting_scan)
+        code, _, _ = run_cli(
+            capsys, "compare-stages", "--eta-a-list", "0.4", "0.8",
+            "--dark-a", "1e-6", "--dark-b", "1e-5", "--n-max", "2", "--fit",
+        )
+        assert code == 0
+        # stages 0..2 for each of the two efficiencies, stage 0 included once
+        assert len(fits) == 2 * 3
+
+
 class TestConfigFile:
     def test_nested_config_sections(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -398,14 +457,15 @@ class TestConfigFile:
                                                    "keyrate: bogus_key"),
         ({"n_max": 3}, "unknown config key(s) for keyrate: n_max"),
         ({"detector": "binary"}, "unknown config key(s) for keyrate: detector"),
+        ({"a\nb": 1}, "unknown config key(s) for keyrate: 'a\\nb'"),
     ])
     def test_bad_config(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
-        code, out, err = run_cli(
-            capsys, "keyrate", "--source", "wcp", "--t", "0.01",
-            "--dark-b", "1e-5", "--config", str(cfg),
-        )
+        # --oracle is a detector flag; keyrate rejects it as an unknown key
+        argv = (["detector", "--eta-a", "0.6", "--dark-a", "1e-6"] if "oracle" in config
+                else ["keyrate", "--source", "wcp", "--t", "0.01", "--dark-b", "1e-5"])
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {message}")
@@ -428,17 +488,6 @@ class TestConfigFile:
 class TestIntegerFlags:
     """Any integer count reaches the user as a result or a one-line error."""
 
-    @staticmethod
-    def exit_code(*argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([str(a) for a in argv])
-        assert code in (0, 1)
-        if code == 1:
-            assert err.getvalue().startswith("error:")
-            assert err.getvalue().count("\n") == 1
-        return code
-
     def test_stage_bound(self, capsys):
         base = ("detector", "--eta-a", "0.6", "--dark-a", "1e-6")
         assert run_cli(capsys, *base, "--stages", "1023")[0] == 0
@@ -449,7 +498,7 @@ class TestIntegerFlags:
     @settings(max_examples=60, deadline=None)
     @given(st.integers())
     def test_stages(self, stages):
-        self.exit_code("detector", "--eta-a", "0.6", "--dark-a", "1e-6",
+        exit_code("detector", "--eta-a", "0.6", "--dark-a", "1e-6",
                        "--stages", stages)
 
     # point counts are bounded above only by the time the user will wait
@@ -457,7 +506,7 @@ class TestIntegerFlags:
     @given(st.integers(max_value=8))
     @example(1)
     def test_scan_points(self, points):
-        code = self.exit_code("scan", "--source", "wcp", "--dark-b", "1e-5",
+        code = exit_code("scan", "--source", "wcp", "--dark-b", "1e-5",
                               "--t-min", "1e-3", "--t-max", "1e-2",
                               "--points", points)
         assert code == (0 if points >= 2 else 1)
@@ -465,6 +514,207 @@ class TestIntegerFlags:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(max_value=40), st.integers(max_value=40))
     def test_contour_points(self, q_points, y_points):
-        code = self.exit_code("contour", "--q-points", q_points,
+        code = exit_code("contour", "--q-points", q_points,
                               "--y-points", y_points)
         assert code == (0 if min(q_points, y_points) >= 2 else 1)
+
+
+_SOURCE = {"source", "stages", "eta-a", "eta-c", "dark-a", "q0", "q1", "q2"}
+_IO = {"format", "output", "config"}
+
+# the flags each subcommand reads, and so accepts
+READS = {
+    "threshold": {"protocol"} | _IO,
+    "detector": {"stages", "eta-a", "eta-c", "dark-a", "oracle"} | _IO,
+    "keyrate": {"protocol", "dark-b", "t", "lam", "lambda-max"} | _SOURCE | _IO,
+    "scan": {"protocol", "dark-b", "t", "t-min", "t-max", "points", "lambda-max"}
+            | _SOURCE | _IO,
+    "tmin": {"protocol", "dark-b", "lambda-max"} | _SOURCE | _IO,
+    "contour": {"protocol", "q-min", "q-max", "q-points", "y-min", "y-max",
+                "y-points"} | _IO,
+    "compare-stages": {"protocol", "eta-a-list", "eta-c", "dark-a", "dark-b",
+                       "n-max", "fit"} | _IO,
+}
+
+# a value for each flag that every subcommand used to accept (None: a switch)
+OLD_COMMON = {
+    "protocol": "bb84", "source": "wcp", "stages": "1", "eta-a": "0.5",
+    "eta-c": "0.9", "dark-a": "1e-6", "dark-b": "1e-5", "q0": "0.1",
+    "q1": "0.5", "q2": "0.2", "t": "0.01", "t-min": "1e-3", "t-max": "0.1",
+    "points": "3", "lambda-max": "0.5", "lam": "0.05", "oracle": None,
+    "format": "csv", "output": "out.csv",
+}
+
+# command lines that together take every branch that reads a flag
+READ_CASES = {
+    "threshold": [["threshold"]],
+    "detector": [["detector", "--eta-a", "0.6", "--dark-a", "1e-6"]],
+    "keyrate": [
+        ["keyrate", "--source", "custom", "--q0", "1e-6", "--q1", "0.5",
+         "--q2", "0.3", "--t", "0.01", "--dark-b", "1e-5", "--lam", "0.05"],
+        ["keyrate", "--source", "binary", "--eta-a", "0.6", "--dark-a", "1e-6",
+         "--t", "0.01", "--dark-b", "1e-5"],
+    ],
+    "scan": [
+        ["scan", "--source", "custom", "--q0", "1e-6", "--q1", "0.5",
+         "--q2", "0.3", "--t", "0.01", "--dark-b", "1e-5"],
+        ["scan", "--source", "binary", "--eta-a", "0.6", "--dark-a", "1e-6",
+         "--dark-b", "1e-5", "--t-min", "1e-3", "--t-max", "1e-2", "--points", "2"],
+    ],
+    "tmin": [
+        ["tmin", "--source", "custom", "--q0", "1e-6", "--q1", "0.5", "--q2", "0.3",
+         "--dark-b", "1e-5"],
+        ["tmin", "--source", "binary", "--eta-a", "0.6", "--dark-a", "1e-6",
+         "--dark-b", "1e-5"],
+    ],
+    "contour": [["contour", "--q-points", "2", "--y-points", "2"]],
+    "compare-stages": [["compare-stages", "--eta-a-list", "0.6", "--dark-a", "1e-6",
+                        "--dark-b", "1e-5", "--n-max", "1"]],
+}
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that notes the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+class TestFlagTable:
+    def test_each_subcommand_takes_the_flags_it_reads(self):
+        flags = {
+            name: {a.option_strings[0][2:] for a in sub._actions
+                   if a.option_strings and a.dest != "help"}
+            for name, sub in _subparsers().items()
+        }
+        assert flags == READS
+        assert sum(len(f) for f in flags.values()) == 80
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_command_reads_every_flag(self, capsys, command):
+        read = {"config"}  # read by main
+        for argv in READ_CASES[command]:
+            args = build_parser().parse_args(argv, namespace=_ReadRecorder())
+            args._read = set()
+            assert args.func(args) == 0
+            read |= args._read - {"func"}
+        capsys.readouterr()
+        assert read == {flag.replace("-", "_") for flag in READS[command]}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command in sorted(READS)
+        for flag in sorted(OLD_COMMON.keys() - READS[command])
+    ])
+    def test_unread_flag_and_key_rejected(self, capsys, tmp_path, command, flag):
+        value = OLD_COMMON[flag]
+        argv = [command, f"--{flag}"] + ([] if value is None else [value])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        key = flag.replace("-", "_")
+        cfg.write_text(json.dumps({key: True if value is None else value}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown config key(s) for {command}: {key}\n"
+
+
+# values that take each subcommand past validation; the properties replace
+# some of them.  Point counts stay small so each example runs in milliseconds.
+VALID = {
+    "threshold": {},
+    "detector": {"stages": 2, "eta-a": 0.6, "dark-a": 1e-6},
+    "keyrate": {"eta-a": 0.6, "dark-a": 1e-6, "q0": 1e-6, "q1": 0.6, "q2": 0.3,
+                "t": 0.01, "dark-b": 1e-5},
+    "scan": {"eta-a": 0.6, "dark-a": 1e-6, "q0": 1e-6, "q1": 0.6, "q2": 0.3,
+             "dark-b": 1e-5, "t-min": 1e-3, "t-max": 0.1, "points": 3},
+    "tmin": {"eta-a": 0.6, "dark-a": 1e-6, "q0": 1e-6, "q1": 0.6, "q2": 0.3,
+             "dark-b": 1e-5},
+    "contour": {"q-points": 3, "y-points": 3},
+    "compare-stages": {"eta-a-list": [0.6], "dark-a": 1e-6, "dark-b": 1e-5,
+                       "n-max": 1},
+}
+
+FLOAT_FLAGS = {
+    "detector": ["eta-a", "eta-c", "dark-a"],
+    "keyrate": ["eta-a", "eta-c", "dark-a", "q0", "q1", "q2", "t", "dark-b",
+                "lam", "lambda-max"],
+    "scan": ["eta-a", "eta-c", "dark-a", "q0", "q1", "q2", "t", "t-min", "t-max",
+             "dark-b", "lambda-max"],
+    "tmin": ["eta-a", "eta-c", "dark-a", "q0", "q1", "q2", "dark-b", "lambda-max"],
+    "contour": ["q-min", "q-max", "y-min", "y-max"],
+    "compare-stages": ["eta-a-list", "eta-c", "dark-a", "dark-b"],
+}
+
+COUNTS = {"stages", "points", "q-points", "y-points", "n-max"}
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.floats().map(repr) | st.text(max_size=5))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+# a count from a config must not ask for a long run: small integers, and
+# text without digits
+_count_values = (st.integers(max_value=3) | st.floats() | st.booleans()
+                 | st.none() | st.text(alphabet="abe.-+ ", max_size=4)
+                 | st.lists(st.integers(max_value=3), max_size=2))
+
+
+def _flag_argv(values):
+    argv = []
+    for flag, value in values.items():
+        for item in value if isinstance(value, list) else [value]:
+            # "--flag=value" keeps a value such as -inf from reading as a flag
+            argv.append(f"--{flag}={item!r}")
+    return argv
+
+
+class TestInputProperties:
+    """Any float flag or config value ends in a result or a one-line error."""
+
+    @pytest.mark.parametrize("command", sorted(FLOAT_FLAGS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_float_flags(self, command, data):
+        floats = data.draw(st.dictionaries(
+            st.sampled_from(FLOAT_FLAGS[command]), st.floats(), max_size=3
+        ))
+        extra = []
+        if "source" in READS[command]:
+            extra += ["--source", data.draw(st.sampled_from(
+                ["wcp", "binary", "multiplexed", "custom"]))]
+        if command == "compare-stages" and data.draw(st.booleans()):
+            extra.append("--fit")
+        exit_code(command, *_flag_argv({**VALID[command], **floats}), *extra)
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_config_values(self, command, data):
+        # output names a file to write, so it is left out
+        keys = sorted(READS[command] - {"config", "output"})
+        config = data.draw(st.fixed_dictionaries({}, optional={
+            key: _count_values if key in COUNTS else _json_values for key in keys
+        }))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.json"
+            cfg.write_text(json.dumps({**VALID[command], **config}))
+            exit_code(command, "--config", cfg)

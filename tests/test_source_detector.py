@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -215,6 +216,31 @@ class TestApproxDistanceFactor:
             approx_distance_factor(
                 MultiplexedDetectorParams(stages=1, eta_a=0.0, dark_a=1e-6)
             )
+
+    @pytest.mark.parametrize("stages, eta_a", [(1023, 0.5), (1023, 1e-3), (1022, 0.05)])
+    def test_large_stage_counts(self, stages, eta_a):
+        # 2.0**(stages + 1) (1 - eta)/eta overflows a float; the factor does not
+        params = MultiplexedDetectorParams(stages=stages, eta_a=eta_a, dark_a=1e-6)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            eta = decimal.Decimal(params.effective_efficiency)
+            exact = decimal.Decimal(params.dark_a).sqrt() * (
+                1 + 2 ** decimal.Decimal(stages + 1) * (1 - eta) / eta
+            ).sqrt()
+        value = approx_distance_factor(params)
+        assert math.isfinite(value)
+        assert value == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("stages", [0, 1, 2, 5, 17, 100, 511, 1000, 1022])
+    @pytest.mark.parametrize("eta_a", [1.0, 0.999, 0.6, 0.4])
+    def test_matches_direct_form(self, stages, eta_a):
+        params = MultiplexedDetectorParams(stages=stages, eta_a=eta_a,
+                                           dark_a=3e-6, eta_c=1.0)
+        eta = params.effective_efficiency
+        direct = math.sqrt(params.dark_a) * math.sqrt(
+            1.0 + 2.0 ** (stages + 1) * (1.0 - eta) / eta
+        )
+        assert approx_distance_factor(params) == pytest.approx(direct, rel=1e-13)
 
 
 class TestAdvantageThreshold:
