@@ -21,11 +21,8 @@ from .analysis import (
 from .keyrate import (
     ChannelParams,
     KeyRateReport,
-    expected_click_prob,
     key_rate,
-    qber,
     renormalized_key_rate,
-    single_photon_fraction,
 )
 from .protocol import (
     BB84,

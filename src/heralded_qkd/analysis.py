@@ -181,6 +181,11 @@ def optimize_lambda(
     )
 
 
+def _short_distance_penalty(spec: ProtocolSpec, t: float) -> float:
+    """I_AE2 - 2T: the short-distance cost of a multiphoton event."""
+    return spec.i_ae_two - 2.0 * t
+
+
 def short_distance_key_rate(
     spec: ProtocolSpec, r: HeraldResponse, t: float, lam: float
 ) -> float:
@@ -193,7 +198,7 @@ def short_distance_key_rate(
         raise ValueError(f"transmission must be in (0, 1], got {t}")
     stats = poisson_pair_stats(lam)
     return spec.p_sift * (
-        t * stats.p1 * r.q1 - stats.p2 * r.q2 * (spec.i_ae_two - 2.0 * t)
+        t * stats.p1 * r.q1 - stats.p2 * r.q2 * _short_distance_penalty(spec, t)
     )
 
 
@@ -205,7 +210,7 @@ def short_distance_lambda(spec: ProtocolSpec, r: HeraldResponse, t: float) -> fl
     """
     if r.q1 == 0.0 and r.q2 == 0.0:
         raise ValueError("degenerate response: q1 = q2 = 0")
-    penalty = spec.i_ae_two - 2.0 * t
+    penalty = _short_distance_penalty(spec, t)
     if penalty <= 0.0:
         warnings.warn(
             "I_AE2 <= 2T: outside the short-distance approximation regime",
@@ -224,14 +229,17 @@ def short_distance_approx_rate(
     """
     if r.q2 == 0.0:
         raise ZeroDivisionError("approximation undefined for q2 = 0")
-    penalty = spec.i_ae_two - 2.0 * t
+    penalty = _short_distance_penalty(spec, t)
     if penalty == 0.0:
         raise ZeroDivisionError("approximation singular at I_AE2 = 2T")
     return short_distance_factor(r) * spec.p_sift * t**2 / (2.0 * penalty)
 
 
 def tmin_single_photon(spec: ProtocolSpec, dark_b: float) -> float:
-    """Minimum transmission for an ideal single-photon source."""
+    """Minimum transmission T_min1 = d_B (1 - 2 Q_th) / Q_th, ideal source.
+
+    The WCP and heralded closed forms are built on it.
+    """
     if dark_b < 0.0:
         raise ValueError(f"dark_b must be nonnegative, got {dark_b}")
     q_th = spec.q_threshold
@@ -243,10 +251,7 @@ def tmin_wcp(spec: ProtocolSpec, dark_b: float) -> tuple[float, float]:
 
     Returns (T_min, lambda_opt); both scale as sqrt(dark_b).
     """
-    if dark_b < 0.0:
-        raise ValueError(f"dark_b must be nonnegative, got {dark_b}")
-    q_th = spec.q_threshold
-    base = 2.0 * dark_b * (1.0 - 2.0 * q_th) / q_th
+    base = 2.0 * tmin_single_photon(spec, dark_b)
     return math.sqrt(base * spec.xi), math.sqrt(base / spec.xi)
 
 
@@ -255,7 +260,7 @@ def lambda_opt_heralded(
 ) -> float:
     """Pump strength minimizing the heralded-source transmission bound.
 
-    sqrt(2 d_B (1 - 2 Q_th) q0 / (xi Q_th q2)).  Returns 0 at q0 = 0 (vacuum
+    sqrt(2 T_min1 q0 / (xi q2)).  Returns 0 at q0 = 0 (vacuum
     heralds absent, drive the pump down); singular at q2 = 0, where multipair
     events are perfectly sifted out and the bound decreases monotonically.
     """
@@ -263,10 +268,8 @@ def lambda_opt_heralded(
         raise ZeroDivisionError(
             "optimal pump strength unbounded for q2 = 0 (perfect sifting)"
         )
-    q_th = spec.q_threshold
-    return math.sqrt(
-        2.0 * dark_b * (1.0 - 2.0 * q_th) * r.q0 / (spec.xi * q_th * r.q2)
-    )
+    t1 = tmin_single_photon(spec, dark_b)
+    return math.sqrt(2.0 * t1 * r.q0 / (spec.xi * r.q2))
 
 
 def tmin_bound_heralded(

@@ -109,12 +109,28 @@ def _config_value(action: argparse.Action, key: str, value):
     return converted if action.nargs == "+" else converted[0]
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Make the config file's values the subcommand's defaults, below its flags."""
+def _subparser(
+    parser: argparse.ArgumentParser, command: str
+) -> argparse.ArgumentParser:
+    """The parser of one subcommand."""
     subparsers = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
-    command = subparsers.choices[args.command]
+    return subparsers.choices[command]
+
+
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv; an unknown flag is reported with its subcommand's usage."""
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        command = _subparser(parser, args.command)
+        command.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Make the config file's values the subcommand's defaults, below its flags."""
+    command = _subparser(parser, args.command)
     actions = {
         a.dest: a
         for a in command._actions
@@ -146,20 +162,34 @@ def _detector_params(args) -> MultiplexedDetectorParams:
     )
 
 
+# per source kind, the source flags it does not read, at their unset values
+_DETECTOR_UNSET = {"stages": 0, "eta_a": None, "dark_a": None, "eta_c": 1.0}
+_CUSTOM_UNSET = {"q0": None, "q1": None, "q2": None}
+_UNREAD_BY_SOURCE = {
+    "wcp": {**_DETECTOR_UNSET, **_CUSTOM_UNSET}, "custom": _DETECTOR_UNSET,
+    "binary": _CUSTOM_UNSET, "multiplexed": _CUSTOM_UNSET,
+}
+
+
 def _build_response(args) -> HeraldResponse:
+    unread = [
+        f"--{name.replace('_', '-')}"
+        for name, unset in _UNREAD_BY_SOURCE[args.source].items()
+        if getattr(args, name) != unset
+    ]
+    if unread:
+        raise CliError(f"a {args.source} source does not read {', '.join(unread)}")
     if args.source == "wcp":
         return wcp_response()
     if args.source == "custom":
         _require(args, "q0", "q1", "q2")
         return HeraldResponse(q0=args.q0, q1=args.q1, q2=args.q2)
-    if args.source in ("binary", "multiplexed"):
-        if args.source == "binary" and args.stages != 0:
-            raise CliError(
-                f"a binary source has no stages, got {args.stages} "
-                f"(use --source multiplexed)"
-            )
-        return multiplexed_response(_detector_params(args))
-    raise CliError(f"unknown source kind {args.source!r}")
+    if args.source == "binary" and args.stages != 0:
+        raise CliError(
+            f"a binary source has no stages, got {args.stages} "
+            f"(use --source multiplexed)"
+        )
+    return multiplexed_response(_detector_params(args))
 
 
 def _t_grid(args) -> list[float]:
@@ -299,7 +329,7 @@ def cmd_scan(args) -> int:
         approx = ",".join(
             f"{_fmt(t)}:{_fmt(analysis.short_distance_approx_rate(spec, r, t))}"
             for t in grid
-            if spec.i_ae_two - 2.0 * t > 0.0
+            if analysis._short_distance_penalty(spec, t) > 0.0
         )
         comments.append(f"short_distance_approx T:K = {approx}")
     header = ["T", "lambda_opt", "p_exp", "qber", "y", "key_rate",
@@ -484,11 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     try:
         if args.config:
             _apply_config(parser, args)
-            args = parser.parse_args(argv)
+            args = _parse(parser, argv)
         return args.func(args)
     except (CliError, ValueError, ZeroDivisionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,15 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .protocol import ProtocolSpec, pns_applicable, positivity_margin
+from .protocol import ProtocolSpec, _security_terms
 from .source_detector import HeraldResponse, PhotonStatistics
 
 __all__ = [
     "ChannelParams",
     "KeyRateReport",
-    "expected_click_prob",
-    "qber",
-    "single_photon_fraction",
     "key_rate",
     "renormalized_key_rate",
 ]
@@ -57,44 +54,22 @@ class KeyRateReport:
     secure: bool
 
 
-def _clicks(
-    stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
-) -> tuple[float, float]:
-    """Detection probability p_exp and its dark-count error term d_B * P(herald)."""
-    t = ch.transmission
-    dark = ch.dark_b * (stats.p0 * r.q0 + stats.p1 * r.q1 + stats.p2 * r.q2)
-    return t * stats.p1 * r.q1 + 2.0 * t * stats.p2 * r.q2 + 2.0 * dark, dark
-
-
 def _detection(
     stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
 ) -> tuple[float, float, float]:
-    """(p_exp, QBER, single-photon fraction y) of one setting."""
-    p_exp, dark = _clicks(stats, r, ch)
+    """(p_exp, QBER, single-photon fraction y) of one setting.
+
+    p_exp is the detection probability per pulse; half of the dark-count
+    events (d_B per detector and heralded pulse) are errors.
+    """
+    t = ch.transmission
+    dark = ch.dark_b * (stats.p0 * r.q0 + stats.p1 * r.q1 + stats.p2 * r.q2)
+    p_exp = t * stats.p1 * r.q1 + 2.0 * t * stats.p2 * r.q2 + 2.0 * dark
     if p_exp == 0.0:
         raise ZeroDivisionError(
             "QBER and single-photon fraction undefined at zero detection probability"
         )
     return p_exp, dark / p_exp, 1.0 - stats.p2 * r.q2 / p_exp
-
-
-def expected_click_prob(
-    stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
-) -> float:
-    """Probability of a detection event at Bob per emitted pulse."""
-    return _clicks(stats, r, ch)[0]
-
-
-def qber(stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams) -> float:
-    """Quantum bit error rate; half of all dark-count events are errors."""
-    return _detection(stats, r, ch)[1]
-
-
-def single_photon_fraction(
-    stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
-) -> float:
-    """Fraction of detection events attributable to single-photon pulses."""
-    return _detection(stats, r, ch)[2]
 
 
 def key_rate(
@@ -113,14 +88,8 @@ def key_rate(
     p_exp, q, y = _detection(stats, r, ch)
     # the printed multiphoton fraction can exceed 1 at large pump strength
     # and low transmission, driving y <= 0; the model does not apply there
-    margin = math.nan if y <= 0.0 else positivity_margin(spec, q, y)
-    if math.isnan(margin):
-        return KeyRateReport(
-            p_exp=p_exp, qber=q, y=y, key_rate=math.nan, pns_valid=False,
-            secure=False,
-        )
+    margin, valid = (math.nan, False) if y <= 0.0 else _security_terms(spec, q, y)
     k = p_exp * spec.p_sift * margin
-    valid = pns_applicable(spec, q, y)
     return KeyRateReport(
         p_exp=p_exp, qber=q, y=y, key_rate=k, pns_valid=valid,
         secure=(k > 0.0 and valid),
@@ -135,6 +104,5 @@ def renormalized_key_rate(spec: ProtocolSpec, q: float, y: float) -> float:
     """
     if q < 0.0 or not 0.0 < y <= 1.0:
         raise ValueError(f"require Q >= 0 and 0 < y <= 1, got Q={q}, y={y}")
-    if not pns_applicable(spec, q, y):
-        return math.nan
-    return spec.p_sift * positivity_margin(spec, q, y)
+    margin, valid = _security_terms(spec, q, y)
+    return spec.p_sift * margin if valid else math.nan

@@ -160,11 +160,21 @@ def solve_qber_threshold(spec: ProtocolSpec, tol: float = 1e-12) -> float:
     diverges at 0.
     """
     eps = 1e-12
+    # at y = 1 the margin is I_AB(Q) - I_AE^(1)(Q)
+    return _bisect(lambda q: positivity_margin(spec, q, 1.0), eps, 0.5 - eps, tol)
 
-    def residual(q: float) -> float:
-        return mutual_info_ab(q) - eve_info_single(spec, q)
 
-    return _bisect(residual, eps, 0.5 - eps, tol)
+def _security_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:
+    """(positivity margin, PNS model applies) at QBER q, single-photon fraction y.
+
+    The one evaluation of I_AE^(1)(Q/y).  Outside its domain [0, q_max] the
+    margin is NaN and the model does not apply.
+    """
+    ratio = q / y
+    if not ratio <= spec.q_max:  # a NaN ratio is outside too
+        return math.nan, False
+    i_ab, i_ae_one = mutual_info_ab(q), spec.eve_info(ratio)
+    return i_ab - y * i_ae_one - (1.0 - y) * spec.i_ae_two, i_ae_one <= spec.i_ae_two
 
 
 def positivity_margin(spec: ProtocolSpec, q: float, y: float) -> float:
@@ -172,24 +182,14 @@ def positivity_margin(spec: ProtocolSpec, q: float, y: float) -> float:
 
     NaN when Q/y leaves the domain of the single-photon information function.
     """
-    ratio = q / y
-    if ratio > spec.q_max:
-        return math.nan
-    return (
-        mutual_info_ab(q)
-        - y * spec.eve_info(ratio)
-        - (1.0 - y) * spec.i_ae_two
-    )
+    return _security_terms(spec, q, y)[0]
 
 
 def _solve_contour_q(spec: ProtocolSpec, y: float, q_th: float) -> float:
     """Q on the zero contour of the key-positivity margin at fixed y."""
 
-    def f(q: float) -> float:
-        return positivity_margin(spec, q, y)
-
     # the contour sits just below q_th for y slightly under 1
-    return _bisect(f, 1e-12, q_th, 1e-12)
+    return _bisect(lambda q: positivity_margin(spec, q, y), 1e-12, q_th, 1e-12)
 
 
 def compute_xi(spec: ProtocolSpec) -> float:
@@ -219,5 +219,4 @@ def pns_applicable(spec: ProtocolSpec, q: float, y: float) -> bool:
     """
     if q < 0.0 or not 0.0 < y <= 1.0:
         raise ValueError(f"require Q >= 0 and 0 < y <= 1, got Q={q}, y={y}")
-    ratio = q / y
-    return ratio <= spec.q_max and spec.eve_info(ratio) <= spec.i_ae_two
+    return _security_terms(spec, q, y)[1]

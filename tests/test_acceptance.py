@@ -26,7 +26,6 @@ from heralded_qkd.analysis import (
 from heralded_qkd.keyrate import (
     ChannelParams,
     key_rate,
-    qber,
     renormalized_key_rate,
 )
 from heralded_qkd.protocol import (
@@ -253,7 +252,7 @@ def test_criterion_9_property_suite():
         r = HeraldResponse(rng.random(), rng.random(), rng.random())
         ch = ChannelParams(rng.uniform(0.0, 1.0), rng.uniform(1e-8, 1e-2))
         try:
-            q = qber(stats, r, ch)
+            q = key_rate(BB84, stats, r, ch).qber
         except ZeroDivisionError:
             continue
         assert 0.0 <= q <= 0.5

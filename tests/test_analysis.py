@@ -253,6 +253,11 @@ class TestMinimumTransmissions:
         with pytest.raises(ZeroDivisionError):
             lambda_opt_heralded(BB84, IDEAL_HERALD, 1e-5)
 
+    def test_lambda_opt_rejects_negative_dark_counts(self):
+        # the check of tmin_single_photon, not a math domain error
+        with pytest.raises(ValueError, match="dark_b"):
+            lambda_opt_heralded(BB84, binary_response(), -1e-5)
+
     def test_lambda_opt_minimizes_bound(self):
         r = binary_response()
         d_b = 1e-5

@@ -153,6 +153,50 @@ class TestKeyrate:
                            "(use --source multiplexed)\n")
 
 
+class TestSourceFlags:
+    """A source flag the chosen --source does not read is an error."""
+
+    PLAIN = ["keyrate", "--t", "0.01", "--dark-b", "1e-5"]
+    DETECTOR = {"stages": "4", "eta-a": "0.3", "dark-a": "0.5", "eta-c": "0.9"}
+    CUSTOM = {"q0": "0.2", "q1": "0.5", "q2": "0.1"}
+    UNREAD = {"wcp": {**DETECTOR, **CUSTOM}, "custom": DETECTOR,
+              "binary": CUSTOM, "multiplexed": CUSTOM}
+
+    @pytest.mark.parametrize("source, flag", [
+        (source, flag) for source, flags in UNREAD.items() for flag in flags
+    ])
+    def test_unread_flag_and_key_rejected(self, capsys, tmp_path, source, flag):
+        argv = [*self.PLAIN, "--source", source]
+        for name, value in SOURCE_VALID[source].items():
+            argv += [f"--{name}", str(value)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        message = f"error: a {source} source does not read --{flag}\n"
+        code, out, err = run_cli(capsys, *argv, f"--{flag}", self.UNREAD[source][flag])
+        assert (code, out, err) == (1, "", message)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({flag.replace("-", "_"): self.UNREAD[source][flag]}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize("command", ["keyrate", "scan", "tmin"])
+    def test_every_unread_flag_named(self, capsys, command):
+        argv = [command, "--source", "wcp", "--stages", "4", "--eta-a", "0.3",
+                "--dark-a", "0.5", "--q0", "0.2", "--t", "0.01", "--dark-b", "1e-5"]
+        if command == "tmin":
+            argv.remove("--t")
+            argv.remove("0.01")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("error: a wcp source does not read --stages, --eta-a, "
+                       "--dark-a, --q0\n")
+
+    def test_unset_values_accepted(self, capsys):
+        _, plain, _ = run_cli(capsys, *self.PLAIN)
+        code, out, _ = run_cli(capsys, *self.PLAIN, "--stages", "0", "--eta-c", "1")
+        assert (code, out) == (0, plain)
+
+
 class TestScan:
     ARGS = [
         "scan", "--protocol", "bb84", "--source", "binary", "--eta-a", "0.6",
@@ -625,7 +669,10 @@ class TestFlagTable:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the subcommand's usage, which lists the flags it takes
+        assert err.startswith(f"usage: heralded-qkd {command} [-h]")
+        assert f"heralded-qkd {command}: error: unrecognized arguments: --{flag}" in err
         cfg = tmp_path / "run.json"
         key = flag.replace("-", "_")
         cfg.write_text(json.dumps({key: True if value is None else value}))
@@ -639,15 +686,20 @@ class TestFlagTable:
 VALID = {
     "threshold": {},
     "detector": {"stages": 2, "eta-a": 0.6, "dark-a": 1e-6},
-    "keyrate": {"eta-a": 0.6, "dark-a": 1e-6, "q0": 1e-6, "q1": 0.6, "q2": 0.3,
-                "t": 0.01, "dark-b": 1e-5},
-    "scan": {"eta-a": 0.6, "dark-a": 1e-6, "q0": 1e-6, "q1": 0.6, "q2": 0.3,
-             "dark-b": 1e-5, "t-min": 1e-3, "t-max": 0.1, "points": 3},
-    "tmin": {"eta-a": 0.6, "dark-a": 1e-6, "q0": 1e-6, "q1": 0.6, "q2": 0.3,
-             "dark-b": 1e-5},
+    "keyrate": {"t": 0.01, "dark-b": 1e-5},
+    "scan": {"dark-b": 1e-5, "t-min": 1e-3, "t-max": 0.1, "points": 3},
+    "tmin": {"dark-b": 1e-5},
     "contour": {"q-points": 3, "y-points": 3},
     "compare-stages": {"eta-a-list": [0.6], "dark-a": 1e-6, "dark-b": 1e-5,
                        "n-max": 1},
+}
+
+# and the source flags each source kind reads
+SOURCE_VALID = {
+    "wcp": {},
+    "custom": {"q0": 1e-6, "q1": 0.6, "q2": 0.3},
+    "binary": {"eta-a": 0.6, "dark-a": 1e-6},
+    "multiplexed": {"stages": 2, "eta-a": 0.6, "dark-a": 1e-6},
 }
 
 FLOAT_FLAGS = {
@@ -697,13 +749,14 @@ class TestInputProperties:
         floats = data.draw(st.dictionaries(
             st.sampled_from(FLOAT_FLAGS[command]), st.floats(), max_size=3
         ))
-        extra = []
+        valid, extra = VALID[command], []
         if "source" in READS[command]:
-            extra += ["--source", data.draw(st.sampled_from(
-                ["wcp", "binary", "multiplexed", "custom"]))]
+            source = data.draw(st.sampled_from(sorted(SOURCE_VALID)))
+            valid = {**valid, **SOURCE_VALID[source]}
+            extra += ["--source", source]
         if command == "compare-stages" and data.draw(st.booleans()):
             extra.append("--fit")
-        exit_code(command, *_flag_argv({**VALID[command], **floats}), *extra)
+        exit_code(command, *_flag_argv({**valid, **floats}), *extra)
 
     @pytest.mark.parametrize("command", sorted(READS))
     @settings(max_examples=10, deadline=None)
@@ -714,7 +767,11 @@ class TestInputProperties:
         config = data.draw(st.fixed_dictionaries({}, optional={
             key: _count_values if key in COUNTS else _json_values for key in keys
         }))
+        valid = VALID[command]
+        if "source" in READS[command]:
+            source = data.draw(st.sampled_from(sorted(SOURCE_VALID)))
+            valid = {**valid, "source": source, **SOURCE_VALID[source]}
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "run.json"
-            cfg.write_text(json.dumps({**VALID[command], **config}))
+            cfg.write_text(json.dumps({**valid, **config}))
             exit_code(command, "--config", cfg)

@@ -1,17 +1,17 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from heralded_qkd.keyrate import (
     ChannelParams,
-    expected_click_prob,
     key_rate,
-    qber,
     renormalized_key_rate,
-    single_photon_fraction,
 )
-from heralded_qkd.protocol import BB84, SARG04
+from heralded_qkd.protocol import BB84, SARG04, pns_applicable, positivity_margin
 from heralded_qkd.source_detector import (
     HeraldResponse,
     poisson_pair_stats,
@@ -31,42 +31,39 @@ def reference_setup():
     return poisson_pair_stats(0.1), wcp_response(), ChannelParams(0.1, 1e-5)
 
 
+# p_exp, QBER and y are fields of the key-rate report (BB84; any protocol
+# gives the same three)
 class TestExpectedClickProb:
-    def test_dead_channel(self):
-        stats = poisson_pair_stats(0.2)
-        assert expected_click_prob(stats, wcp_response(), ChannelParams(0.0, 0.0)) == 0.0
-
     def test_ideal_heralding(self):
         stats = poisson_pair_stats(0.3)
         ch = ChannelParams(0.4, 0.0)
-        assert expected_click_prob(stats, IDEAL_HERALD, ch) == pytest.approx(
+        assert key_rate(BB84, stats, IDEAL_HERALD, ch).p_exp == pytest.approx(
             0.4 * stats.p1, abs=1e-15
         )
 
     def test_derived_reference(self):
         stats, r, ch = reference_setup()
-        assert expected_click_prob(stats, r, ch) == pytest.approx(PEXP_REF, abs=1e-5)
+        assert key_rate(BB84, stats, r, ch).p_exp == pytest.approx(PEXP_REF, abs=1e-5)
 
 
 class TestQber:
     def test_no_dark_counts(self):
         stats = poisson_pair_stats(0.1)
-        assert qber(stats, wcp_response(), ChannelParams(0.2, 0.0)) == 0.0
+        assert key_rate(BB84, stats, wcp_response(), ChannelParams(0.2, 0.0)).qber == 0.0
 
     def test_all_dark_counts(self):
         stats = poisson_pair_stats(0.1)
-        assert qber(stats, wcp_response(), ChannelParams(0.0, 1e-4)) == pytest.approx(
-            0.5, abs=1e-15
-        )
+        rep = key_rate(BB84, stats, wcp_response(), ChannelParams(0.0, 1e-4))
+        assert rep.qber == pytest.approx(0.5, abs=1e-15)
 
     def test_derived_reference(self):
         stats, r, ch = reference_setup()
-        assert qber(stats, r, ch) == pytest.approx(QBER_REF, abs=1e-5)
+        assert key_rate(BB84, stats, r, ch).qber == pytest.approx(QBER_REF, abs=1e-5)
 
     def test_zero_rate_error(self):
         stats = poisson_pair_stats(0.1)
         with pytest.raises(ZeroDivisionError):
-            qber(stats, wcp_response(), ChannelParams(0.0, 0.0))
+            key_rate(BB84, stats, wcp_response(), ChannelParams(0.0, 0.0))
 
     def test_never_exceeds_half(self):
         rng = random.Random(7)
@@ -75,7 +72,7 @@ class TestQber:
             r = HeraldResponse(rng.random(), rng.random(), rng.random())
             ch = ChannelParams(rng.uniform(0.0, 1.0), rng.uniform(1e-8, 1e-2))
             try:
-                q = qber(stats, r, ch)
+                q = key_rate(BB84, stats, r, ch).qber
             except ZeroDivisionError:
                 continue
             assert 0.0 <= q <= 0.5
@@ -85,17 +82,15 @@ class TestSinglePhotonFraction:
     def test_perfect_rejection(self):
         stats = poisson_pair_stats(0.3)
         ch = ChannelParams(0.2, 1e-5)
-        assert single_photon_fraction(stats, IDEAL_HERALD, ch) == 1.0
+        assert key_rate(BB84, stats, IDEAL_HERALD, ch).y == 1.0
 
     def test_no_pairs(self):
         ch = ChannelParams(0.2, 1e-5)
-        assert single_photon_fraction(
-            poisson_pair_stats(0.0), wcp_response(), ch
-        ) == 1.0
+        assert key_rate(BB84, poisson_pair_stats(0.0), wcp_response(), ch).y == 1.0
 
     def test_derived_reference(self):
         stats, r, ch = reference_setup()
-        assert single_photon_fraction(stats, r, ch) == pytest.approx(Y_REF, abs=1e-3)
+        assert key_rate(BB84, stats, r, ch).y == pytest.approx(Y_REF, abs=1e-3)
 
 
 class TestKeyRate:
@@ -177,6 +172,57 @@ class TestKeyRate:
         ]
         assert all(k >= 0.0 for k in rates)
         assert all(b > a for a, b in zip(rates, rates[1:]))
+
+
+def counting(spec):
+    """A copy of spec whose eve_info counts its calls in .calls."""
+    calls = []
+
+    def eve_info(q):
+        calls.append(q)
+        return spec.eve_info(q)
+
+    counted = dataclasses.replace(spec, eve_info=eve_info)
+    return counted, calls
+
+
+class TestSecurityKernel:
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    def test_one_eve_info_call_per_rate(self, spec):
+        counted, calls = counting(spec)
+        stats, r, ch = reference_setup()
+        rep = key_rate(counted, stats, r, ch)
+        assert rep == key_rate(spec, stats, r, ch)
+        assert calls == [rep.qber / rep.y]
+        calls.clear()
+        assert renormalized_key_rate(counted, 0.05, 0.8) == renormalized_key_rate(
+            spec, 0.05, 0.8
+        )
+        assert calls == [0.05 / 0.8]
+
+    @given(
+        spec=st.sampled_from([BB84, SARG04]),
+        lam=st.floats(1e-8, 1.0),
+        q=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        t=st.floats(0.0, 1.0),
+        dark_b=st.floats(0.0, 0.1),
+    )
+    def test_key_rate_is_margin_times_detections(self, spec, lam, q, t, dark_b):
+        stats = poisson_pair_stats(lam)
+        try:
+            rep = key_rate(spec, stats, HeraldResponse(*q), ChannelParams(t, dark_b))
+        except ZeroDivisionError:
+            assume(False)
+        if rep.y <= 0.0:
+            assert math.isnan(rep.key_rate) and not rep.pns_valid
+            return
+        margin = positivity_margin(spec, rep.qber, rep.y)
+        expected = rep.p_exp * spec.p_sift * margin
+        assert math.isnan(rep.key_rate) == math.isnan(expected)
+        if not math.isnan(expected):
+            assert rep.key_rate == expected
+        assert rep.pns_valid == pns_applicable(spec, rep.qber, rep.y)
+        assert rep.secure == (rep.key_rate > 0.0 and rep.pns_valid)
 
 
 class TestRenormalizedKeyRate:
