@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_BOUNDS = (1e-8, 1.0)
+_LAMBDA_GRID_POINTS = 200  # size of the coarse logarithmic pump-strength grid
+_TMIN_REL_TOL = 1e-3  # relative tolerance of tmin_numerical's bisection in T
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,16 +79,17 @@ class ScanSeries:
 
 @lru_cache(maxsize=8)
 def _lambda_grid(
-    lo: float, hi: float, n: int
+    lo: float, hi: float
 ) -> tuple[tuple[float, ...], tuple[PhotonStatistics, ...]]:
     """Coarse logarithmic pump-strength grid and its pair statistics.
 
-    Depends only on the bounds and the grid size, so one build serves every
-    optimization that shares them.
+    Depends only on the bounds, so one build serves every optimization that
+    shares them.
     """
     # an inf from overflow is rejected by poisson_pair_stats; no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = tuple(float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n))
+        grid = np.logspace(math.log10(lo), math.log10(hi), _LAMBDA_GRID_POINTS)
+    grid = tuple(float(x) for x in grid)
     return grid, tuple(poisson_pair_stats(lam) for lam in grid)
 
 
@@ -103,76 +106,68 @@ def _score(
     return report.key_rate, report
 
 
-def _rate_at(
-    spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, lam: float
-) -> tuple[float, KeyRateReport | None]:
-    """Optimization score at pump strength lam."""
-    return _score(spec, poisson_pair_stats(lam), r, ch)
-
-
 def optimize_lambda(
     spec: ProtocolSpec,
     r: HeraldResponse,
     ch: ChannelParams,
     bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS,
-    grid_points: int = 200,
     rel_tol: float = 1e-6,
 ) -> OptimizationResult:
     """Maximize the key rate over the pump strength.
 
-    A logarithmic grid over bounds locates the best bracket, which is then
-    refined by golden-section search to relative tolerance rel_tol in the
-    pump strength.  converged is False when the optimum sits at a bound or
-    when no probed point was model-valid.
+    A 200-point logarithmic grid over bounds locates the best bracket, which
+    is then refined by golden-section search to relative tolerance rel_tol in
+    the pump strength.  Each pump strength is evaluated once, so evaluations
+    is the number of key-rate calls.  converged is False when the optimum
+    sits at a bound or when no probed point was model-valid.
     """
     lo, hi = bounds
     if not 0.0 < lo < hi:
         raise ValueError(f"bounds must satisfy 0 < lo < hi, got {bounds}")
 
-    grid, grid_stats = _lambda_grid(lo, hi, grid_points)
-    scores = [_score(spec, stats, r, ch)[0] for stats in grid_stats]
-    evaluations = len(scores)
+    grid, grid_stats = _lambda_grid(lo, hi)
+    scored = [_score(spec, stats, r, ch) for stats in grid_stats]
+    evaluations = len(scored)
 
     # first maximum, as np.argmax; scores are never NaN
-    best_idx = max(range(grid_points), key=scores.__getitem__)
-    if scores[best_idx] == -math.inf:
+    best_idx = max(range(_LAMBDA_GRID_POINTS), key=lambda i: scored[i][0])
+    best_score, best_report = scored[best_idx]
+    if best_score == -math.inf:
         return OptimizationResult(
             lambda_opt=math.nan, report=None, converged=False,
             evaluations=evaluations,
         )
 
     a = grid[max(best_idx - 1, 0)]
-    b = grid[min(best_idx + 1, grid_points - 1)]
+    b = grid[min(best_idx + 1, _LAMBDA_GRID_POINTS - 1)]
 
     # golden-section refinement on the bracket
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, _ = _rate_at(spec, r, ch, c)
-    fd, _ = _rate_at(spec, r, ch, d)
+    fc = _score(spec, poisson_pair_stats(c), r, ch)[0]
+    fd = _score(spec, poisson_pair_stats(d), r, ch)[0]
     evaluations += 2
     while (b - a) > rel_tol * b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
-            fc, _ = _rate_at(spec, r, ch, c)
+            fc = _score(spec, poisson_pair_stats(c), r, ch)[0]
         else:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
-            fd, _ = _rate_at(spec, r, ch, d)
+            fd = _score(spec, poisson_pair_stats(d), r, ch)[0]
         evaluations += 1
 
     lam_opt = 0.5 * (a + b)
-    score, report = _rate_at(spec, r, ch, lam_opt)
+    score, report = _score(spec, poisson_pair_stats(lam_opt), r, ch)
     evaluations += 1
     # keep the best of refinement and coarse grid (refinement can only help
     # inside the bracket, but guard against flat -inf plateaus at the edges)
-    if scores[best_idx] > score:
-        lam_opt = grid[best_idx]
-        score, report = _rate_at(spec, r, ch, lam_opt)
-        evaluations += 1
+    if best_score > score:
+        lam_opt, report = grid[best_idx], best_report
 
     at_bound = (
-        best_idx in (0, grid_points - 1)
+        best_idx in (0, _LAMBDA_GRID_POINTS - 1)
         and (lam_opt <= lo * (1.0 + 1e-5) or lam_opt >= hi * (1.0 - 1e-5))
     )
     return OptimizationResult(
@@ -240,7 +235,7 @@ def tmin_single_photon(spec: ProtocolSpec, dark_b: float) -> float:
 
     The WCP and heralded closed forms are built on it.
     """
-    if dark_b < 0.0:
+    if not dark_b >= 0.0:  # a NaN is rejected too
         raise ValueError(f"dark_b must be nonnegative, got {dark_b}")
     q_th = spec.q_threshold
     return dark_b * (1.0 - 2.0 * q_th) / q_th
@@ -306,14 +301,13 @@ def tmin_numerical(
     spec: ProtocolSpec,
     r: HeraldResponse,
     dark_b: float,
-    rel_tol: float = 1e-3,
     bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS,
 ) -> float:
     """Smallest transmission with positive optimized key rate, by bisection.
 
     Oracle for the closed-form minimum transmission: the sign change of
     max_lambda K(T, lambda) is located on T in [1e-8, 1] to relative
-    tolerance rel_tol.
+    tolerance 1e-3.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
@@ -327,7 +321,7 @@ def tmin_numerical(
         raise RuntimeError(
             "no sign change of the optimized key rate on [1e-8, 1]"
         )
-    while t_hi / t_lo - 1.0 > rel_tol:
+    while t_hi / t_lo - 1.0 > _TMIN_REL_TOL:
         t_mid = math.sqrt(t_lo * t_hi)
         if optimized_rate(t_mid) > 0.0:
             t_hi = t_mid
@@ -357,13 +351,11 @@ def scan_key_rate(
     return ScanSeries(points=points)
 
 
-def fit_power_law(
-    series: ScanSeries, t_window: tuple[float, float] | None = None
-) -> tuple[float, float]:
+def fit_power_law(series: ScanSeries) -> tuple[float, float]:
     """Fit K = prefactor * T**exponent over secure scan points.
 
-    Least squares on log K versus log T.  The default window is the top
-    decade of secure transmissions, where the quadratic scaling holds.
+    Least squares on log K versus log T over the top decade of secure
+    transmissions, where the quadratic scaling holds.
     Returns (exponent, prefactor).
     """
     secure = [
@@ -371,17 +363,13 @@ def fit_power_law(
         for t, res in series.points
         if res.report is not None and res.report.secure
     ]
-    if t_window is None:
-        if not secure:
-            raise ValueError("no secure points in the scan")
-        t_max = max(t for t, _ in secure)
-        t_window = (t_max / 10.0, t_max)
-    selected = [(t, k) for t, k in secure if t_window[0] <= t <= t_window[1]]
+    if not secure:
+        raise ValueError("no secure points in the scan")
+    t_max = max(t for t, _ in secure)
+    selected = [(t, k) for t, k in secure if t_max / 10.0 <= t]
     if len(selected) < 3:
-        raise ValueError(
-            f"need at least 3 secure points in window {t_window}, "
-            f"got {len(selected)}"
-        )
+        raise ValueError(f"need at least 3 secure points in window "
+                         f"({t_max / 10.0}, {t_max}), got {len(selected)}")
     log_t = np.log10([t for t, _ in selected])
     log_k = np.log10([k for _, k in selected])
     exponent, intercept = np.polyfit(log_t, log_k, 1)

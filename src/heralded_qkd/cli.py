@@ -34,6 +34,7 @@ from .source_detector import (
 INSECURE = "insecure"
 INVALID = "invalid"
 _LAMBDA_MIN = analysis.DEFAULT_LAMBDA_BOUNDS[0]
+_MAX_CELLS = 10**6  # rows of a scan or contour table; more would run for hours
 
 
 def _fmt(x) -> str:
@@ -201,6 +202,8 @@ def _t_grid(args) -> list[float]:
             f"--points must be at least 2 for a T range, got {args.points} "
             f"(use --t for one T)"
         )
+    if args.points > _MAX_CELLS:
+        raise CliError(f"--points must be at most {_MAX_CELLS}, got {args.points}")
     if not 0.0 < args.t_min < args.t_max <= 1.0:
         raise CliError(
             f"T range must satisfy 0 < t_min < t_max <= 1, "
@@ -371,6 +374,9 @@ def cmd_contour(args) -> int:
     for flag, points in (("--q-points", args.q_points), ("--y-points", args.y_points)):
         if points < 2:
             raise CliError(f"{flag} must be at least 2, got {points}")
+    if args.q_points * args.y_points > _MAX_CELLS:
+        raise CliError(f"--q-points x --y-points must be at most {_MAX_CELLS}, "
+                       f"got {args.q_points} x {args.y_points}")
     q_grid = np.linspace(args.q_min, args.q_max, args.q_points)
     y_grid = np.linspace(args.y_min, args.y_max, args.y_points)
     header = ["Q", "y", "renormalized_key_rate"]

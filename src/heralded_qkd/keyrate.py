@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .protocol import ProtocolSpec, _security_terms
+from .protocol import ProtocolSpec, _checked_terms, _security_terms
 from .source_detector import HeraldResponse, PhotonStatistics
 
 __all__ = [
@@ -102,7 +102,5 @@ def renormalized_key_rate(spec: ProtocolSpec, q: float, y: float) -> float:
     Returns NaN where the PNS security model does not apply (the blanked
     region of the SARG04 contour plot).
     """
-    if q < 0.0 or not 0.0 < y <= 1.0:
-        raise ValueError(f"require Q >= 0 and 0 < y <= 1, got Q={q}, y={y}")
-    margin, valid = _security_terms(spec, q, y)
+    margin, valid = _checked_terms(spec, q, y)
     return spec.p_sift * margin if valid else math.nan

@@ -153,15 +153,21 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_qber_threshold(spec: ProtocolSpec, tol: float = 1e-12) -> float:
-    """Root of I_AB(Q) = I_AE^(1)(Q) on (0, 1/2), by bisection.
+_Q_TOL = 1e-12  # bisection tolerance in Q, and the Q bracket's margin from 0 and 1/2
+
+
+def _contour_q(spec: ProtocolSpec, y: float, q_hi: float) -> float:
+    """Q in [_Q_TOL, q_hi] on the positivity margin's zero contour at fixed y."""
+    return _bisect(lambda q: positivity_margin(spec, q, y), _Q_TOL, q_hi, _Q_TOL)
+
+
+def solve_qber_threshold(spec: ProtocolSpec) -> float:
+    """Root of I_AB(Q) = I_AE^(1)(Q) on (0, 1/2): the zero contour at y = 1.
 
     Bisection is used instead of Newton because the entropy derivative
     diverges at 0.
     """
-    eps = 1e-12
-    # at y = 1 the margin is I_AB(Q) - I_AE^(1)(Q)
-    return _bisect(lambda q: positivity_margin(spec, q, 1.0), eps, 0.5 - eps, tol)
+    return _contour_q(spec, 1.0, 0.5 - _Q_TOL)
 
 
 def _security_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:
@@ -177,19 +183,20 @@ def _security_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool
     return i_ab - y * i_ae_one - (1.0 - y) * spec.i_ae_two, i_ae_one <= spec.i_ae_two
 
 
+def _checked_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:
+    """_security_terms at a caller's (Q, y), after checking their range."""
+    if q < 0.0 or not 0.0 < y <= 1.0:
+        raise ValueError(f"require Q >= 0 and 0 < y <= 1, got Q={q}, y={y}")
+    return _security_terms(spec, q, y)
+
+
 def positivity_margin(spec: ProtocolSpec, q: float, y: float) -> float:
     """I_AB(Q) - y*I_AE^(1)(Q/y) - (1-y)*I_AE^(2); positive means secure.
 
     NaN when Q/y leaves the domain of the single-photon information function.
+    Raises ValueError unless Q >= 0 and 0 < y <= 1.
     """
-    return _security_terms(spec, q, y)[0]
-
-
-def _solve_contour_q(spec: ProtocolSpec, y: float, q_th: float) -> float:
-    """Q on the zero contour of the key-positivity margin at fixed y."""
-
-    # the contour sits just below q_th for y slightly under 1
-    return _bisect(lambda q: positivity_margin(spec, q, y), 1e-12, q_th, 1e-12)
+    return _checked_terms(spec, q, y)[0]
 
 
 def compute_xi(spec: ProtocolSpec) -> float:
@@ -201,8 +208,9 @@ def compute_xi(spec: ProtocolSpec) -> float:
     """
     q_th = spec.q_threshold
 
+    # the contour sits just below q_th for y slightly under 1
     def slope(eps: float) -> float:
-        q = _solve_contour_q(spec, 1.0 - eps, q_th)
+        q = _contour_q(spec, 1.0 - eps, q_th)
         return (1.0 - q / q_th) / eps
 
     e1, e2 = 1e-3, 1e-4
@@ -217,6 +225,4 @@ def pns_applicable(spec: ProtocolSpec, q: float, y: float) -> bool:
     True iff Q/y lies inside the single-photon information function's domain
     and I_AE^(1)(Q/y) <= I_AE^(2).  Out-of-domain ratios return False.
     """
-    if q < 0.0 or not 0.0 < y <= 1.0:
-        raise ValueError(f"require Q >= 0 and 0 < y <= 1, got Q={q}, y={y}")
-    return _security_terms(spec, q, y)[1]
+    return _checked_terms(spec, q, y)[1]

@@ -87,6 +87,23 @@ class TestOptimizeLambda:
             optimize_lambda(BB84, wcp_response(), ChannelParams(0.1, 0.0),
                             bounds=(1.0, 0.5))
 
+    @pytest.mark.parametrize("spec, t", [(BB84, 1e-5), (SARG04, 1.0)])
+    def test_grid_optimum_scored_once(self, monkeypatch, spec, t):
+        # sub-threshold (lambda at the lower bound) and lambda at the upper
+        # bound: the optimum is a grid point, whose report is reused
+        r, ch = binary_response(), ChannelParams(t, 1e-5)
+        scored = []
+
+        def recording_key_rate(spec, stats, r, ch):
+            scored.append(stats)
+            return key_rate(spec, stats, r, ch)
+
+        monkeypatch.setattr(analysis, "key_rate", recording_key_rate)
+        res = optimize_lambda(spec, r, ch)
+        assert res.lambda_opt in [float(x) for x in np.logspace(-8, 0, 200)]
+        assert len(set(scored)) == len(scored) == res.evaluations
+        assert res.report == key_rate(spec, poisson_pair_stats(res.lambda_opt), r, ch)
+
 
 class TestLambdaGrid:
     """The cached coarse grid must equal a fresh build, bit for bit."""
@@ -97,7 +114,7 @@ class TestLambdaGrid:
         return grid, [poisson_pair_stats(lam) for lam in grid]
 
     def test_matches_logspace_and_pair_stats(self):
-        grid, stats = analysis._lambda_grid(1e-8, 1.0, 200)
+        grid, stats = analysis._lambda_grid(1e-8, 1.0)
         assert isinstance(grid, tuple) and isinstance(stats, tuple)
         expected_grid, expected_stats = self.fresh_grid(1e-8, 1.0, 200)
         assert list(grid) == expected_grid
@@ -116,16 +133,16 @@ class TestLambdaGrid:
         assert warm == cold
         assert cold.evaluations == 229
 
-    @pytest.mark.parametrize("bounds, n", [((1e-6, 0.5), 200), ((1e-8, 1.0), 50)])
-    def test_custom_bounds_and_grid_size(self, bounds, n):
+    def test_custom_bounds(self):
+        bounds = (1e-6, 0.5)
         analysis._lambda_grid.cache_clear()
         optimize_lambda(BB84, binary_response(), ChannelParams(0.01, 1e-5),
-                        bounds=bounds, grid_points=n)
+                        bounds=bounds)
         optimize_lambda(BB84, binary_response(), ChannelParams(0.01, 1e-5))
         assert analysis._lambda_grid.cache_info().currsize == 2
-        grid, stats = analysis._lambda_grid(*bounds, n)
-        assert len(grid) == n
-        assert (list(grid), list(stats)) == self.fresh_grid(*bounds, n)
+        grid, stats = analysis._lambda_grid(*bounds)
+        assert len(grid) == 200
+        assert (list(grid), list(stats)) == self.fresh_grid(*bounds, 200)
 
 
 class TestShortDistanceKeyRate:
@@ -257,6 +274,18 @@ class TestMinimumTransmissions:
         # the check of tmin_single_photon, not a math domain error
         with pytest.raises(ValueError, match="dark_b"):
             lambda_opt_heralded(BB84, binary_response(), -1e-5)
+
+    @pytest.mark.parametrize("closed_form", [
+        lambda d_b: tmin_single_photon(BB84, d_b),
+        lambda d_b: tmin_wcp(BB84, d_b),
+        lambda d_b: tmin_heralded(BB84, binary_response(), d_b),
+        lambda d_b: lambda_opt_heralded(BB84, binary_response(), d_b),
+        lambda d_b: tmin_bound_heralded(BB84, binary_response(), d_b, 0.01),
+    ], ids=["tmin_single_photon", "tmin_wcp", "tmin_heralded",
+            "lambda_opt_heralded", "tmin_bound_heralded"])
+    def test_closed_forms_reject_nan_dark_counts(self, closed_form):
+        with pytest.raises(ValueError, match="dark_b"):
+            closed_form(math.nan)
 
     def test_lambda_opt_minimizes_bound(self):
         r = binary_response()
@@ -410,7 +439,7 @@ class TestScanAndFit:
     def test_fit_insufficient_points(self):
         series = scan_key_rate(BB84, binary_response(), 1e-5, [0.01, 0.02])
         with pytest.raises(ValueError):
-            fit_power_law(series, t_window=(0.015, 0.016))
+            fit_power_law(series)
 
     def test_fitted_prefactor_ratio_matches_detector_factor(self):
         d_b = 1e-5

@@ -545,7 +545,7 @@ class TestIntegerFlags:
         exit_code("detector", "--eta-a", "0.6", "--dark-a", "1e-6",
                        "--stages", stages)
 
-    # point counts are bounded above only by the time the user will wait
+    # point counts above the cap are tested in test_point_cap
     @settings(max_examples=30, deadline=None)
     @given(st.integers(max_value=8))
     @example(1)
@@ -561,6 +561,23 @@ class TestIntegerFlags:
         code = exit_code("contour", "--q-points", q_points,
                               "--y-points", y_points)
         assert code == (0 if min(q_points, y_points) >= 2 else 1)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--source", "wcp", "--dark-b", "1e-5", "--t-min", "1e-3",
+          "--t-max", "1e-2", "--points", "1000001"],
+         "--points must be at most 1000000, got 1000001"),
+        (["scan", "--source", "wcp", "--dark-b", "1e-5", "--t-min", "1e-3",
+          "--t-max", "1e-2", "--points", str(10**30)],
+         f"--points must be at most 1000000, got {10**30}"),
+        (["contour", "--q-points", "1001", "--y-points", "1000"],
+         "--q-points x --y-points must be at most 1000000, got 1001 x 1000"),
+        (["contour", "--q-points", "2", "--y-points", "500001"],
+         "--q-points x --y-points must be at most 1000000, got 2 x 500001"),
+    ])
+    def test_point_cap(self, capsys, argv, message):
+        # a count above the cap is rejected before any grid is built
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 _SOURCE = {"source", "stages", "eta-a", "eta-c", "dark-a", "q0", "q1", "q2"}

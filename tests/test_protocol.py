@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from heralded_qkd.keyrate import renormalized_key_rate
 from heralded_qkd.protocol import (
     BB84,
     SARG04,
@@ -157,10 +158,10 @@ class TestXi:
     )
     def test_reproduces_contour(self, spec, rel):
         # exact key-positivity contour vs the linearized threshold
-        from heralded_qkd.protocol import _solve_contour_q
+        from heralded_qkd.protocol import _contour_q
 
         for y in (0.999, 0.99):
-            q_exact = _solve_contour_q(spec, y, spec.q_threshold)
+            q_exact = _contour_q(spec, y, spec.q_threshold)
             q_lin = spec.q_threshold * (1.0 - spec.xi * (1.0 - y))
             assert q_lin == pytest.approx(q_exact, rel=rel)
 
@@ -211,6 +212,19 @@ class TestPositivityMargin:
             - (1.0 - y) * spec.i_ae_two
         )
         assert positivity_margin(spec, q, y) == expected
+
+    @pytest.mark.parametrize("function", [
+        positivity_margin, pns_applicable, renormalized_key_rate,
+    ])
+    @pytest.mark.parametrize("q, y", [
+        (0.1, 2.0), (0.1, 1.5), (0.1, 0.0), (0.1, -0.5), (0.1, math.nan),
+        (-0.1, 0.5),
+    ])
+    def test_range_checked(self, function, q, y):
+        # one check for every caller-facing (Q, y) entry point
+        for spec in (BB84, SARG04):
+            with pytest.raises(ValueError, match=r"require Q >= 0 and 0 < y <= 1"):
+                function(spec, q, y)
 
     def test_vanishes_at_threshold(self):
         for spec in (BB84, SARG04):
