@@ -46,8 +46,10 @@ __all__ = [
     "optimal_stage_count",
 ]
 
-DEFAULT_LAMBDA_BOUNDS = (1e-8, 1.0)
+DEFAULT_LAMBDA_MAX = 1.0
+_LAMBDA_MIN = 1e-8  # lower end of every pump-strength search
 _LAMBDA_GRID_POINTS = 200  # size of the coarse logarithmic pump-strength grid
+_LAMBDA_REL_TOL = 1e-6  # relative tolerance of the golden-section refinement
 _TMIN_REL_TOL = 1e-3  # relative tolerance of tmin_numerical's bisection in T
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -79,16 +81,17 @@ class ScanSeries:
 
 @lru_cache(maxsize=8)
 def _lambda_grid(
-    lo: float, hi: float
+    lambda_max: float,
 ) -> tuple[tuple[float, ...], tuple[PhotonStatistics, ...]]:
     """Coarse logarithmic pump-strength grid and its pair statistics.
 
-    Depends only on the bounds, so one build serves every optimization that
-    shares them.
+    Depends only on lambda_max, so one build serves every optimization that
+    shares it.
     """
     # an inf from overflow is rejected by poisson_pair_stats; no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.logspace(math.log10(lo), math.log10(hi), _LAMBDA_GRID_POINTS)
+        grid = np.logspace(math.log10(_LAMBDA_MIN), math.log10(lambda_max),
+                           _LAMBDA_GRID_POINTS)
     grid = tuple(float(x) for x in grid)
     return grid, tuple(poisson_pair_stats(lam) for lam in grid)
 
@@ -110,22 +113,20 @@ def optimize_lambda(
     spec: ProtocolSpec,
     r: HeraldResponse,
     ch: ChannelParams,
-    bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS,
-    rel_tol: float = 1e-6,
+    lambda_max: float = DEFAULT_LAMBDA_MAX,
 ) -> OptimizationResult:
-    """Maximize the key rate over the pump strength.
+    """Maximize the key rate over the pump strength in [1e-8, lambda_max].
 
-    A 200-point logarithmic grid over bounds locates the best bracket, which
-    is then refined by golden-section search to relative tolerance rel_tol in
-    the pump strength.  Each pump strength is evaluated once, so evaluations
-    is the number of key-rate calls.  converged is False when the optimum
-    sits at a bound or when no probed point was model-valid.
+    A 200-point logarithmic grid over that range locates the best bracket,
+    which is then refined by golden-section search to relative tolerance
+    1e-6 in the pump strength.  Each pump strength is evaluated once, so
+    evaluations is the number of key-rate calls.  converged is False when the
+    optimum sits at a bound or when no probed point was model-valid.
     """
-    lo, hi = bounds
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bounds must satisfy 0 < lo < hi, got {bounds}")
+    if not _LAMBDA_MIN < lambda_max:  # a NaN is rejected too
+        raise ValueError(f"bounds need lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
 
-    grid, grid_stats = _lambda_grid(lo, hi)
+    grid, grid_stats = _lambda_grid(lambda_max)
     scored = [_score(spec, stats, r, ch) for stats in grid_stats]
     evaluations = len(scored)
 
@@ -147,7 +148,7 @@ def optimize_lambda(
     fc = _score(spec, poisson_pair_stats(c), r, ch)[0]
     fd = _score(spec, poisson_pair_stats(d), r, ch)[0]
     evaluations += 2
-    while (b - a) > rel_tol * b:
+    while (b - a) > _LAMBDA_REL_TOL * b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -168,7 +169,8 @@ def optimize_lambda(
 
     at_bound = (
         best_idx in (0, _LAMBDA_GRID_POINTS - 1)
-        and (lam_opt <= lo * (1.0 + 1e-5) or lam_opt >= hi * (1.0 - 1e-5))
+        and (lam_opt <= _LAMBDA_MIN * (1.0 + 1e-5)
+             or lam_opt >= lambda_max * (1.0 - 1e-5))
     )
     return OptimizationResult(
         lambda_opt=lam_opt, report=report, converged=not at_bound,
@@ -301,20 +303,21 @@ def tmin_numerical(
     spec: ProtocolSpec,
     r: HeraldResponse,
     dark_b: float,
-    bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS,
+    lambda_max: float = DEFAULT_LAMBDA_MAX,
 ) -> float:
     """Smallest transmission with positive optimized key rate, by bisection.
 
     Oracle for the closed-form minimum transmission: the sign change of
-    max_lambda K(T, lambda) is located on T in [1e-8, 1] to relative
-    tolerance 1e-3.
+    K(T, lambda) maximized by optimize_lambda over lambda in
+    [1e-8, lambda_max] is located on T in [1e-8, 1] to relative tolerance
+    1e-3.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
 
     def optimized_rate(t: float) -> float:
         ch = ChannelParams(transmission=t, dark_b=dark_b)
-        return optimize_lambda(spec, r, ch, bounds=bounds).key_rate
+        return optimize_lambda(spec, r, ch, lambda_max).key_rate
 
     t_lo, t_hi = 1e-8, 1.0
     if optimized_rate(t_hi) <= 0.0 or optimized_rate(t_lo) > 0.0:
@@ -335,9 +338,9 @@ def scan_key_rate(
     r: HeraldResponse,
     dark_b: float,
     t_grid,
-    bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS,
+    lambda_max: float = DEFAULT_LAMBDA_MAX,
 ) -> ScanSeries:
-    """Optimize the pump strength independently at each grid transmission."""
+    """Optimize the pump strength, up to lambda_max, at each grid transmission."""
     t_grid = list(t_grid)
     if not t_grid:
         raise ValueError("transmission grid must be nonempty")
@@ -347,7 +350,7 @@ def scan_key_rate(
     points = []
     for t in t_grid:
         ch = ChannelParams(transmission=t, dark_b=dark_b)
-        points.append((t, optimize_lambda(spec, r, ch, bounds=bounds)))
+        points.append((t, optimize_lambda(spec, r, ch, lambda_max)))
     return ScanSeries(points=points)
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .keyrate import ChannelParams, key_rate, renormalized_key_rate
+from .keyrate import ChannelParams, KeyRateReport, key_rate, renormalized_key_rate
 from .protocol import PROTOCOLS, ProtocolSpec, get_protocol
 from .source_detector import (
     HeraldResponse,
@@ -33,7 +33,6 @@ from .source_detector import (
 
 INSECURE = "insecure"
 INVALID = "invalid"
-_LAMBDA_MIN = analysis.DEFAULT_LAMBDA_BOUNDS[0]
 _MAX_CELLS = 10**6  # rows of a scan or contour table; more would run for hours
 
 
@@ -163,23 +162,28 @@ def _detector_params(args) -> MultiplexedDetectorParams:
     )
 
 
-# per source kind, the source flags it does not read, at their unset values
-_DETECTOR_UNSET = {"stages": 0, "eta_a": None, "dark_a": None, "eta_c": 1.0}
-_CUSTOM_UNSET = {"q0": None, "q1": None, "q2": None}
+def _reject_unread(args, branch: str, flags) -> None:
+    """Fail unless each flag the branch does not read keeps its unset value."""
+    unread = [
+        f"--{flag}"
+        for flag in flags
+        if getattr(args, flag.replace("-", "_")) != _FLAGS[flag].get("default")
+    ]
+    if unread:
+        raise CliError(f"{branch} does not read {', '.join(unread)}")
+
+
+# per source kind, the source flags it does not read
+_DETECTOR_FLAGS = ("stages", "eta-a", "dark-a", "eta-c")
+_CUSTOM_FLAGS = ("q0", "q1", "q2")
 _UNREAD_BY_SOURCE = {
-    "wcp": {**_DETECTOR_UNSET, **_CUSTOM_UNSET}, "custom": _DETECTOR_UNSET,
-    "binary": _CUSTOM_UNSET, "multiplexed": _CUSTOM_UNSET,
+    "wcp": _DETECTOR_FLAGS + _CUSTOM_FLAGS, "custom": _DETECTOR_FLAGS,
+    "binary": _CUSTOM_FLAGS, "multiplexed": _CUSTOM_FLAGS,
 }
 
 
 def _build_response(args) -> HeraldResponse:
-    unread = [
-        f"--{name.replace('_', '-')}"
-        for name, unset in _UNREAD_BY_SOURCE[args.source].items()
-        if getattr(args, name) != unset
-    ]
-    if unread:
-        raise CliError(f"a {args.source} source does not read {', '.join(unread)}")
+    _reject_unread(args, f"a {args.source} source", _UNREAD_BY_SOURCE[args.source])
     if args.source == "wcp":
         return wcp_response()
     if args.source == "custom":
@@ -195,6 +199,7 @@ def _build_response(args) -> HeraldResponse:
 
 def _t_grid(args) -> list[float]:
     if args.t is not None:
+        _reject_unread(args, "a single --t", ("t-min", "t-max", "points"))
         return [args.t]
     _require(args, "t_min", "t_max")
     if args.points < 2:
@@ -276,14 +281,11 @@ def cmd_detector(args) -> int:
     return 0
 
 
-def _scan_row(t: float, res: analysis.OptimizationResult) -> list:
-    if res.report is None or math.isnan(res.report.key_rate):
-        return [t, res.lambda_opt, INVALID, INVALID, INVALID, INVALID,
-                False, False]
-    rep = res.report
+def _scan_row(t: float, lam: float, rep: KeyRateReport | None) -> list:
+    if rep is None or math.isnan(rep.key_rate):
+        return [t, lam, INVALID, INVALID, INVALID, INVALID, False, False]
     k = rep.key_rate if rep.secure else (INVALID if not rep.pns_valid else INSECURE)
-    return [t, res.lambda_opt, rep.p_exp, rep.qber, rep.y, k,
-            rep.secure, rep.pns_valid]
+    return [t, lam, rep.p_exp, rep.qber, rep.y, k, rep.secure, rep.pns_valid]
 
 
 def cmd_keyrate(args) -> int:
@@ -292,17 +294,15 @@ def cmd_keyrate(args) -> int:
     _require(args, "t", "dark_b")
     ch = ChannelParams(transmission=args.t, dark_b=args.dark_b)
     if args.lam is not None:
-        rep = key_rate(spec, poisson_pair_stats(args.lam), r, ch)
-        res = analysis.OptimizationResult(
-            lambda_opt=args.lam, report=rep, converged=True, evaluations=1
-        )
+        _reject_unread(args, "a fixed --lam", ("lambda-max",))
+        row = _scan_row(args.t, args.lam,
+                        key_rate(spec, poisson_pair_stats(args.lam), r, ch))
     else:
-        res = analysis.optimize_lambda(
-            spec, r, ch, bounds=(_LAMBDA_MIN, args.lambda_max)
-        )
+        res = analysis.optimize_lambda(spec, r, ch, args.lambda_max)
+        row = _scan_row(args.t, res.lambda_opt, res.report)
     header = ["T", "lambda_opt", "p_exp", "qber", "y", "key_rate",
               "secure", "pns_valid"]
-    _emit_table(args, header, [_scan_row(args.t, res)],
+    _emit_table(args, header, [row],
                 [f"protocol={spec.name} dark_b={_fmt(args.dark_b)}"])
     return 0
 
@@ -312,9 +312,7 @@ def cmd_scan(args) -> int:
     r = _build_response(args)
     _require(args, "dark_b")
     grid = _t_grid(args)
-    series = analysis.scan_key_rate(
-        spec, r, args.dark_b, grid, bounds=(_LAMBDA_MIN, args.lambda_max)
-    )
+    series = analysis.scan_key_rate(spec, r, args.dark_b, grid, args.lambda_max)
     comments = [
         f"protocol={spec.name} source={args.source} "
         f"dark_b={_fmt(args.dark_b)} q0={_fmt(r.q0)} q1={_fmt(r.q1)} q2={_fmt(r.q2)}",
@@ -337,7 +335,7 @@ def cmd_scan(args) -> int:
         comments.append(f"short_distance_approx T:K = {approx}")
     header = ["T", "lambda_opt", "p_exp", "qber", "y", "key_rate",
               "secure", "pns_valid"]
-    rows = [_scan_row(t, res) for t, res in series.points]
+    rows = [_scan_row(t, res.lambda_opt, res.report) for t, res in series.points]
     _emit_table(args, header, rows, comments)
     return 0
 
@@ -356,9 +354,7 @@ def cmd_tmin(args) -> int:
         lam_c,
         analysis.tmin_heralded(spec, r, args.dark_b),
         lam_h,
-        analysis.tmin_numerical(
-            spec, r, args.dark_b, bounds=(_LAMBDA_MIN, args.lambda_max)
-        ),
+        analysis.tmin_numerical(spec, r, args.dark_b, args.lambda_max),
     ]
     _emit_table(args, header, [row],
                 [f"protocol={spec.name} dark_b={_fmt(args.dark_b)}"])
@@ -462,7 +458,7 @@ _FLAGS = {
     "t-min": {"type": float},
     "t-max": {"type": float},
     "points": {"type": int, "default": 50},
-    "lambda-max": {"type": float, "default": analysis.DEFAULT_LAMBDA_BOUNDS[1]},
+    "lambda-max": {"type": float, "default": analysis.DEFAULT_LAMBDA_MAX},
     "lam": {"type": float, "help": "fixed pump strength (skip optimization)"},
     "oracle": {"action": "store_true"},
     "q-min": {"type": float, "default": 0.0},

@@ -185,7 +185,7 @@ def _security_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool
 
 def _checked_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:
     """_security_terms at a caller's (Q, y), after checking their range."""
-    if q < 0.0 or not 0.0 < y <= 1.0:
+    if not q >= 0.0 or not 0.0 < y <= 1.0:  # a NaN is rejected too
         raise ValueError(f"require Q >= 0 and 0 < y <= 1, got Q={q}, y={y}")
     return _security_terms(spec, q, y)
 

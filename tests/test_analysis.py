@@ -82,10 +82,10 @@ class TestOptimizeLambda:
         assert not res.converged
         assert res.key_rate == -math.inf
 
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            optimize_lambda(BB84, wcp_response(), ChannelParams(0.1, 0.0),
-                            bounds=(1.0, 0.5))
+    @pytest.mark.parametrize("lambda_max", [1e-8, 0.0, -1.0, math.nan])
+    def test_bad_bounds(self, lambda_max):
+        with pytest.raises(ValueError, match="bounds"):
+            optimize_lambda(BB84, wcp_response(), ChannelParams(0.1, 0.0), lambda_max)
 
     @pytest.mark.parametrize("spec, t", [(BB84, 1e-5), (SARG04, 1.0)])
     def test_grid_optimum_scored_once(self, monkeypatch, spec, t):
@@ -114,7 +114,7 @@ class TestLambdaGrid:
         return grid, [poisson_pair_stats(lam) for lam in grid]
 
     def test_matches_logspace_and_pair_stats(self):
-        grid, stats = analysis._lambda_grid(1e-8, 1.0)
+        grid, stats = analysis._lambda_grid(1.0)
         assert isinstance(grid, tuple) and isinstance(stats, tuple)
         expected_grid, expected_stats = self.fresh_grid(1e-8, 1.0, 200)
         assert list(grid) == expected_grid
@@ -133,16 +133,27 @@ class TestLambdaGrid:
         assert warm == cold
         assert cold.evaluations == 229
 
-    def test_custom_bounds(self):
-        bounds = (1e-6, 0.5)
+    def test_custom_lambda_max(self, monkeypatch):
+        # all three searches share one grid, and no optimum passes lambda_max
+        # (K = p_sift T lam e^-lam for an ideal herald peaks at lam = 1)
+        results = []
+
+        def recording_optimize(*args):
+            results.append(optimize_lambda(*args))
+            return results[-1]
+
+        monkeypatch.setattr(analysis, "optimize_lambda", recording_optimize)
         analysis._lambda_grid.cache_clear()
-        optimize_lambda(BB84, binary_response(), ChannelParams(0.01, 1e-5),
-                        bounds=bounds)
-        optimize_lambda(BB84, binary_response(), ChannelParams(0.01, 1e-5))
-        assert analysis._lambda_grid.cache_info().currsize == 2
-        grid, stats = analysis._lambda_grid(*bounds)
-        assert len(grid) == 200
-        assert (list(grid), list(stats)) == self.fresh_grid(*bounds, 200)
+        analysis.optimize_lambda(BB84, IDEAL_HERALD, ChannelParams(0.1, 1e-5), 0.5)
+        scan_key_rate(BB84, IDEAL_HERALD, 1e-5, [0.01, 0.1, 1.0], lambda_max=0.5)
+        tmin_numerical(BB84, IDEAL_HERALD, 1e-5, lambda_max=0.5)
+        info = analysis._lambda_grid.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
+        lams = [res.lambda_opt for res in results]
+        assert len(lams) > 4 and max(lams) == pytest.approx(0.5, rel=1e-5)
+        assert all(lam <= 0.5 for lam in lams)
+        grid, stats = analysis._lambda_grid(0.5)
+        assert (list(grid), list(stats)) == self.fresh_grid(1e-8, 0.5, 200)
 
 
 class TestShortDistanceKeyRate:

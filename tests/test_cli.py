@@ -42,6 +42,22 @@ def exit_code(*argv):
     return code
 
 
+def assert_unread_rejected(capsys, tmp_path, argv, values, message):
+    """argv runs; with values set by flag or by config key it fails with message.
+
+    Returns argv's output.
+    """
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    flags = [item for flag, value in values.items() for item in (f"--{flag}", value)]
+    error = (1, "", f"error: {message}\n")
+    assert run_cli(capsys, *argv, *flags) == error
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({k.replace("-", "_"): v for k, v in values.items()}))
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == error
+    return plain
+
+
 class TestThreshold:
     def test_bb84(self, capsys):
         code, out, _ = run_cli(capsys, "threshold", "--protocol", "bb84")
@@ -136,6 +152,11 @@ class TestKeyrate:
         row = parse_csv(out)[0]
         assert float(row["key_rate"]) > 0
 
+    def test_fixed_lam_rejects_lambda_max(self, capsys, tmp_path):
+        argv = ["keyrate", "--t", "0.01", "--dark-b", "1e-5", "--lam", "0.1"]
+        plain = assert_unread_rejected(capsys, tmp_path, argv, {"lambda-max": "0.5"},
+                                       "a fixed --lam does not read --lambda-max")
+        assert run_cli(capsys, *argv, "--lambda-max", "1") == (0, plain, "")
 
     def test_binary_source_has_no_stages(self, capsys, tmp_path):
         argv = ["keyrate", "--source", "binary", "--eta-a", "0.6",
@@ -282,13 +303,18 @@ class TestScan:
         assert out == ""
         assert err.startswith("error: --points must be at least 2")
 
-    def test_single_t_ignores_points(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "scan", "--source", "wcp", "--dark-b", "1e-5",
-            "--t", "0.01", "--points", "1",
-        )
-        assert code == 0
-        assert [r["T"] for r in parse_csv(out)] == ["0.01"]
+    @pytest.mark.parametrize("values, named", [
+        ({"points": "7"}, "--points"),
+        ({"t-min": "1e-3", "t-max": "0.1"}, "--t-min, --t-max"),
+        ({"t-min": "1e-3", "t-max": "0.1", "points": "1"},
+         "--t-min, --t-max, --points"),
+    ], ids=["points", "range", "all"])
+    def test_single_t_rejects_range_flags(self, capsys, tmp_path, values, named):
+        argv = ["scan", "--source", "wcp", "--dark-b", "1e-5", "--t", "0.01"]
+        plain = assert_unread_rejected(capsys, tmp_path, argv, values,
+                                       f"a single --t does not read {named}")
+        assert [r["T"] for r in parse_csv(plain)] == ["0.01"]
+        assert run_cli(capsys, *argv, "--points", "50") == (0, plain, "")
 
 
 class TestTmin:

@@ -218,7 +218,7 @@ class TestPositivityMargin:
     ])
     @pytest.mark.parametrize("q, y", [
         (0.1, 2.0), (0.1, 1.5), (0.1, 0.0), (0.1, -0.5), (0.1, math.nan),
-        (-0.1, 0.5),
+        (-0.1, 0.5), (math.nan, 0.5),
     ])
     def test_range_checked(self, function, q, y):
         # one check for every caller-facing (Q, y) entry point
