@@ -98,12 +98,9 @@ def _lambda_grid(
 
 def _score(
     spec: ProtocolSpec, stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
-) -> tuple[float, KeyRateReport | None]:
+) -> tuple[float, KeyRateReport]:
     """Key rate as an optimization score; model-invalid points score -inf."""
-    try:
-        report = key_rate(spec, stats, r, ch)
-    except ZeroDivisionError:
-        return -math.inf, None
+    report = key_rate(spec, stats, r, ch)
     if math.isnan(report.key_rate):
         return -math.inf, report
     return report.key_rate, report

@@ -1,10 +1,10 @@
 """Command-line front end emitting machine-readable CSV/JSON plot data.
 
 Subcommands: threshold, detector, keyrate, scan, tmin, contour,
-compare-stages.  All numeric output uses 12 significant digits; insecure or
-model-invalid cells are emitted as the explicit sentinels "insecure" and
-"invalid" rather than empty fields.  Commands are deterministic: the same
-configuration yields byte-identical output.
+compare-stages.  CSV output uses 12 significant digits, JSON the full repr;
+insecure or model-invalid cells are emitted as the explicit sentinels
+"insecure" and "invalid" rather than empty fields.  Commands are
+deterministic: the same configuration yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ def _fmt(x) -> str:
 
 
 def _jsonable(x):
-    if isinstance(x, float) and math.isnan(x):
-        return INVALID
+    # as in CSV: NaN is "invalid", an infinity "inf" or "-inf"
+    if isinstance(x, float) and not math.isfinite(x):
+        return _fmt(x)
     return x
 
 
@@ -59,94 +60,98 @@ class CliError(Exception):
 _SECTIONS = ("protocol", "detector", "channel", "solver", "output")
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object that names no key twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise CliError(f"config key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: str) -> dict:
-    """Flat {key: value} of a config file's nested sections and top level."""
+    """{dest: (key, value)} of a config file's nested sections and top level.
+
+    Each dest is set by at most one key, whatever its section or spelling.
+    """
     try:
         with open(path) as f:
-            cfg = json.load(f)
+            cfg = json.load(f, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError(
             f"config {path} must hold a JSON object, got {type(cfg).__name__}"
         )
+    sections = [cfg[s] for s in _SECTIONS if isinstance(cfg.get(s), dict)]
+    top = {k: v for k, v in cfg.items() if not (k in _SECTIONS and isinstance(v, dict))}
     flat = {}
-    for section in _SECTIONS:
-        if isinstance(cfg.get(section), dict):
-            flat.update(cfg[section])
-    flat.update(
-        {k: v for k, v in cfg.items() if not (k in _SECTIONS and isinstance(v, dict))}
-    )
+    for part in (*sections, top):
+        for key, value in part.items():
+            dest = key.replace("-", "_")
+            if dest in flat:
+                raise CliError(
+                    f"config sets {dest} twice, as {flat[dest][0]!r} and {key!r}"
+                )
+            flat[dest] = key, value
     return flat
 
 
-def _config_value(action: argparse.Action, key: str, value):
+def _config_value(flag: str, key: str, value):
     """A config value checked and converted as its command-line flag would be."""
-    if action.nargs == 0:
+    spec = _FLAGS[flag]
+    if spec.get("action") == "store_true":
         if not isinstance(value, bool):
             raise CliError(f"config key {key!r}: expected true or false, got {value!r}")
         return value
-    items = value if action.nargs == "+" else [value]
+    many = spec.get("nargs") == "+"
+    items = value if many else [value]
     if not isinstance(items, list) or not items:
         raise CliError(f"config key {key!r}: expected a nonempty list, got {value!r}")
     converted = []
     for item in items:
         if isinstance(item, bool) or not isinstance(item, (str, int, float)):
             raise CliError(f"config key {key!r}: invalid value {item!r}")
+        convert = spec.get("type", str)
         try:
             # through the text form, so 2.5 is no more an int here than on
             # the command line
-            item = action.type(str(item)) if action.type else str(item)
+            item = convert(str(item))
         except ValueError:
             raise CliError(
-                f"config key {key!r}: invalid {action.type.__name__} value {item!r}"
+                f"config key {key!r}: invalid {convert.__name__} value {item!r}"
             ) from None
-        if action.choices is not None and item not in action.choices:
+        if "choices" in spec and item not in spec["choices"]:
             raise CliError(
-                f"config key {key!r}: {item!r} is not one of {sorted(action.choices)}"
+                f"config key {key!r}: {item!r} is not one of {sorted(spec['choices'])}"
             )
         converted.append(item)
-    return converted if action.nargs == "+" else converted[0]
-
-
-def _subparser(
-    parser: argparse.ArgumentParser, command: str
-) -> argparse.ArgumentParser:
-    """The parser of one subcommand."""
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return subparsers.choices[command]
+    return converted if many else converted[0]
 
 
 def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse argv; an unknown flag is reported with its subcommand's usage."""
     args, extras = parser.parse_known_args(argv)
     if extras:
-        command = _subparser(parser, args.command)
-        command.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace) -> None:
     """Make the config file's values the subcommand's defaults, below its flags."""
-    command = _subparser(parser, args.command)
-    actions = {
-        a.dest: a
-        for a in command._actions
-        if a.option_strings and a.dest not in ("help", "config")
-    }
+    flags = {flag.replace("-", "_"): flag
+             for flag in _COMMANDS[args.command][1] if flag != "config"}
     flat = _load_config(args.config)
-    unknown = sorted(k for k in flat if k.replace("-", "_") not in actions)
+    unknown = sorted(key for dest, (key, _) in flat.items() if dest not in flags)
     if unknown:
         # repr keeps a key with a line break on the error's one line
         names = ", ".join(k if k.isprintable() else repr(k) for k in unknown)
         raise CliError(f"unknown config key(s) for {args.command}: {names}")
-    defaults = {}
-    for key, value in flat.items():
-        dest = key.replace("-", "_")
-        defaults[dest] = _config_value(actions[dest], key, value)
-    command.set_defaults(**defaults)
+    args.parser.set_defaults(**{
+        dest: _config_value(flags[dest], key, value)
+        for dest, (key, value) in flat.items()
+    })
 
 
 def _require(args, *names):
@@ -239,7 +244,7 @@ def _emit_table(args, header: list[str], rows: list[list], comments: list[str]):
             "columns": header,
             "rows": [[_jsonable(v) for v in row] for row in rows],
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 # --- subcommands -----------------------------------------------------------
@@ -397,6 +402,7 @@ def cmd_contour(args) -> int:
 def cmd_compare_stages(args) -> int:
     spec = get_protocol(args.protocol)
     _require(args, "eta_a_list", "dark_a", "dark_b")
+    ChannelParams(1.0, args.dark_b)  # checks dark_b, which only --fit reads
     header = ["eta_a", "stages", "ratio_vs_binary", "is_optimal"]
     if args.fit:
         header.append("fitted_ratio_vs_binary")
@@ -510,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
@@ -519,7 +525,7 @@ def main(argv=None) -> int:
     args = _parse(parser, argv)
     try:
         if args.config:
-            _apply_config(parser, args)
+            _apply_config(args)
             args = _parse(parser, argv)
         return args.func(args)
     except (CliError, ValueError, ZeroDivisionError, RuntimeError, OSError) as exc:

@@ -60,15 +60,14 @@ def _detection(
     """(p_exp, QBER, single-photon fraction y) of one setting.
 
     p_exp is the detection probability per pulse; half of the dark-count
-    events (d_B per detector and heralded pulse) are errors.
+    events (d_B per detector and heralded pulse) are errors.  QBER and y are
+    NaN when nothing is detected.
     """
     t = ch.transmission
     dark = ch.dark_b * (stats.p0 * r.q0 + stats.p1 * r.q1 + stats.p2 * r.q2)
     p_exp = t * stats.p1 * r.q1 + 2.0 * t * stats.p2 * r.q2 + 2.0 * dark
     if p_exp == 0.0:
-        raise ZeroDivisionError(
-            "QBER and single-photon fraction undefined at zero detection probability"
-        )
+        return 0.0, math.nan, math.nan
     return p_exp, dark / p_exp, 1.0 - stats.p2 * r.q2 / p_exp
 
 
@@ -82,8 +81,8 @@ def key_rate(
 
     K = p_exp * p_sift * [I_AB(Q) - y*I_AE^(1)(Q/y) - (1-y)*I_AE^(2)].
     Negative rates are reported, not clamped.  When Q/y leaves the domain of
-    the single-photon information function, key_rate is NaN and secure is
-    False.
+    the single-photon information function, or nothing is detected, key_rate
+    is NaN and secure is False.
     """
     p_exp, q, y = _detection(stats, r, ch)
     # the printed multiphoton fraction can exceed 1 at large pump strength

@@ -23,8 +23,6 @@ __all__ = [
     "binary_entropy",
     "mutual_info_ab",
     "eve_info_single",
-    "solve_qber_threshold",
-    "compute_xi",
     "positivity_margin",
     "pns_applicable",
 ]
@@ -82,13 +80,31 @@ class ProtocolSpec:
 
     @cached_property
     def q_threshold(self) -> float:
-        """Threshold QBER where the single-photon key rate vanishes."""
-        return solve_qber_threshold(self)
+        """Threshold QBER where the single-photon key rate vanishes.
+
+        The root of I_AB(Q) = I_AE^(1)(Q) on (0, 1/2), the zero contour at
+        y = 1, by bisection: the entropy derivative diverges at 0.
+        """
+        return _contour_q(self, 1.0, 0.5 - _Q_TOL)
 
     @cached_property
     def xi(self) -> float:
-        """Linearization factor tightening the threshold for multiphoton events."""
-        return compute_xi(self)
+        """Linearization factor tightening the threshold for multiphoton events.
+
+        The slope (1 - Q/Q_th)/eps of the exact contour at y = 1 - eps,
+        Richardson-extrapolated over eps in {1e-3, 1e-4}.
+        """
+        q_th = self.q_threshold
+
+        # the contour sits just below q_th for y slightly under 1
+        def slope(eps: float) -> float:
+            q = _contour_q(self, 1.0 - eps, q_th)
+            return (1.0 - q / q_th) / eps
+
+        e1, e2 = 1e-3, 1e-4
+        s1, s2 = slope(e1), slope(e2)
+        # first-order Richardson: slope(eps) ~ xi + c*eps
+        return (e1 * s2 - e2 * s1) / (e1 - e2)
 
 
 # BB84: I_AE^(1) = H(Q) on [0, 1/2]; multiphoton pulses are fully insecure.
@@ -161,15 +177,6 @@ def _contour_q(spec: ProtocolSpec, y: float, q_hi: float) -> float:
     return _bisect(lambda q: positivity_margin(spec, q, y), _Q_TOL, q_hi, _Q_TOL)
 
 
-def solve_qber_threshold(spec: ProtocolSpec) -> float:
-    """Root of I_AB(Q) = I_AE^(1)(Q) on (0, 1/2): the zero contour at y = 1.
-
-    Bisection is used instead of Newton because the entropy derivative
-    diverges at 0.
-    """
-    return _contour_q(spec, 1.0, 0.5 - _Q_TOL)
-
-
 def _security_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:
     """(positivity margin, PNS model applies) at QBER q, single-photon fraction y.
 
@@ -197,26 +204,6 @@ def positivity_margin(spec: ProtocolSpec, q: float, y: float) -> float:
     Raises ValueError unless Q >= 0 and 0 < y <= 1.
     """
     return _checked_terms(spec, q, y)[0]
-
-
-def compute_xi(spec: ProtocolSpec) -> float:
-    """Linearization factor xi of the near-threshold security bound.
-
-    Solves the exact key-positivity contour for Q at y = 1 - eps, forms the
-    finite-difference slope (1 - Q/Q_th)/eps, and Richardson-extrapolates
-    over eps in {1e-3, 1e-4} to cancel the leading truncation error.
-    """
-    q_th = spec.q_threshold
-
-    # the contour sits just below q_th for y slightly under 1
-    def slope(eps: float) -> float:
-        q = _contour_q(spec, 1.0 - eps, q_th)
-        return (1.0 - q / q_th) / eps
-
-    e1, e2 = 1e-3, 1e-4
-    s1, s2 = slope(e1), slope(e2)
-    # first-order Richardson: slope(eps) ~ xi + c*eps
-    return (e1 * s2 - e2 * s1) / (e1 - e2)
 
 
 def pns_applicable(spec: ProtocolSpec, q: float, y: float) -> bool:

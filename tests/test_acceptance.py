@@ -32,7 +32,6 @@ from heralded_qkd.protocol import (
     BB84,
     SARG04,
     binary_entropy,
-    solve_qber_threshold,
 )
 from heralded_qkd.source_detector import (
     HeraldResponse,
@@ -61,8 +60,8 @@ def detector(stages, eta_a, dark_a=1e-6, eta_c=0.98):
 
 def test_criterion_1_threshold_constants():
     checks = [
-        ("BB84 Q_th", solve_qber_threshold(BB84), 0.1100, 5e-4),
-        ("SARG04 Q_th", solve_qber_threshold(SARG04), 0.0968, 5e-4),
+        ("BB84 Q_th", BB84.q_threshold, 0.1100, 5e-4),
+        ("SARG04 Q_th", SARG04.q_threshold, 0.0968, 5e-4),
         ("BB84 xi", BB84.xi, 1.25, 0.01),
         ("SARG04 xi", SARG04.xi, 0.64, 0.01),
         ("SARG04 I_AE2", SARG04.i_ae_two, 0.6009, 1e-4),

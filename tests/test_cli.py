@@ -108,6 +108,19 @@ class TestDetector:
         assert code == 1
         assert "error" in err
 
+    def test_json_infinity_is_standard(self, capsys):
+        # q2 = 0 makes q1**2/q2 infinite; JSON has no token for it
+        argv = ["detector", "--eta-a", "0", "--dark-a", "0"]
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        row = json.loads(out, parse_constant=reject)["rows"][0]
+        assert row[3:5] == ["inf", "invalid"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert out.splitlines()[-1] == "0,0,0,inf,invalid,1"
+
 
 class TestKeyrate:
     def test_zero_lambda_max_rejected(self, capsys):
@@ -157,6 +170,16 @@ class TestKeyrate:
         plain = assert_unread_rejected(capsys, tmp_path, argv, {"lambda-max": "0.5"},
                                        "a fixed --lam does not read --lambda-max")
         assert run_cli(capsys, *argv, "--lambda-max", "1") == (0, plain, "")
+
+    def test_zero_detection_reported_invalid(self, capsys):
+        argv = ["keyrate", "--source", "binary", "--eta-a", "0", "--dark-a", "0",
+                "--t", "0.1", "--dark-b", "0"]
+        for extra, lam in (["--lam", "0.1"], "0.1"), ([], "invalid"):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            assert out.splitlines()[-1] == (
+                f"0.1,{lam},invalid,invalid,invalid,invalid,false,false"
+            )
 
     def test_binary_source_has_no_stages(self, capsys, tmp_path):
         argv = ["keyrate", "--source", "binary", "--eta-a", "0.6",
@@ -412,6 +435,15 @@ class TestCompareStages:
             float(row["ratio_vs_binary"]), rel=0.10
         )
 
+    @pytest.mark.parametrize("dark_b", ["nan", "-5"])
+    def test_dark_b_checked_without_fit(self, capsys, dark_b):
+        code, out, err = run_cli(
+            capsys, "compare-stages", "--eta-a-list", "0.6", "--dark-a", "1e-6",
+            f"--dark-b={dark_b}",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: dark_b must be in [0, 1), got {float(dark_b)}\n"
+
 
     def test_one_fit_per_stage(self, capsys, monkeypatch):
         fits = []
@@ -540,6 +572,20 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"detector": {"dark_b": 1e-3}, "channel": {"dark-b": 2e-5}, '
+         '"dark_b": 3e-5}', "config sets dark_b twice, as 'dark_b' and 'dark-b'"),
+        ('{"dark-b": 2e-5, "channel": {"dark_b": 1e-5}}',
+         "config sets dark_b twice, as 'dark_b' and 'dark-b'"),
+        ('{"channel": {"dark_b": 1e-5, "dark_b": 1e-3}}',
+         "config key 'dark_b' appears twice in one object"),
+    ], ids=["across_sections", "top_level_and_section", "one_object"])
+    def test_repeated_key(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "tmin", "--config", str(cfg))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_top_level_list(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from heralded_qkd.keyrate import (
@@ -62,8 +62,8 @@ class TestQber:
 
     def test_zero_rate_error(self):
         stats = poisson_pair_stats(0.1)
-        with pytest.raises(ZeroDivisionError):
-            key_rate(BB84, stats, wcp_response(), ChannelParams(0.0, 0.0))
+        rep = key_rate(BB84, stats, wcp_response(), ChannelParams(0.0, 0.0))
+        assert rep.p_exp == 0.0 and math.isnan(rep.qber)
 
     def test_never_exceeds_half(self):
         rng = random.Random(7)
@@ -120,9 +120,11 @@ class TestKeyRate:
         assert rep.pns_valid and rep.secure
 
     def test_zero_rate_error(self):
-        with pytest.raises(ZeroDivisionError):
-            key_rate(BB84, poisson_pair_stats(0.1), wcp_response(),
-                     ChannelParams(0.0, 0.0))
+        rep = key_rate(BB84, poisson_pair_stats(0.1), wcp_response(),
+                       ChannelParams(0.0, 0.0))
+        assert rep.p_exp == 0.0
+        assert math.isnan(rep.qber) and math.isnan(rep.y) and math.isnan(rep.key_rate)
+        assert not rep.pns_valid and not rep.secure
 
     def test_model_invalid_reported_not_raised(self):
         # SARG04 with Q/y beyond the information function domain
@@ -209,10 +211,11 @@ class TestSecurityKernel:
     )
     def test_key_rate_is_margin_times_detections(self, spec, lam, q, t, dark_b):
         stats = poisson_pair_stats(lam)
-        try:
-            rep = key_rate(spec, stats, HeraldResponse(*q), ChannelParams(t, dark_b))
-        except ZeroDivisionError:
-            assume(False)
+        rep = key_rate(spec, stats, HeraldResponse(*q), ChannelParams(t, dark_b))
+        if rep.p_exp == 0.0:
+            assert math.isnan(rep.qber) and math.isnan(rep.y)
+            assert math.isnan(rep.key_rate) and not rep.pns_valid and not rep.secure
+            return
         if rep.y <= 0.0:
             assert math.isnan(rep.key_rate) and not rep.pns_valid
             return

@@ -15,7 +15,6 @@ from heralded_qkd.protocol import (
     mutual_info_ab,
     pns_applicable,
     positivity_margin,
-    solve_qber_threshold,
 )
 
 # frozen high-precision oracle values (mpmath, 30 digits)
@@ -121,12 +120,12 @@ class TestEveInfoTwo:
 
 class TestQberThreshold:
     def test_bb84(self):
-        assert solve_qber_threshold(BB84) == pytest.approx(0.1100, abs=5e-4)
-        assert solve_qber_threshold(BB84) == pytest.approx(QTH_BB84, abs=1e-8)
+        assert BB84.q_threshold == pytest.approx(0.1100, abs=5e-4)
+        assert BB84.q_threshold == pytest.approx(QTH_BB84, abs=1e-8)
 
     def test_sarg(self):
-        assert solve_qber_threshold(SARG04) == pytest.approx(0.0968, abs=5e-4)
-        assert solve_qber_threshold(SARG04) == pytest.approx(QTH_SARG, abs=1e-8)
+        assert SARG04.q_threshold == pytest.approx(0.0968, abs=5e-4)
+        assert SARG04.q_threshold == pytest.approx(QTH_SARG, abs=1e-8)
 
     @pytest.mark.parametrize("spec", [BB84, SARG04])
     def test_residual(self, spec):
@@ -247,3 +246,15 @@ class TestProtocolSpec:
     def test_cached_constants_are_stable(self):
         assert BB84.q_threshold == BB84.q_threshold
         assert SARG04.xi == SARG04.xi
+
+
+def test_package_api_is_the_module_lists():
+    import heralded_qkd
+    from heralded_qkd import analysis, keyrate, protocol, source_detector
+
+    modules = (analysis, keyrate, protocol, source_detector)
+    assert heralded_qkd.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(heralded_qkd.__all__)) == 40
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(heralded_qkd, name) is getattr(m, name)
