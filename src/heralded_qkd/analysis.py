@@ -1,10 +1,11 @@
 """Pump-strength optimization, closed-form limits and scaling fits.
 
 Numerical optimization of the key rate over the pump strength is done per
-channel transmission with a coarse logarithmic grid followed by golden-section
-refinement (unimodality is not assumed up front; the grid locates the global
-bracket).  The short-distance and minimum-transmission closed forms from the
-analytical treatment are provided alongside numerical oracles for both.
+channel transmission with a coarse logarithmic grid, scored in one array
+pass, followed by golden-section refinement (unimodality is not assumed up
+front; the grid locates the global bracket).  The short-distance and
+minimum-transmission closed forms from the analytical treatment are provided
+alongside numerical oracles for both.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .keyrate import ChannelParams, KeyRateReport, key_rate
+from .keyrate import (
+    _KEY_RATE_ARRAY_TOL, ChannelParams, KeyRateReport, _key_rate_array, key_rate,
+)
 from .protocol import ProtocolSpec
 from .source_detector import (
     HeraldResponse,
@@ -82,18 +85,22 @@ class ScanSeries:
 @lru_cache(maxsize=8)
 def _lambda_grid(
     lambda_max: float,
-) -> tuple[tuple[float, ...], tuple[PhotonStatistics, ...]]:
-    """Coarse logarithmic pump-strength grid and its pair statistics.
+) -> tuple[tuple[float, ...], tuple[PhotonStatistics, ...], np.ndarray]:
+    """Coarse logarithmic pump-strength grid, its pair statistics, and those
+    statistics as a read-only (p0, p1, p2) array of shape (3, grid size).
 
     Depends only on lambda_max, so one build serves every optimization that
-    shares it.
+    shares it; the array is read-only because every caller gets the same one.
     """
     # an inf from overflow is rejected by poisson_pair_stats; no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.logspace(math.log10(_LAMBDA_MIN), math.log10(lambda_max),
                            _LAMBDA_GRID_POINTS)
     grid = tuple(float(x) for x in grid)
-    return grid, tuple(poisson_pair_stats(lam) for lam in grid)
+    stats = tuple(poisson_pair_stats(lam) for lam in grid)
+    pairs = np.array([[getattr(s, p) for s in stats] for p in ("p0", "p1", "p2")])
+    pairs.flags.writeable = False
+    return grid, stats, pairs
 
 
 def _score(
@@ -116,25 +123,35 @@ def optimize_lambda(
 
     A 200-point logarithmic grid over that range locates the best bracket,
     which is then refined by golden-section search to relative tolerance
-    1e-6 in the pump strength.  Each pump strength is evaluated once, so
-    evaluations is the number of key-rate calls.  converged is False when the
+    1e-6 in the pump strength.  The grid is scored in one array pass, and
+    only the points near its best are rescored with key_rate, so the bracket
+    is the one a key_rate call at every grid point would give.  evaluations
+    is the number of key_rate calls, each pump strength evaluated once (0
+    when no grid point is model-valid).  converged is False when the
     optimum sits at a bound or when no probed point was model-valid.
     """
     if not _LAMBDA_MIN < lambda_max:  # a NaN is rejected too
         raise ValueError(f"bounds need lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
 
-    grid, grid_stats = _lambda_grid(lambda_max)
-    scored = [_score(spec, stats, r, ch) for stats in grid_stats]
+    grid, grid_stats, pairs = _lambda_grid(lambda_max)
+    p_exp, rates = _key_rate_array(spec, pairs, r, ch)
+    scores = np.where(np.isnan(rates), -np.inf, rates)
+    top = int(np.argmax(scores))
+    if scores[top] == -np.inf:  # the validity mask is key_rate's, bit for bit
+        return OptimizationResult(
+            lambda_opt=math.nan, report=None, converged=False, evaluations=0,
+        )
+    # Each array score is within tol * p_exp of key_rate's, so key_rate's first
+    # maximum is among the points within both points' tolerances of the array
+    # maximum, and every point outside them scores strictly below it.
+    near = scores >= scores[top] - _KEY_RATE_ARRAY_TOL * (p_exp + p_exp[top])
+    scored = {int(i): _score(spec, grid_stats[i], r, ch)
+              for i in np.flatnonzero(near)}
     evaluations = len(scored)
 
-    # first maximum, as np.argmax; scores are never NaN
-    best_idx = max(range(_LAMBDA_GRID_POINTS), key=lambda i: scored[i][0])
+    # first maximum in grid order, as np.argmax; scores are never NaN
+    best_idx = max(scored, key=lambda i: scored[i][0])
     best_score, best_report = scored[best_idx]
-    if best_score == -math.inf:
-        return OptimizationResult(
-            lambda_opt=math.nan, report=None, converged=False,
-            evaluations=evaluations,
-        )
 
     a = grid[max(best_idx - 1, 0)]
     b = grid[min(best_idx + 1, _LAMBDA_GRID_POINTS - 1)]

@@ -401,8 +401,11 @@ def cmd_contour(args) -> int:
 
 def cmd_compare_stages(args) -> int:
     spec = get_protocol(args.protocol)
-    _require(args, "eta_a_list", "dark_a", "dark_b")
-    ChannelParams(1.0, args.dark_b)  # checks dark_b, which only --fit reads
+    _require(args, "eta_a_list", "dark_a")
+    if args.fit:
+        _require(args, "dark_b")  # only --fit reads dark_b
+    if args.dark_b is not None:
+        ChannelParams(1.0, args.dark_b)  # its range check
     header = ["eta_a", "stages", "ratio_vs_binary", "is_optimal"]
     if args.fit:
         header.append("fitted_ratio_vs_binary")

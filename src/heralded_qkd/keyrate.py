@@ -11,7 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .protocol import ProtocolSpec, _checked_terms, _security_terms
+import numpy as np
+
+from .protocol import (
+    ProtocolSpec, _checked_terms, _security_margin_array, _security_terms,
+)
 from .source_detector import HeraldResponse, PhotonStatistics
 
 __all__ = [
@@ -93,6 +97,35 @@ def key_rate(
         p_exp=p_exp, qber=q, y=y, key_rate=k, pns_valid=valid,
         secure=(k > 0.0 and valid),
     )
+
+
+# _key_rate_array's valid rates are within this times p_exp of key_rate's: they
+# differ only through the log2 terms of the margin, whose terms are O(1), so by
+# a few dozen ulp of 1 at most, and K is p_exp * p_sift times the margin
+_KEY_RATE_ARRAY_TOL = 1e-13
+
+
+def _key_rate_array(
+    spec: ProtocolSpec, pairs: np.ndarray, r: HeraldResponse, ch: ChannelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_exp, key rate) of key_rate over arrays of pair statistics (p0, p1, p2).
+
+    Repeats _detection's and key_rate's arithmetic in their operation order,
+    so p_exp, QBER, y, Q/y and the model-invalid entries (key rate NaN) equal
+    the scalar ones bit for bit.  A valid key rate is within
+    _KEY_RATE_ARRAY_TOL * p_exp of key_rate's.
+    """
+    p0, p1, p2 = pairs
+    t = ch.transmission
+    dark = ch.dark_b * (p0 * r.q0 + p1 * r.q1 + p2 * r.q2)
+    p_exp = t * p1 * r.q1 + 2.0 * t * p2 * r.q2 + 2.0 * dark
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = dark / p_exp
+        y = 1.0 - p2 * r.q2 / p_exp
+        ratio = q / y
+        valid = (p_exp != 0.0) & (y > 0.0) & (ratio <= spec.q_max)
+        margin = _security_margin_array(spec, q, y, ratio)
+        return p_exp, np.where(valid, p_exp * spec.p_sift * margin, np.nan)
 
 
 def renormalized_key_rate(spec: ProtocolSpec, q: float, y: float) -> float:

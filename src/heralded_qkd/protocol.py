@@ -14,6 +14,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 __all__ = [
     "ProtocolSpec",
     "BB84",
@@ -33,6 +35,17 @@ def _xlog2x(x: float) -> float:
     if x == 0.0:
         return 0.0
     return x * math.log2(x)
+
+
+def _xlog2x_array(x: np.ndarray) -> np.ndarray:
+    # _xlog2x elementwise; zeros are pinned to 0, where x*log2(x) is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, x * np.log2(x))
+
+
+def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
+    # binary_entropy elementwise, without its range check
+    return -_xlog2x_array(x) - _xlog2x_array(1.0 - x)
 
 
 def binary_entropy(x: float) -> float:
@@ -60,14 +73,28 @@ def _sarg04_eve_info(q: float) -> float:
     )
 
 
+def _sarg04_eve_info_array(q: np.ndarray) -> np.ndarray:
+    # _sarg04_eve_info elementwise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            q == 0.0,
+            0.0,
+            _xlog2x_array(1.0 - q)
+            - _xlog2x_array(1.0 - 2.0 * q)
+            + q * (1.0 - np.log2(q)),
+        )
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """A four-state protocol as data: sifting fraction and Eve's information.
 
     eve_info is Eve's single-photon information gain I_AE^(1)(Q), defined on
-    the closed QBER domain [0, q_max]; i_ae_two is her two-photon gain
-    I_AE^(2).  The threshold QBER and the linearization factor follow from
-    these and are computed lazily on first access, then cached.  Instances
+    the closed QBER domain [0, q_max], and eve_info_array the same function
+    applied elementwise to a numpy array, in the same operation order;
+    i_ae_two is her two-photon gain I_AE^(2).  The threshold QBER and the
+    linearization factor follow from these and are computed lazily on first
+    access, then cached.  Instances
     are immutable and safe to share across threads (a cache race merely
     recomputes the same value).
     """
@@ -75,6 +102,7 @@ class ProtocolSpec:
     name: str
     p_sift: float
     eve_info: Callable[[float], float]
+    eve_info_array: Callable[[np.ndarray], np.ndarray]
     q_max: float
     i_ae_two: float
 
@@ -109,7 +137,8 @@ class ProtocolSpec:
 
 # BB84: I_AE^(1) = H(Q) on [0, 1/2]; multiphoton pulses are fully insecure.
 BB84 = ProtocolSpec(
-    name="bb84", p_sift=0.5, eve_info=binary_entropy, q_max=0.5, i_ae_two=1.0,
+    name="bb84", p_sift=0.5, eve_info=binary_entropy,
+    eve_info_array=_binary_entropy_array, q_max=0.5, i_ae_two=1.0,
 )
 # SARG04: the collective-attack expression on [0, 1/2); the two-photon gain
 # is bounded by the Holevo quantity H((2+sqrt(2))/4).
@@ -117,6 +146,7 @@ SARG04 = ProtocolSpec(
     name="sarg04",
     p_sift=0.25,
     eve_info=_sarg04_eve_info,
+    eve_info_array=_sarg04_eve_info_array,
     q_max=math.nextafter(0.5, 0.0),
     i_ae_two=binary_entropy((2.0 + math.sqrt(2.0)) / 4.0),
 )
@@ -188,6 +218,19 @@ def _security_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool
         return math.nan, False
     i_ab, i_ae_one = mutual_info_ab(q), spec.eve_info(ratio)
     return i_ab - y * i_ae_one - (1.0 - y) * spec.i_ae_two, i_ae_one <= spec.i_ae_two
+
+
+def _security_margin_array(
+    spec: ProtocolSpec, q: np.ndarray, y: np.ndarray, ratio: np.ndarray
+) -> np.ndarray:
+    """_security_terms' margin over arrays of (Q, y, Q/y), in its operation order.
+
+    Only the log2 terms can differ from the scalar margin, by a few ulp each.
+    Entries with Q/y outside [0, q_max] hold NaN or garbage; the caller masks
+    them.
+    """
+    i_ab = 1.0 - _binary_entropy_array(q)
+    return i_ab - y * spec.eve_info_array(ratio) - (1.0 - y) * spec.i_ae_two
 
 
 def _checked_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:

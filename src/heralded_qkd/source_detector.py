@@ -122,7 +122,8 @@ def multiplexed_response(params: MultiplexedDetectorParams) -> HeraldResponse:
     q2 = no_dark * (
         m * d * (1.0 - eta) ** 2 + 2.0 * eta * (1.0 - eta) + eta**2 / m
     )
-    return HeraldResponse(q0=q0, q1=q1, q2=q2)
+    # at dark_a = 1 and one bin q2 is 1, but its rounded sum can be 1 + 1 ulp
+    return HeraldResponse(q0=q0, q1=q1, q2=min(q2, 1.0))
 
 
 def wcp_response() -> HeraldResponse:

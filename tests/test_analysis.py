@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heralded_qkd import analysis
 from heralded_qkd.analysis import (
@@ -20,7 +23,13 @@ from heralded_qkd.analysis import (
     tmin_single_photon,
     tmin_wcp,
 )
-from heralded_qkd.keyrate import ChannelParams, key_rate
+from heralded_qkd.keyrate import (
+    _KEY_RATE_ARRAY_TOL,
+    ChannelParams,
+    KeyRateReport,
+    _key_rate_array,
+    key_rate,
+)
 from heralded_qkd.protocol import BB84, SARG04
 from heralded_qkd.source_detector import (
     HeraldResponse,
@@ -114,11 +123,19 @@ class TestLambdaGrid:
         return grid, [poisson_pair_stats(lam) for lam in grid]
 
     def test_matches_logspace_and_pair_stats(self):
-        grid, stats = analysis._lambda_grid(1.0)
+        grid, stats, pairs = analysis._lambda_grid(1.0)
         assert isinstance(grid, tuple) and isinstance(stats, tuple)
         expected_grid, expected_stats = self.fresh_grid(1e-8, 1.0, 200)
         assert list(grid) == expected_grid
         assert list(stats) == expected_stats
+        # the (p0, p1, p2) arrays hold the cached statistics bit for bit, and
+        # no caller can write to them
+        assert pairs.shape == (3, 200) and pairs.dtype == np.float64
+        for row, name in zip(pairs, ("p0", "p1", "p2")):
+            assert row.tolist() == [getattr(s, name) for s in stats]
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.0
 
     def test_cold_and_warm_cache_agree(self):
         r = multiplexed_response(
@@ -131,7 +148,9 @@ class TestLambdaGrid:
         warm = optimize_lambda(BB84, r, ch)
         assert analysis._lambda_grid.cache_info().hits >= 1
         assert warm == cold
-        assert cold.evaluations == 229
+        # one scalar key_rate call for the near-best grid point, 2 + 26 in the
+        # golden section, one at the final midpoint
+        assert cold.evaluations == 30
 
     def test_custom_lambda_max(self, monkeypatch):
         # all three searches share one grid, and no optimum passes lambda_max
@@ -152,8 +171,213 @@ class TestLambdaGrid:
         lams = [res.lambda_opt for res in results]
         assert len(lams) > 4 and max(lams) == pytest.approx(0.5, rel=1e-5)
         assert all(lam <= 0.5 for lam in lams)
-        grid, stats = analysis._lambda_grid(0.5)
+        grid, stats, _ = analysis._lambda_grid(0.5)
         assert (list(grid), list(stats)) == self.fresh_grid(1e-8, 0.5, 200)
+
+
+# Configurations for the array-kernel and argmax oracle properties: both
+# protocols; WCP, binary, multiplexed and custom responses; T including 0
+# and 1, and d_B including 0.
+unit = st.floats(0.0, 1.0)
+log_small = st.floats(-10.0, 0.0).map(lambda e: 10.0**e)
+responses = st.one_of(
+    st.just(wcp_response()),
+    st.builds(binary_response, unit, log_small),
+    st.builds(
+        lambda n, eta_a, dark_a, eta_c: multiplexed_response(
+            MultiplexedDetectorParams(n, eta_a, dark_a, eta_c)),
+        st.integers(1, 8), unit, log_small, unit,
+    ),
+    st.builds(HeraldResponse, unit, unit, unit),
+)
+transmissions = st.one_of(st.sampled_from([0.0, 1.0]), unit, log_small)
+dark_counts = st.one_of(st.just(0.0), log_small.map(lambda d: 0.1 * d))
+lambda_maxes = st.sampled_from([1.0, 0.5, 10.0])
+
+
+def assert_array_agrees(spec, r, ch, lambda_max=1.0):
+    """_key_rate_array against key_rate at every grid point: p_exp and the
+    validity mask exactly, a valid rate within _KEY_RATE_ARRAY_TOL * p_exp."""
+    _, stats, pairs = analysis._lambda_grid(lambda_max)
+    p_exp, rates = _key_rate_array(spec, pairs, r, ch)
+    for i, s in enumerate(stats):
+        rep = key_rate(spec, s, r, ch)
+        assert p_exp[i] == rep.p_exp
+        assert math.isnan(rates[i]) == math.isnan(rep.key_rate)
+        if not math.isnan(rep.key_rate):
+            assert abs(rates[i] - rep.key_rate) <= _KEY_RATE_ARRAY_TOL * rep.p_exp
+
+
+def sarg04_edge_transmission(stats, r, dark_b):
+    """Smallest float T in (0, 1] at which key_rate is SARG04-valid, or None.
+
+    Validity only grows with T (Q/y falls), so bisection over the floats
+    lands where Q/y first reaches q_max.
+    """
+    def valid(t):
+        rep = key_rate(SARG04, stats, r, ChannelParams(t, dark_b))
+        return not math.isnan(rep.key_rate)
+
+    lo, hi = 0.0, 1.0
+    if valid(lo) or not valid(hi):
+        return None
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if valid(mid) else (mid, hi)
+    return hi
+
+
+class TestKeyRateArray:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=responses, t=transmissions,
+           dark_b=dark_counts, lambda_max=lambda_maxes)
+    def test_agrees_with_key_rate(self, spec, r, t, dark_b, lambda_max):
+        assert_array_agrees(spec, r, ChannelParams(t, dark_b), lambda_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=responses, dark_b=log_small.map(lambda d: 0.1 * d),
+           i=st.integers(0, 199), ulps=st.integers(-3, 3))
+    def test_agrees_at_sarg04_domain_edge(self, r, dark_b, i, ulps):
+        # T where Q/y reaches q_max at grid point i, and its float neighbours
+        t = sarg04_edge_transmission(analysis._lambda_grid(1.0)[1][i], r, dark_b)
+        assume(t is not None)
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+        assume(0.0 <= t <= 1.0)
+        assert_array_agrees(SARG04, r, ChannelParams(t, dark_b))
+
+    def test_domain_edge_is_hit_exactly(self):
+        # at least one of these rows has a grid point with Q/y == q_max
+        stats = analysis._lambda_grid(1.0)[1]
+        hits = 0
+        for i in range(0, 200, 10):
+            t = sarg04_edge_transmission(stats[i], wcp_response(), 1e-5)
+            rep = key_rate(SARG04, stats[i], wcp_response(), ChannelParams(t, 1e-5))
+            hits += rep.qber / rep.y == SARG04.q_max
+            assert_array_agrees(SARG04, wcp_response(), ChannelParams(t, 1e-5))
+        assert hits > 0
+
+    def test_zero_and_undefined_points(self):
+        # nothing detected (p_exp 0), Q = 0 (0*log2(0)), and y <= 0
+        for spec in (BB84, SARG04):
+            assert_array_agrees(spec, wcp_response(), ChannelParams(0.0, 0.0))
+            assert_array_agrees(spec, IDEAL_HERALD, ChannelParams(0.3, 0.0))
+            assert_array_agrees(spec, HeraldResponse(0.0, 1e-6, 1.0),
+                                ChannelParams(1e-6, 1e-6), lambda_max=10.0)
+
+
+def scalar_optimize_lambda(spec, r, ch, lambda_max=1.0):
+    """The full-scalar optimizer: key_rate at every grid point, then the same
+    golden section.  The reference that optimize_lambda must equal."""
+    grid, grid_stats, _ = analysis._lambda_grid(lambda_max)
+    n = len(grid)
+    scored = [analysis._score(spec, stats, r, ch) for stats in grid_stats]
+    evaluations = n
+    best_idx = max(range(n), key=lambda i: scored[i][0])
+    best_score, best_report = scored[best_idx]
+    if best_score == -math.inf:
+        return analysis.OptimizationResult(math.nan, None, False, evaluations)
+    a, b = grid[max(best_idx - 1, 0)], grid[min(best_idx + 1, n - 1)]
+
+    def score(lam):
+        return analysis._score(spec, poisson_pair_stats(lam), r, ch)
+
+    g = analysis._INV_GOLDEN
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = score(c)[0], score(d)[0]
+    evaluations += 2
+    while (b - a) > analysis._LAMBDA_REL_TOL * b:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = score(c)[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = score(d)[0]
+        evaluations += 1
+    lam_opt = 0.5 * (a + b)
+    final, report = score(lam_opt)
+    evaluations += 1
+    if best_score > final:
+        lam_opt, report = grid[best_idx], best_report
+    at_bound = best_idx in (0, n - 1) and (
+        lam_opt <= 1e-8 * (1.0 + 1e-5) or lam_opt >= lambda_max * (1.0 - 1e-5))
+    return analysis.OptimizationResult(lam_opt, report, not at_bound, evaluations)
+
+
+def assert_matches_scalar_optimizer(spec, r, ch, lambda_max=1.0):
+    got = optimize_lambda(spec, r, ch, lambda_max)
+    ref = scalar_optimize_lambda(spec, r, ch, lambda_max)
+    # repr compares NaN fields too; evaluations differ by design
+    assert repr(dataclasses.replace(got, evaluations=0)) == repr(
+        dataclasses.replace(ref, evaluations=0))
+    if ref.report is None:
+        assert got.evaluations == 0
+    else:  # the same golden section; the rest are the rescored grid points
+        assert 1 <= got.evaluations - (ref.evaluations - 200) <= 200
+    return got
+
+
+class TestArgmaxOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=responses, t=transmissions,
+           dark_b=dark_counts, lambda_max=lambda_maxes)
+    def test_equals_scalar_optimizer(self, spec, r, t, dark_b, lambda_max):
+        assert_matches_scalar_optimizer(spec, r, ChannelParams(t, dark_b), lambda_max)
+
+    def test_flat_sub_threshold_row(self):
+        # no signal (T = 0) and q2 = 0: K = -d_B q0 (p0 + p1) / 2, and
+        # p0 + p1 = 1 - lam**2/2 takes only 28 float values over [1e-8, 1e-7],
+        # so the row holds exact ties and every point is within the
+        # rescoring bound of the maximum
+        r, ch = HeraldResponse(0.3, 0.3, 0.0), ChannelParams(0.0, 1e-5)
+        res = assert_matches_scalar_optimizer(BB84, r, ch, lambda_max=1e-7)
+        assert res.key_rate < 0.0 and not res.converged
+        assert res.evaluations > 200  # all 200 grid points rescored
+
+    def test_first_of_tied_maxima_wins(self, monkeypatch):
+        # a synthetic rate min(p1, 0.2) with a plateau of exact ties, at
+        # p_exp = 1, whose array form is off by 0.9 of the bound: down
+        # everywhere but up at the last grid point, where it peaks.  The
+        # rescoring must still find the first scalar maximum.
+        def fake_key_rate(spec, stats, r, ch):
+            k = min(stats.p1, 0.2)
+            return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
+
+        def fake_key_rate_array(spec, pairs, r, ch):
+            error = np.full(pairs.shape[1], -0.9 * _KEY_RATE_ARRAY_TOL)
+            error[-1] = 0.9 * _KEY_RATE_ARRAY_TOL
+            return np.ones(pairs.shape[1]), np.minimum(pairs[1], 0.2) + error
+
+        monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
+        monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
+        res = assert_matches_scalar_optimizer(BB84, wcp_response(),
+                                              ChannelParams(0.1, 0.0))
+        assert res.converged and 0.2 < res.lambda_opt < 0.3  # p1 = 0.2 at 0.259
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    def test_sub_threshold_row_at_lower_bound(self, spec):
+        res = assert_matches_scalar_optimizer(spec, binary_response(),
+                                              ChannelParams(1e-5, 1e-5))
+        assert res.key_rate < 0.0 and res.lambda_opt == 1e-8
+
+    @pytest.mark.parametrize("spec, t", [(BB84, 0.1), (SARG04, 1.0)])
+    def test_lambda_at_upper_bound(self, spec, t):
+        res = assert_matches_scalar_optimizer(spec, IDEAL_HERALD, ChannelParams(t, 0.0))
+        assert res.lambda_opt == pytest.approx(1.0, rel=1e-5) and not res.converged
+
+    @pytest.mark.parametrize("spec, r, ch", [
+        (BB84, wcp_response(), ChannelParams(0.0, 0.0)),  # nothing detected
+        (SARG04, wcp_response(), ChannelParams(0.0, 1e-5)),  # Q/y = 1/2 > q_max
+    ])
+    def test_all_invalid_row(self, spec, r, ch, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "key_rate",
+                            lambda *args: calls.append(args) or key_rate(*args))
+        res = optimize_lambda(spec, r, ch)
+        assert (res.report, res.converged, res.evaluations) == (None, False, 0)
+        assert calls == [] and math.isnan(res.lambda_opt)
+        assert_matches_scalar_optimizer(spec, r, ch)
 
 
 class TestShortDistanceKeyRate:

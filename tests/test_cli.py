@@ -444,6 +444,25 @@ class TestCompareStages:
         assert (code, out) == (1, "")
         assert err == f"error: dark_b must be in [0, 1), got {float(dark_b)}\n"
 
+    def test_dark_b_optional_without_fit(self, capsys):
+        flags = ("compare-stages", "--eta-a-list", "0.6", "--dark-a", "1e-6")
+        code, out, err = run_cli(capsys, *flags)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *flags, "--dark-b", "1e-5") == (0, out, "")
+
+    def test_dark_b_required_with_fit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare-stages", "--eta-a-list", "0.6", "--dark-a", "1e-6",
+            "--n-max", "1", "--fit",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: missing required option --dark-b\n"
+        code, out, err = run_cli(
+            capsys, "compare-stages", "--eta-a-list", "0.6", "--dark-a", "1e-6",
+            "--n-max", "1", "--fit", "--dark-b", "nan",
+        )
+        assert (code, out, err) == (1, "", "error: dark_b must be in [0, 1), got nan\n")
+
 
     def test_one_fit_per_stage(self, capsys, monkeypatch):
         fits = []

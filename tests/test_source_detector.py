@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heralded_qkd.source_detector import (
     HeraldResponse,
@@ -83,6 +85,20 @@ class TestMultiplexedResponse:
             MultiplexedDetectorParams(stages=3, eta_a=0.7, dark_a=0.0, eta_c=0.95)
         )
         assert r.q0 == 0.0
+
+    def test_always_dark_binary_detector(self):
+        # q2 = (1-eta)**2 + 2 eta (1-eta) + eta**2 = 1 rounds to 1 + 1 ulp here
+        r = multiplexed_response(
+            MultiplexedDetectorParams(stages=0, eta_a=0.0005, dark_a=1.0)
+        )
+        assert (r.q0, r.q1, r.q2) == (1.0, 1.0, 1.0)
+
+    @given(st.integers(0, 12), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_every_valid_detector_has_a_response(self, stages, eta_a, dark_a, eta_c):
+        params = MultiplexedDetectorParams(stages, eta_a, dark_a, eta_c)
+        r = multiplexed_response(params)
+        assert all(0.0 <= q <= 1.0 for q in (r.q0, r.q1, r.q2))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
