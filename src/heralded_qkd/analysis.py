@@ -103,6 +103,26 @@ def _lambda_grid(
     return grid, stats, pairs
 
 
+@lru_cache(maxsize=1)
+def _grid_scores(
+    spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, lambda_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (p_exp, score) arrays over the coarse pump-strength grid.
+
+    One _key_rate_array pass; a score is the array key rate, -inf where the
+    point is model-invalid, and within _KEY_RATE_ARRAY_TOL * p_exp of
+    key_rate's where it is valid.  The last setting is memoized, so a
+    tmin_numerical sign test and the optimize_lambda call after it share one
+    pass; the arrays are read-only because both get the same ones.
+    """
+    if not _LAMBDA_MIN < lambda_max:  # a NaN is rejected too
+        raise ValueError(f"bounds need lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
+    p_exp, rates = _key_rate_array(spec, _lambda_grid(lambda_max)[2], r, ch)
+    scores = np.where(np.isnan(rates), -np.inf, rates)
+    p_exp.flags.writeable = scores.flags.writeable = False
+    return p_exp, scores
+
+
 def _score(
     spec: ProtocolSpec, stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
 ) -> tuple[float, KeyRateReport]:
@@ -130,12 +150,8 @@ def optimize_lambda(
     when no grid point is model-valid).  converged is False when the
     optimum sits at a bound or when no probed point was model-valid.
     """
-    if not _LAMBDA_MIN < lambda_max:  # a NaN is rejected too
-        raise ValueError(f"bounds need lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
-
-    grid, grid_stats, pairs = _lambda_grid(lambda_max)
-    p_exp, rates = _key_rate_array(spec, pairs, r, ch)
-    scores = np.where(np.isnan(rates), -np.inf, rates)
+    p_exp, scores = _grid_scores(spec, r, ch, lambda_max)
+    grid, grid_stats, _ = _lambda_grid(lambda_max)
     top = int(np.argmax(scores))
     if scores[top] == -np.inf:  # the validity mask is key_rate's, bit for bit
         return OptimizationResult(
@@ -324,23 +340,32 @@ def tmin_numerical(
     Oracle for the closed-form minimum transmission: the sign change of
     K(T, lambda) maximized by optimize_lambda over lambda in
     [1e-8, lambda_max] is located on T in [1e-8, 1] to relative tolerance
-    1e-3.
+    1e-3.  A step only needs that sign.  When a point of optimize_lambda's
+    array-scored grid clears the array kernel's error bound, its key_rate is
+    positive and so is the optimum, so the step skips the golden section;
+    only the other steps call optimize_lambda, which reuses the step's
+    array pass.  The result is the one optimize_lambda at every step gives.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
 
-    def optimized_rate(t: float) -> float:
+    def positive(t: float) -> bool:
         ch = ChannelParams(transmission=t, dark_b=dark_b)
-        return optimize_lambda(spec, r, ch, lambda_max).key_rate
+        p_exp, scores = _grid_scores(spec, r, ch, lambda_max)
+        # key_rate there is within the bound, so > 0, and optimize_lambda
+        # never returns less than the grid's best key_rate
+        if (scores > _KEY_RATE_ARRAY_TOL * p_exp).any():
+            return True
+        return optimize_lambda(spec, r, ch, lambda_max).key_rate > 0.0
 
     t_lo, t_hi = 1e-8, 1.0
-    if optimized_rate(t_hi) <= 0.0 or optimized_rate(t_lo) > 0.0:
+    if not positive(t_hi) or positive(t_lo):
         raise RuntimeError(
             "no sign change of the optimized key rate on [1e-8, 1]"
         )
     while t_hi / t_lo - 1.0 > _TMIN_REL_TOL:
         t_mid = math.sqrt(t_lo * t_hi)
-        if optimized_rate(t_mid) > 0.0:
+        if positive(t_mid):
             t_hi = t_mid
         else:
             t_lo = t_mid

@@ -38,9 +38,9 @@ def _xlog2x(x: float) -> float:
 
 
 def _xlog2x_array(x: np.ndarray) -> np.ndarray:
-    # _xlog2x elementwise; zeros are pinned to 0, where x*log2(x) is NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x == 0.0, 0.0, x * np.log2(x))
+    # _xlog2x elementwise; a zero takes log2(1) = 0 in place of the branch,
+    # and adding False leaves every other entry's bits as they are
+    return x * np.log2(x + (x == 0.0))
 
 
 def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
@@ -74,15 +74,13 @@ def _sarg04_eve_info(q: float) -> float:
 
 
 def _sarg04_eve_info_array(q: np.ndarray) -> np.ndarray:
-    # _sarg04_eve_info elementwise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            q == 0.0,
-            0.0,
-            _xlog2x_array(1.0 - q)
-            - _xlog2x_array(1.0 - 2.0 * q)
-            + q * (1.0 - np.log2(q)),
-        )
+    # _sarg04_eve_info elementwise; every term is 0 at q = 0, the q = 0 limit,
+    # with q(1 - log2 q) made branch-free as in _xlog2x_array
+    return (
+        _xlog2x_array(1.0 - q)
+        - _xlog2x_array(1.0 - 2.0 * q)
+        + q * (1.0 - np.log2(q + (q == 0.0)))
+    )
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,7 @@ def _security_margin_array(
 
     Only the log2 terms can differ from the scalar margin, by a few ulp each.
     Entries with Q/y outside [0, q_max] hold NaN or garbage; the caller masks
-    them.
+    them and silences numpy's floating-point warnings for them.
     """
     i_ab = 1.0 - _binary_entropy_array(q)
     return i_ab - y * spec.eve_info_array(ratio) - (1.0 - y) * spec.i_ae_two

@@ -50,6 +50,15 @@ def binary_response(eta_a=0.6, dark_a=1e-6):
     )
 
 
+@pytest.fixture
+def fresh_grid_scores():
+    """Empty the array-pass memo before and after a test that patches
+    _key_rate_array, so neither it nor a later test reads a stale pass."""
+    analysis._grid_scores.cache_clear()
+    yield
+    analysis._grid_scores.cache_clear()
+
+
 class TestOptimizeLambda:
     def test_high_transmission_matches_short_distance_formula(self):
         r = binary_response()
@@ -335,7 +344,7 @@ class TestArgmaxOracle:
         assert res.key_rate < 0.0 and not res.converged
         assert res.evaluations > 200  # all 200 grid points rescored
 
-    def test_first_of_tied_maxima_wins(self, monkeypatch):
+    def test_first_of_tied_maxima_wins(self, monkeypatch, fresh_grid_scores):
         # a synthetic rate min(p1, 0.2) with a plateau of exact ties, at
         # p_exp = 1, whose array form is off by 0.9 of the bound: down
         # everywhere but up at the last grid point, where it peaks.  The
@@ -598,6 +607,161 @@ class TestMinimumTransmissions:
             assert tmin_heralded(BB84, r, d_b) == pytest.approx(
                 tmin_numerical(BB84, r, d_b), rel=0.15
             )
+
+
+def reference_tmin(spec, r, dark_b, lambda_max=1.0):
+    """tmin_numerical's bisection with a full optimize_lambda at every step.
+    The reference that tmin_numerical must equal."""
+    def optimized_rate(t):
+        return optimize_lambda(spec, r, ChannelParams(t, dark_b), lambda_max).key_rate
+
+    t_lo, t_hi = 1e-8, 1.0
+    if optimized_rate(t_hi) <= 0.0 or optimized_rate(t_lo) > 0.0:
+        raise RuntimeError("no sign change of the optimized key rate on [1e-8, 1]")
+    while t_hi / t_lo - 1.0 > analysis._TMIN_REL_TOL:
+        t_mid = math.sqrt(t_lo * t_hi)
+        if optimized_rate(t_mid) > 0.0:
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
+    return t_hi
+
+
+def tmin_outcome(solve, *args):
+    """A solve's value, or the message of its no-sign-change error."""
+    try:
+        return solve(*args)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def tmin_pool(seed, per_kind):
+    """Seeded, unfiltered (spec, response, d_B) draws: per_kind each of BB84
+    and SARG04 times WCP, binary and 1- to 5-stage multiplexed sources."""
+    rng = random.Random(seed)
+
+    def detector(stages):
+        return multiplexed_response(MultiplexedDetectorParams(
+            stages=stages, eta_a=rng.uniform(0.3, 0.9),
+            dark_a=10 ** rng.uniform(-7, -5), eta_c=rng.uniform(0.95, 1.0)))
+
+    sources = [wcp_response, lambda: detector(0), lambda: detector(rng.randint(1, 5))]
+    return [
+        (spec, source(), 10 ** rng.uniform(-6, -4))
+        for _ in range(per_kind) for spec in (BB84, SARG04) for source in sources
+    ]
+
+
+class TestTminCertificate:
+    """tmin_numerical reads the sign of a step off the array-scored grid
+    whenever a grid point's array rate clears the array kernel's error bound."""
+
+    def test_equals_reference_bisection(self):
+        pool = tmin_pool(seed=11, per_kind=11)
+        assert len(pool) == 66
+        at_edge = 0
+        for spec, r, dark_b in pool:
+            got = tmin_outcome(tmin_numerical, spec, r, dark_b)
+            assert got == tmin_outcome(reference_tmin, spec, r, dark_b)
+            if spec is SARG04 and isinstance(got, float):
+                rep = optimize_lambda(spec, r, ChannelParams(1.001 * got, dark_b)).report
+                at_edge += rep.qber / rep.y > 0.4999
+        # the pool reaches SARG04 optima on the Q/y = 1/2 domain edge
+        assert at_edge > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=responses, t=transmissions,
+           dark_b=dark_counts, lambda_max=lambda_maxes)
+    def test_certificate_proves_positive_rate(self, spec, r, t, dark_b, lambda_max):
+        ch = ChannelParams(t, dark_b)
+        p_exp, scores = analysis._grid_scores(spec, r, ch, lambda_max)
+        certified = np.flatnonzero(scores > _KEY_RATE_ARRAY_TOL * p_exp)
+        stats = analysis._lambda_grid(lambda_max)[1]
+        for i in certified:
+            assert key_rate(spec, stats[i], r, ch).key_rate > 0.0
+        if certified.size:
+            assert optimize_lambda(spec, r, ch, lambda_max).key_rate > 0.0
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    def test_one_array_pass_per_sign_test(self, spec, monkeypatch, fresh_grid_scores):
+        r = multiplexed_response(
+            MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1e-6, eta_c=0.98))
+        expected = reference_tmin(spec, r, 1e-5)
+        passes, optimized, scored = [], [], []
+
+        def counting_array(spec, pairs, r, ch):
+            passes.append(ch.transmission)
+            return _key_rate_array(spec, pairs, r, ch)
+
+        def counting_optimize(spec, r, ch, lambda_max):
+            optimized.append((ch.transmission, optimize_lambda(spec, r, ch, lambda_max)))
+            return optimized[-1][1]
+
+        def counting_key_rate(spec, stats, r, ch):
+            scored.append(ch.transmission)
+            return key_rate(spec, stats, r, ch)
+
+        monkeypatch.setattr(analysis, "_key_rate_array", counting_array)
+        monkeypatch.setattr(analysis, "optimize_lambda", counting_optimize)
+        monkeypatch.setattr(analysis, "key_rate", counting_key_rate)
+        assert tmin_numerical(spec, r, 1e-5) == expected
+        # 2 endpoint tests and 15 bisection steps, one array pass each: the
+        # optimize_lambda of an uncertified step reuses its step's pass
+        assert len(passes) == len(set(passes)) == 17
+        optimized_t = [t for t, _ in optimized]
+        assert len(optimized_t) == len(set(optimized_t)) and set(optimized_t) < set(passes)
+        # certified steps make no key_rate call; the rest are counted
+        assert set(scored) <= set(optimized_t)
+        assert len(scored) == sum(res.evaluations for _, res in optimized)
+        assert 0 < len(optimized) < 17
+
+    def test_array_rate_within_the_bound_is_not_certified(
+            self, monkeypatch, fresh_grid_scores):
+        # a synthetic rate, 0 below T = 0.01 and 1 from there, at p_exp = 1,
+        # whose array form is 0.9 of the bound too high: below 0.01 every
+        # array rate is positive, yet only optimize_lambda may decide the sign
+        def fake_key_rate(spec, stats, r, ch):
+            k = float(ch.transmission >= 0.01)
+            return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
+
+        def fake_key_rate_array(spec, pairs, r, ch):
+            k = float(ch.transmission >= 0.01) + 0.9 * _KEY_RATE_ARRAY_TOL
+            return np.ones(pairs.shape[1]), np.full(pairs.shape[1], k)
+
+        monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
+        monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
+        t_min = tmin_numerical(BB84, wcp_response(), 1e-5)
+        assert t_min == reference_tmin(BB84, wcp_response(), 1e-5)
+        assert 0.01 <= t_min < 0.01 * (1.0 + analysis._TMIN_REL_TOL)
+
+    def test_grid_scores_match_a_fresh_pass(self):
+        r, ch = binary_response(), ChannelParams(0.01, 1e-5)
+        p_exp, scores = analysis._grid_scores(SARG04, r, ch, 1.0)
+        fresh_p_exp, rates = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[2], r, ch)
+        assert p_exp.tolist() == fresh_p_exp.tolist()
+        assert scores.tolist() == np.where(np.isnan(rates), -np.inf, rates).tolist()
+        assert analysis._grid_scores(SARG04, r, ch, 1.0)[1] is scores
+        for array in (p_exp, scores):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("lambda_max", [1e-8, 0.0, -1.0, math.nan])
+    def test_bad_lambda_max(self, lambda_max):
+        with pytest.raises(ValueError, match="bounds"):
+            tmin_numerical(BB84, wcp_response(), 1e-5, lambda_max)
+
+    @pytest.mark.parametrize("dark_b, lambda_max", [
+        (1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+        (1.0, 0.0),  # the channel is checked before the pump-strength range
+    ])
+    def test_bad_dark_counts(self, dark_b, lambda_max):
+        with pytest.raises(ValueError, match=r"dark_b must be in \[0, 1\)"):
+            tmin_numerical(BB84, wcp_response(), dark_b, lambda_max)
+
+    @pytest.mark.parametrize("dark_b", [0.0, -1e-5])
+    def test_nonpositive_dark_counts(self, dark_b):
+        with pytest.raises(ValueError, match="dark_b must be positive"):
+            tmin_numerical(BB84, wcp_response(), dark_b)
 
 
 class TestScanAndFit:
