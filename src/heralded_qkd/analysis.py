@@ -83,11 +83,9 @@ class ScanSeries:
 
 
 @lru_cache(maxsize=8)
-def _lambda_grid(
-    lambda_max: float,
-) -> tuple[tuple[float, ...], tuple[PhotonStatistics, ...], np.ndarray]:
-    """Coarse logarithmic pump-strength grid, its pair statistics, and those
-    statistics as a read-only (p0, p1, p2) array of shape (3, grid size).
+def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
+    """Coarse logarithmic pump-strength grid, and its pair statistics as a
+    read-only (p0, p1, p2) array of shape (3, grid size).
 
     Depends only on lambda_max, so one build serves every optimization that
     shares it; the array is read-only because every caller gets the same one.
@@ -97,10 +95,10 @@ def _lambda_grid(
         grid = np.logspace(math.log10(_LAMBDA_MIN), math.log10(lambda_max),
                            _LAMBDA_GRID_POINTS)
     grid = tuple(float(x) for x in grid)
-    stats = tuple(poisson_pair_stats(lam) for lam in grid)
+    stats = [poisson_pair_stats(lam) for lam in grid]
     pairs = np.array([[getattr(s, p) for s in stats] for p in ("p0", "p1", "p2")])
     pairs.flags.writeable = False
-    return grid, stats, pairs
+    return grid, pairs
 
 
 @lru_cache(maxsize=1)
@@ -117,7 +115,7 @@ def _grid_scores(
     """
     if not _LAMBDA_MIN < lambda_max:  # a NaN is rejected too
         raise ValueError(f"bounds need lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
-    p_exp, rates = _key_rate_array(spec, _lambda_grid(lambda_max)[2], r, ch)
+    p_exp, rates = _key_rate_array(spec, _lambda_grid(lambda_max)[1], r, ch)
     scores = np.where(np.isnan(rates), -np.inf, rates)
     p_exp.flags.writeable = scores.flags.writeable = False
     return p_exp, scores
@@ -151,7 +149,7 @@ def optimize_lambda(
     optimum sits at a bound or when no probed point was model-valid.
     """
     p_exp, scores = _grid_scores(spec, r, ch, lambda_max)
-    grid, grid_stats, _ = _lambda_grid(lambda_max)
+    grid = _lambda_grid(lambda_max)[0]
     top = int(np.argmax(scores))
     if scores[top] == -np.inf:  # the validity mask is key_rate's, bit for bit
         return OptimizationResult(
@@ -161,7 +159,7 @@ def optimize_lambda(
     # maximum is among the points within both points' tolerances of the array
     # maximum, and every point outside them scores strictly below it.
     near = scores >= scores[top] - _KEY_RATE_ARRAY_TOL * (p_exp + p_exp[top])
-    scored = {int(i): _score(spec, grid_stats[i], r, ch)
+    scored = {int(i): _score(spec, poisson_pair_stats(grid[i]), r, ch)
               for i in np.flatnonzero(near)}
     evaluations = len(scored)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import (
-    ProtocolSpec, _checked_terms, _security_margin_array, _security_terms,
+    ProtocolSpec, _binary_entropy, _checked_terms, _margin, _security_terms,
 )
 from .source_detector import HeraldResponse, PhotonStatistics
 
@@ -58,21 +58,21 @@ class KeyRateReport:
     secure: bool
 
 
-def _detection(
-    stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
-) -> tuple[float, float, float]:
-    """(p_exp, QBER, single-photon fraction y) of one setting.
+def _detection(p0, p1, p2, r: HeraldResponse, ch: ChannelParams):
+    """(p_exp, QBER, single-photon fraction y) from the pair probabilities.
 
-    p_exp is the detection probability per pulse; half of the dark-count
-    events (d_B per detector and heralded pulse) are errors.  QBER and y are
-    NaN when nothing is detected.
+    p0, p1 and p2 are floats or numpy arrays.  p_exp is the detection
+    probability per pulse; half of the dark-count events (d_B per detector
+    and heralded pulse) are errors.  Where nothing is detected (p_exp = 0)
+    QBER and y are undefined: the values returned there stand in, and the
+    caller replaces or masks them.
     """
     t = ch.transmission
-    dark = ch.dark_b * (stats.p0 * r.q0 + stats.p1 * r.q1 + stats.p2 * r.q2)
-    p_exp = t * stats.p1 * r.q1 + 2.0 * t * stats.p2 * r.q2 + 2.0 * dark
-    if p_exp == 0.0:
-        return 0.0, math.nan, math.nan
-    return p_exp, dark / p_exp, 1.0 - stats.p2 * r.q2 / p_exp
+    dark = ch.dark_b * (p0 * r.q0 + p1 * r.q1 + p2 * r.q2)
+    p_exp = t * p1 * r.q1 + 2.0 * t * p2 * r.q2 + 2.0 * dark
+    # a zero p_exp divides by 1 in place of a branch; any other keeps its bits
+    per_click = p_exp + (p_exp == 0.0)
+    return p_exp, dark / per_click, 1.0 - p2 * r.q2 / per_click
 
 
 def key_rate(
@@ -88,7 +88,9 @@ def key_rate(
     the single-photon information function, or nothing is detected, key_rate
     is NaN and secure is False.
     """
-    p_exp, q, y = _detection(stats, r, ch)
+    p_exp, q, y = _detection(stats.p0, stats.p1, stats.p2, r, ch)
+    if p_exp == 0.0:
+        q = y = math.nan
     # the printed multiphoton fraction can exceed 1 at large pump strength
     # and low transmission, driving y <= 0; the model does not apply there
     margin, valid = (math.nan, False) if y <= 0.0 else _security_terms(spec, q, y)
@@ -99,9 +101,10 @@ def key_rate(
     )
 
 
-# _key_rate_array's valid rates are within this times p_exp of key_rate's: they
-# differ only through the log2 terms of the margin, whose terms are O(1), so by
-# a few dozen ulp of 1 at most, and K is p_exp * p_sift times the margin
+# _key_rate_array's valid rates are within this times p_exp of key_rate's: the
+# two run the same arithmetic and differ only in np.log2 against math.log2 in
+# the margin, whose terms are O(1), so by a few dozen ulp of 1 at most, and K
+# is p_exp * p_sift times the margin
 _KEY_RATE_ARRAY_TOL = 1e-13
 
 
@@ -110,21 +113,17 @@ def _key_rate_array(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(p_exp, key rate) of key_rate over arrays of pair statistics (p0, p1, p2).
 
-    Repeats _detection's and key_rate's arithmetic in their operation order,
-    so p_exp, QBER, y, Q/y and the model-invalid entries (key rate NaN) equal
-    the scalar ones bit for bit.  A valid key rate is within
-    _KEY_RATE_ARRAY_TOL * p_exp of key_rate's.
+    The same _detection and margin as key_rate, so p_exp, QBER, y, Q/y and
+    the model-invalid entries (key rate NaN) equal the scalar ones bit for
+    bit.  A valid key rate is within _KEY_RATE_ARRAY_TOL * p_exp of key_rate's.
     """
-    p0, p1, p2 = pairs
-    t = ch.transmission
-    dark = ch.dark_b * (p0 * r.q0 + p1 * r.q1 + p2 * r.q2)
-    p_exp = t * p1 * r.q1 + 2.0 * t * p2 * r.q2 + 2.0 * dark
+    # invalid entries hold NaN, inf or garbage until masked; numpy stays quiet
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = dark / p_exp
-        y = 1.0 - p2 * r.q2 / p_exp
+        p_exp, q, y = _detection(*pairs, r, ch)
         ratio = q / y
         valid = (p_exp != 0.0) & (y > 0.0) & (ratio <= spec.q_max)
-        margin = _security_margin_array(spec, q, y, ratio)
+        i_ab = 1.0 - _binary_entropy(q, np.log2)
+        margin = _margin(spec, i_ab, y, spec.eve_info(ratio, np.log2))
         return p_exp, np.where(valid, p_exp * spec.p_sift * margin, np.nan)
 
 

@@ -14,8 +14,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 __all__ = [
     "ProtocolSpec",
     "BB84",
@@ -29,57 +27,42 @@ __all__ = [
     "pns_applicable",
 ]
 
-
-def _xlog2x(x: float) -> float:
-    # explicit branch for the 0*log2(0) = 0 convention; avoids NaN at edges
-    if x == 0.0:
-        return 0.0
-    return x * math.log2(x)
+# The information functions below take a float or a numpy array x, with log2
+# math.log2 or np.log2 to match: they have no branch on the value of x.
 
 
-def _xlog2x_array(x: np.ndarray) -> np.ndarray:
-    # _xlog2x elementwise; a zero takes log2(1) = 0 in place of the branch,
-    # and adding False leaves every other entry's bits as they are
-    return x * np.log2(x + (x == 0.0))
+def _xlog2x(x, log2=math.log2):
+    # x*log2(x) with the 0*log2(0) = 0 convention: a zero takes log2(1) = 0,
+    # and adding False leaves every other x's bits as they are
+    return x * log2(x + (x == 0.0))
 
 
-def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
-    # binary_entropy elementwise, without its range check
-    return -_xlog2x_array(x) - _xlog2x_array(1.0 - x)
+def _binary_entropy(x, log2=math.log2):
+    # binary_entropy without its range check
+    return -_xlog2x(x, log2) - _xlog2x(1.0 - x, log2)
 
 
 def binary_entropy(x: float) -> float:
     """Binary entropy H(x) in bits, with 0*log2(0) = 0."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
-    return -_xlog2x(x) - _xlog2x(1.0 - x)
+    return _binary_entropy(x)
 
 
 def mutual_info_ab(q: float) -> float:
     """Mutual information between Alice and Bob, 1 - H(Q), in bits."""
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"QBER must be in [0, 1/2], got {q}")
-    return 1.0 - binary_entropy(q)
+    return 1.0 - _binary_entropy(q)
 
 
-def _sarg04_eve_info(q: float) -> float:
-    # (1-q)log2(1-q) - (1-2q)log2(1-2q) + q(1 - log2 q), with the q = 0 limit
-    if q == 0.0:
-        return 0.0
+def _sarg04_eve_info(q, log2=math.log2):
+    # (1-q)log2(1-q) - (1-2q)log2(1-2q) + q(1 - log2 q); every term is 0 at
+    # q = 0, the q = 0 limit, with q(1 - log2 q) made branch-free as in _xlog2x
     return (
-        _xlog2x(1.0 - q)
-        - _xlog2x(1.0 - 2.0 * q)
-        + q * (1.0 - math.log2(q))
-    )
-
-
-def _sarg04_eve_info_array(q: np.ndarray) -> np.ndarray:
-    # _sarg04_eve_info elementwise; every term is 0 at q = 0, the q = 0 limit,
-    # with q(1 - log2 q) made branch-free as in _xlog2x_array
-    return (
-        _xlog2x_array(1.0 - q)
-        - _xlog2x_array(1.0 - 2.0 * q)
-        + q * (1.0 - np.log2(q + (q == 0.0)))
+        _xlog2x(1.0 - q, log2)
+        - _xlog2x(1.0 - 2.0 * q, log2)
+        + q * (1.0 - log2(q + (q == 0.0)))
     )
 
 
@@ -88,19 +71,17 @@ class ProtocolSpec:
     """A four-state protocol as data: sifting fraction and Eve's information.
 
     eve_info is Eve's single-photon information gain I_AE^(1)(Q), defined on
-    the closed QBER domain [0, q_max], and eve_info_array the same function
-    applied elementwise to a numpy array, in the same operation order;
-    i_ae_two is her two-photon gain I_AE^(2).  The threshold QBER and the
-    linearization factor follow from these and are computed lazily on first
-    access, then cached.  Instances
+    the closed QBER domain [0, q_max]; it takes a float, or a numpy array
+    with np.log2 as its second argument.  i_ae_two is her two-photon gain
+    I_AE^(2).  The threshold QBER and the linearization factor follow from
+    these and are computed lazily on first access, then cached.  Instances
     are immutable and safe to share across threads (a cache race merely
     recomputes the same value).
     """
 
     name: str
     p_sift: float
-    eve_info: Callable[[float], float]
-    eve_info_array: Callable[[np.ndarray], np.ndarray]
+    eve_info: Callable[..., float]
     q_max: float
     i_ae_two: float
 
@@ -135,8 +116,7 @@ class ProtocolSpec:
 
 # BB84: I_AE^(1) = H(Q) on [0, 1/2]; multiphoton pulses are fully insecure.
 BB84 = ProtocolSpec(
-    name="bb84", p_sift=0.5, eve_info=binary_entropy,
-    eve_info_array=_binary_entropy_array, q_max=0.5, i_ae_two=1.0,
+    name="bb84", p_sift=0.5, eve_info=_binary_entropy, q_max=0.5, i_ae_two=1.0,
 )
 # SARG04: the collective-attack expression on [0, 1/2); the two-photon gain
 # is bounded by the Holevo quantity H((2+sqrt(2))/4).
@@ -144,7 +124,6 @@ SARG04 = ProtocolSpec(
     name="sarg04",
     p_sift=0.25,
     eve_info=_sarg04_eve_info,
-    eve_info_array=_sarg04_eve_info_array,
     q_max=math.nextafter(0.5, 0.0),
     i_ae_two=binary_entropy((2.0 + math.sqrt(2.0)) / 4.0),
 )
@@ -205,6 +184,14 @@ def _contour_q(spec: ProtocolSpec, y: float, q_hi: float) -> float:
     return _bisect(lambda q: positivity_margin(spec, q, y), _Q_TOL, q_hi, _Q_TOL)
 
 
+def _margin(spec: ProtocolSpec, i_ab, y, i_ae_one):
+    """I_AB - y*I_AE^(1) - (1-y)*I_AE^(2) from I_AB(Q) and I_AE^(1)(Q/y).
+
+    Takes floats or numpy arrays; checks no domain.
+    """
+    return i_ab - y * i_ae_one - (1.0 - y) * spec.i_ae_two
+
+
 def _security_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:
     """(positivity margin, PNS model applies) at QBER q, single-photon fraction y.
 
@@ -214,21 +201,8 @@ def _security_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool
     ratio = q / y
     if not ratio <= spec.q_max:  # a NaN ratio is outside too
         return math.nan, False
-    i_ab, i_ae_one = mutual_info_ab(q), spec.eve_info(ratio)
-    return i_ab - y * i_ae_one - (1.0 - y) * spec.i_ae_two, i_ae_one <= spec.i_ae_two
-
-
-def _security_margin_array(
-    spec: ProtocolSpec, q: np.ndarray, y: np.ndarray, ratio: np.ndarray
-) -> np.ndarray:
-    """_security_terms' margin over arrays of (Q, y, Q/y), in its operation order.
-
-    Only the log2 terms can differ from the scalar margin, by a few ulp each.
-    Entries with Q/y outside [0, q_max] hold NaN or garbage; the caller masks
-    them and silences numpy's floating-point warnings for them.
-    """
-    i_ab = 1.0 - _binary_entropy_array(q)
-    return i_ab - y * spec.eve_info_array(ratio) - (1.0 - y) * spec.i_ae_two
+    i_ae_one = spec.eve_info(ratio)
+    return _margin(spec, mutual_info_ab(q), y, i_ae_one), i_ae_one <= spec.i_ae_two
 
 
 def _checked_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:

@@ -179,11 +179,12 @@ def brute_force_response(params: MultiplexedDetectorParams, n_photons: int) -> f
 def short_distance_factor(r: HeraldResponse) -> float:
     """Key-rate figure of merit q1**2/q2 for the high-transmission regime.
 
-    Returns inf when q2 = 0 (perfect multiphoton rejection makes the factor
-    unbounded).
+    Returns inf when q2 = 0 < q1 (perfect multiphoton rejection makes the
+    factor unbounded), and NaN when q1 = q2 = 0 (a detector that never
+    heralds a pair has no figure of merit: the ratio is 0/0).
     """
     if r.q2 == 0.0:
-        return math.inf
+        return math.inf if r.q1 > 0.0 else math.nan
     return r.q1**2 / r.q2
 
 

@@ -50,6 +50,12 @@ def binary_response(eta_a=0.6, dark_a=1e-6):
     )
 
 
+def grid_stats(lambda_max):
+    """Pair statistics of the coarse grid's points, built as the optimizer
+    builds the ones it rescores."""
+    return [poisson_pair_stats(lam) for lam in analysis._lambda_grid(lambda_max)[0]]
+
+
 @pytest.fixture
 def fresh_grid_scores():
     """Empty the array-pass memo before and after a test that patches
@@ -132,16 +138,15 @@ class TestLambdaGrid:
         return grid, [poisson_pair_stats(lam) for lam in grid]
 
     def test_matches_logspace_and_pair_stats(self):
-        grid, stats, pairs = analysis._lambda_grid(1.0)
-        assert isinstance(grid, tuple) and isinstance(stats, tuple)
+        grid, pairs = analysis._lambda_grid(1.0)
+        assert isinstance(grid, tuple)
         expected_grid, expected_stats = self.fresh_grid(1e-8, 1.0, 200)
         assert list(grid) == expected_grid
-        assert list(stats) == expected_stats
-        # the (p0, p1, p2) arrays hold the cached statistics bit for bit, and
+        # the (p0, p1, p2) arrays hold fresh pair statistics bit for bit, and
         # no caller can write to them
         assert pairs.shape == (3, 200) and pairs.dtype == np.float64
         for row, name in zip(pairs, ("p0", "p1", "p2")):
-            assert row.tolist() == [getattr(s, name) for s in stats]
+            assert row.tolist() == [getattr(s, name) for s in expected_stats]
             assert not row.flags.writeable
             with pytest.raises(ValueError):
                 row[0] = 0.0
@@ -180,8 +185,10 @@ class TestLambdaGrid:
         lams = [res.lambda_opt for res in results]
         assert len(lams) > 4 and max(lams) == pytest.approx(0.5, rel=1e-5)
         assert all(lam <= 0.5 for lam in lams)
-        grid, stats, _ = analysis._lambda_grid(0.5)
-        assert (list(grid), list(stats)) == self.fresh_grid(1e-8, 0.5, 200)
+        grid, pairs = analysis._lambda_grid(0.5)
+        expected_grid, expected_stats = self.fresh_grid(1e-8, 0.5, 200)
+        assert list(grid) == expected_grid
+        assert pairs.T.tolist() == [[s.p0, s.p1, s.p2] for s in expected_stats]
 
 
 # Configurations for the array-kernel and argmax oracle properties: both
@@ -207,9 +214,8 @@ lambda_maxes = st.sampled_from([1.0, 0.5, 10.0])
 def assert_array_agrees(spec, r, ch, lambda_max=1.0):
     """_key_rate_array against key_rate at every grid point: p_exp and the
     validity mask exactly, a valid rate within _KEY_RATE_ARRAY_TOL * p_exp."""
-    _, stats, pairs = analysis._lambda_grid(lambda_max)
-    p_exp, rates = _key_rate_array(spec, pairs, r, ch)
-    for i, s in enumerate(stats):
+    p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r, ch)
+    for i, s in enumerate(grid_stats(lambda_max)):
         rep = key_rate(spec, s, r, ch)
         assert p_exp[i] == rep.p_exp
         assert math.isnan(rates[i]) == math.isnan(rep.key_rate)
@@ -247,7 +253,7 @@ class TestKeyRateArray:
            i=st.integers(0, 199), ulps=st.integers(-3, 3))
     def test_agrees_at_sarg04_domain_edge(self, r, dark_b, i, ulps):
         # T where Q/y reaches q_max at grid point i, and its float neighbours
-        t = sarg04_edge_transmission(analysis._lambda_grid(1.0)[1][i], r, dark_b)
+        t = sarg04_edge_transmission(grid_stats(1.0)[i], r, dark_b)
         assume(t is not None)
         for _ in range(abs(ulps)):
             t = math.nextafter(t, math.copysign(math.inf, ulps))
@@ -256,7 +262,7 @@ class TestKeyRateArray:
 
     def test_domain_edge_is_hit_exactly(self):
         # at least one of these rows has a grid point with Q/y == q_max
-        stats = analysis._lambda_grid(1.0)[1]
+        stats = grid_stats(1.0)
         hits = 0
         for i in range(0, 200, 10):
             t = sarg04_edge_transmission(stats[i], wcp_response(), 1e-5)
@@ -277,9 +283,9 @@ class TestKeyRateArray:
 def scalar_optimize_lambda(spec, r, ch, lambda_max=1.0):
     """The full-scalar optimizer: key_rate at every grid point, then the same
     golden section.  The reference that optimize_lambda must equal."""
-    grid, grid_stats, _ = analysis._lambda_grid(lambda_max)
+    grid = analysis._lambda_grid(lambda_max)[0]
     n = len(grid)
-    scored = [analysis._score(spec, stats, r, ch) for stats in grid_stats]
+    scored = [analysis._score(spec, stats, r, ch) for stats in grid_stats(lambda_max)]
     evaluations = n
     best_idx = max(range(n), key=lambda i: scored[i][0])
     best_score, best_report = scored[best_idx]
@@ -676,7 +682,7 @@ class TestTminCertificate:
         ch = ChannelParams(t, dark_b)
         p_exp, scores = analysis._grid_scores(spec, r, ch, lambda_max)
         certified = np.flatnonzero(scores > _KEY_RATE_ARRAY_TOL * p_exp)
-        stats = analysis._lambda_grid(lambda_max)[1]
+        stats = grid_stats(lambda_max)
         for i in certified:
             assert key_rate(spec, stats[i], r, ch).key_rate > 0.0
         if certified.size:
@@ -737,7 +743,7 @@ class TestTminCertificate:
     def test_grid_scores_match_a_fresh_pass(self):
         r, ch = binary_response(), ChannelParams(0.01, 1e-5)
         p_exp, scores = analysis._grid_scores(SARG04, r, ch, 1.0)
-        fresh_p_exp, rates = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[2], r, ch)
+        fresh_p_exp, rates = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[1], r, ch)
         assert p_exp.tolist() == fresh_p_exp.tolist()
         assert scores.tolist() == np.where(np.isnan(rates), -np.inf, rates).tolist()
         assert analysis._grid_scores(SARG04, r, ch, 1.0)[1] is scores

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heralded_qkd import analysis
+from heralded_qkd import analysis, cli
 from heralded_qkd.cli import build_parser, main
 from heralded_qkd.protocol import BB84, SARG04
 
@@ -108,8 +109,10 @@ class TestDetector:
         assert code == 1
         assert "error" in err
 
-    def test_json_infinity_is_standard(self, capsys):
-        # q2 = 0 makes q1**2/q2 infinite; JSON has no token for it
+    def test_json_infinity_is_standard(self, capsys, monkeypatch):
+        # no multiplexed detector has q2 = 0 < q1, where q1**2/q2 is
+        # infinite, so an infinite factor stands in; JSON has no token for it
+        monkeypatch.setattr(cli, "short_distance_factor", lambda r: math.inf)
         argv = ["detector", "--eta-a", "0", "--dark-a", "0"]
         _, out, _ = run_cli(capsys, *argv, "--format", "json")
 
@@ -120,6 +123,12 @@ class TestDetector:
         assert row[3:5] == ["inf", "invalid"]
         _, out, _ = run_cli(capsys, *argv)
         assert out.splitlines()[-1] == "0,0,0,inf,invalid,1"
+
+    def test_never_heralding_detector_has_no_factor(self, capsys):
+        # q1 = q2 = 0 makes q1**2/q2 the undefined 0/0, as distance_factor
+        argv = ["detector", "--stages", "0", "--eta-a", "0", "--dark-a", "0"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert out.splitlines()[-1] == "0,0,0,invalid,invalid,1"
 
 
 class TestKeyrate:
@@ -423,6 +432,17 @@ class TestCompareStages:
         }
         assert ("0.4", "3") in best
         assert ("0.8", "4") in best
+
+    def test_never_heralding_stages_are_not_optimal(self, capsys):
+        # at dark_a = 1 every bin of a tree of 2 or more bins always fires,
+        # so those stage counts never herald (q1 = q2 = 0)
+        code, out, _ = run_cli(
+            capsys, "compare-stages", "--eta-a-list", "0.5", "--dark-a", "1",
+            "--n-max", "2",
+        )
+        assert code == 0
+        rows = [(row["ratio_vs_binary"], row["is_optimal"]) for row in parse_csv(out)]
+        assert rows == [("1", "true"), ("invalid", "false"), ("invalid", "false")]
 
     def test_fitted_ratio_close_to_analytic(self, capsys):
         code, out, _ = run_cli(

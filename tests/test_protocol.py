@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from heralded_qkd.keyrate import renormalized_key_rate
 from heralded_qkd.protocol import (
     BB84,
     SARG04,
+    _xlog2x,
     binary_entropy,
     eve_info_single,
     get_protocol,
@@ -102,6 +103,53 @@ class TestEveInfoSingle:
         # continuity at the edges of the domain
         assert eve_info_single(SARG04, 1e-12) == pytest.approx(0.0, abs=1e-9)
         assert math.isfinite(eve_info_single(SARG04, 0.5 - 1e-12))
+
+
+def branchy_xlog2x(x):
+    # the branching form the branch-free kernel replaced: the reference
+    return 0.0 if x == 0.0 else x * math.log2(x)
+
+
+def branchy_sarg04_eve_info(q):
+    # the branching SARG04 gain the branch-free kernel replaced: the reference
+    if q == 0.0:
+        return 0.0
+    return (
+        branchy_xlog2x(1.0 - q)
+        - branchy_xlog2x(1.0 - 2.0 * q)
+        + q * (1.0 - math.log2(q))
+    )
+
+
+class TestBranchFreeKernel:
+    """The branch-free information functions equal the branching reference
+    bit for bit, float.hex telling apart even the signs of zero."""
+
+    @given(x=st.floats(0.0, 1.0))
+    @example(x=0.0)
+    @example(x=5e-324)
+    @example(x=1e-300)
+    @example(x=0.5)
+    @example(x=SARG04.q_max)
+    @example(x=1.0)
+    def test_xlog2x_matches_branchy_form(self, x):
+        assert _xlog2x(x).hex() == branchy_xlog2x(x).hex()
+
+    @given(q=st.floats(0.0, SARG04.q_max))
+    @example(q=0.0)
+    @example(q=5e-324)
+    @example(q=1e-300)
+    @example(q=SARG04.q_max)
+    @example(q=0.5)  # just past the domain, where the formula still holds
+    def test_sarg04_eve_info_matches_branchy_form(self, q):
+        assert SARG04.eve_info(q).hex() == branchy_sarg04_eve_info(q).hex()
+
+    @pytest.mark.parametrize("spec, q, expected", [
+        (BB84, 0.11, H_011), (SARG04, 0.1, SARG_I1_01), (SARG04, 0.4, SARG_I1_04),
+    ])
+    def test_eve_info_takes_one_argument(self, spec, q, expected):
+        assert spec.eve_info(q) == pytest.approx(expected, abs=1e-12)
+        assert spec.eve_info(0.0) == 0.0
 
 
 class TestEveInfoTwo:

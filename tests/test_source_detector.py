@@ -188,6 +188,16 @@ class TestShortDistanceFactor:
     def test_perfect_rejection_unbounded(self):
         assert short_distance_factor(HeraldResponse(0.0, 1.0, 0.0)) == math.inf
 
+    @pytest.mark.parametrize("params", [
+        MultiplexedDetectorParams(stages=0, eta_a=0.0, dark_a=0.0),
+        MultiplexedDetectorParams(stages=2, eta_a=0.5, dark_a=1.0),
+    ])
+    def test_never_heralding_is_undefined(self, params):
+        # q1 = q2 = 0: the factor is 0/0
+        r = multiplexed_response(params)
+        assert (r.q1, r.q2) == (0.0, 0.0)
+        assert math.isnan(short_distance_factor(r))
+
     def test_monotone_in_efficiency(self):
         for n in range(5):
             factors = [
