@@ -70,9 +70,7 @@ class OptimizationResult:
     @property
     def key_rate(self) -> float:
         """Optimized key rate; -inf when every probed point was model-invalid."""
-        if self.report is None or math.isnan(self.report.key_rate):
-            return -math.inf
-        return self.report.key_rate
+        return -math.inf if self.report is None else self.report.key_rate
 
 
 @dataclass(frozen=True)
@@ -208,6 +206,8 @@ def optimize_lambda(
 
 def _short_distance_penalty(spec: ProtocolSpec, t: float) -> float:
     """I_AE2 - 2T: the short-distance cost of a multiphoton event."""
+    if not 0.0 < t <= 1.0:
+        raise ValueError(f"transmission must be in (0, 1], got {t}")
     return spec.i_ae_two - 2.0 * t
 
 
@@ -219,12 +219,9 @@ def short_distance_key_rate(
     p_sift * [T p1 q1 - p2 q2 (I_AE2 - 2T)] with exact Poisson p1, p2;
     identical to the full rate at d_B = 0.
     """
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {t}")
+    penalty = _short_distance_penalty(spec, t)
     stats = poisson_pair_stats(lam)
-    return spec.p_sift * (
-        t * stats.p1 * r.q1 - stats.p2 * r.q2 * _short_distance_penalty(spec, t)
-    )
+    return spec.p_sift * (t * stats.p1 * r.q1 - stats.p2 * r.q2 * penalty)
 
 
 def short_distance_lambda(spec: ProtocolSpec, r: HeraldResponse, t: float) -> float:
@@ -307,7 +304,7 @@ def tmin_bound_heralded(
     """
     if r.q1 == 0.0:
         raise ZeroDivisionError("bound undefined for q1 = 0")
-    if lam <= 0.0:
+    if not lam > 0.0:  # a NaN is rejected too
         raise ValueError(f"pump strength must be positive, got {lam}")
     t1 = tmin_single_photon(spec, dark_b)
     return (

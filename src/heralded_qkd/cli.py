@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -223,7 +224,21 @@ def _t_grid(args) -> list[float]:
     return [float(t) for t in grid]
 
 
-def _emit(args, text: str) -> None:
+def _emit_table(args, header: Sequence[str], rows: list[list], comments: list[str]):
+    """Write a table as CSV (with # comments) or JSON, same values either way,
+    to --output or stdout."""
+    if args.format == "csv":
+        lines = [f"# {c}" for c in comments]
+        lines.append(",".join(header))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = {
+            "comments": comments,
+            "columns": header,
+            "rows": [[_jsonable(v) for v in row] for row in rows],
+        }
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w") as f:
             f.write(text)
@@ -231,34 +246,17 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(args, header: list[str], rows: list[list], comments: list[str]):
-    """Write a table as CSV (with # comments) or JSON, same values either way."""
-    if args.format == "csv":
-        lines = [f"# {c}" for c in comments]
-        lines.append(",".join(header))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        payload = {
-            "comments": comments,
-            "columns": header,
-            "rows": [[_jsonable(v) for v in row] for row in rows],
-        }
-        _emit(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+# --- subcommands: each returns (header, rows, comments) for main to write --
 
 
-# --- subcommands -----------------------------------------------------------
-
-
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> tuple:
     spec = get_protocol(args.protocol)
     header = ["protocol", "q_threshold", "xi", "i_ae_two", "p_sift"]
     rows = [[spec.name, spec.q_threshold, spec.xi, spec.i_ae_two, spec.p_sift]]
-    _emit_table(args, header, rows, [f"protocol constants for {spec.name}"])
-    return 0
+    return header, rows, [f"protocol constants for {spec.name}"]
 
 
-def cmd_detector(args) -> int:
+def cmd_detector(args) -> tuple:
     params = _detector_params(args)
     r = multiplexed_response(params)
     header = [
@@ -282,8 +280,11 @@ def cmd_detector(args) -> int:
         header += ["delta_q0", "delta_q1", "delta_q2"]
         row += deltas
         comments.append(f"oracle max |delta q| = {_fmt(max(deltas))}")
-    _emit_table(args, header, [row], comments)
-    return 0
+    return header, [row], comments
+
+
+_SCAN_HEADER = ("T", "lambda_opt", "p_exp", "qber", "y", "key_rate",
+                "secure", "pns_valid")
 
 
 def _scan_row(t: float, lam: float, rep: KeyRateReport | None) -> list:
@@ -293,7 +294,7 @@ def _scan_row(t: float, lam: float, rep: KeyRateReport | None) -> list:
     return [t, lam, rep.p_exp, rep.qber, rep.y, k, rep.secure, rep.pns_valid]
 
 
-def cmd_keyrate(args) -> int:
+def cmd_keyrate(args) -> tuple:
     spec = get_protocol(args.protocol)
     r = _build_response(args)
     _require(args, "t", "dark_b")
@@ -305,14 +306,10 @@ def cmd_keyrate(args) -> int:
     else:
         res = analysis.optimize_lambda(spec, r, ch, args.lambda_max)
         row = _scan_row(args.t, res.lambda_opt, res.report)
-    header = ["T", "lambda_opt", "p_exp", "qber", "y", "key_rate",
-              "secure", "pns_valid"]
-    _emit_table(args, header, [row],
-                [f"protocol={spec.name} dark_b={_fmt(args.dark_b)}"])
-    return 0
+    return _SCAN_HEADER, [row], [f"protocol={spec.name} dark_b={_fmt(args.dark_b)}"]
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple:
     spec = get_protocol(args.protocol)
     r = _build_response(args)
     _require(args, "dark_b")
@@ -338,14 +335,11 @@ def cmd_scan(args) -> int:
             if analysis._short_distance_penalty(spec, t) > 0.0
         )
         comments.append(f"short_distance_approx T:K = {approx}")
-    header = ["T", "lambda_opt", "p_exp", "qber", "y", "key_rate",
-              "secure", "pns_valid"]
     rows = [_scan_row(t, res.lambda_opt, res.report) for t, res in series.points]
-    _emit_table(args, header, rows, comments)
-    return 0
+    return _SCAN_HEADER, rows, comments
 
 
-def cmd_tmin(args) -> int:
+def cmd_tmin(args) -> tuple:
     spec = get_protocol(args.protocol)
     r = _build_response(args)
     _require(args, "dark_b")
@@ -361,12 +355,10 @@ def cmd_tmin(args) -> int:
         lam_h,
         analysis.tmin_numerical(spec, r, args.dark_b, args.lambda_max),
     ]
-    _emit_table(args, header, [row],
-                [f"protocol={spec.name} dark_b={_fmt(args.dark_b)}"])
-    return 0
+    return header, [row], [f"protocol={spec.name} dark_b={_fmt(args.dark_b)}"]
 
 
-def cmd_contour(args) -> int:
+def cmd_contour(args) -> tuple:
     spec = get_protocol(args.protocol)
     if not (0.0 <= args.q_min < args.q_max <= 0.25):
         raise CliError("Q grid must lie within [0, 0.25]")
@@ -378,28 +370,23 @@ def cmd_contour(args) -> int:
     if args.q_points * args.y_points > _MAX_CELLS:
         raise CliError(f"--q-points x --y-points must be at most {_MAX_CELLS}, "
                        f"got {args.q_points} x {args.y_points}")
-    q_grid = np.linspace(args.q_min, args.q_max, args.q_points)
-    y_grid = np.linspace(args.y_min, args.y_max, args.y_points)
+    q_grid = np.linspace(args.q_min, args.q_max, args.q_points).tolist()
+    y_grid = np.linspace(args.y_min, args.y_max, args.y_points).tolist()
     header = ["Q", "y", "renormalized_key_rate"]
-    rows = []
-    for q in q_grid:
-        for y in y_grid:
-            rows.append([float(q), float(y),
-                         renormalized_key_rate(spec, float(q), float(y))])
+    rows = [[q, y, renormalized_key_rate(spec, q, y)] for q in q_grid for y in y_grid]
     # the linearized security boundary Q = Q_th (1 - xi (1 - y))
     boundary = ",".join(
-        f"{_fmt(float(y))}:{_fmt(spec.q_threshold * (1.0 - spec.xi * (1.0 - float(y))))}"
+        f"{_fmt(y)}:{_fmt(spec.q_threshold * (1.0 - spec.xi * (1.0 - y)))}"
         for y in y_grid
     )
     comments = [
         f"protocol={spec.name} q_threshold={_fmt(spec.q_threshold)} xi={_fmt(spec.xi)}",
         f"linearized_bound y:Q = {boundary}",
     ]
-    _emit_table(args, header, rows, comments)
-    return 0
+    return header, rows, comments
 
 
-def cmd_compare_stages(args) -> int:
+def cmd_compare_stages(args) -> tuple:
     spec = get_protocol(args.protocol)
     _require(args, "eta_a_list", "dark_a")
     if args.fit:
@@ -430,10 +417,8 @@ def cmd_compare_stages(args) -> int:
             if args.fit:
                 row.append(fitted[n] / fitted[0])
             rows.append(row)
-    _emit_table(args, header, rows,
-                [f"protocol={spec.name} eta_c={_fmt(args.eta_c)} "
-                 f"dark_a={_fmt(args.dark_a)} n_max={args.n_max}"])
-    return 0
+    return header, rows, [f"protocol={spec.name} eta_c={_fmt(args.eta_c)} "
+                          f"dark_a={_fmt(args.dark_a)} n_max={args.n_max}"]
 
 
 def _fitted_prefactor(
@@ -530,11 +515,8 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args)
             args = _parse(parser, argv)
-        return args.func(args)
+        _emit_table(args, *args.func(args))
     except (CliError, ValueError, ZeroDivisionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return 0

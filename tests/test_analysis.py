@@ -330,6 +330,9 @@ def assert_matches_scalar_optimizer(spec, r, ch, lambda_max=1.0):
         assert got.evaluations == 0
     else:  # the same golden section; the rest are the rescored grid points
         assert 1 <= got.evaluations - (ref.evaluations - 200) <= 200
+        # a returned report is model-valid, so key_rate is its rate
+        assert not math.isnan(got.report.key_rate)
+        assert got.key_rate == got.report.key_rate
     return got
 
 
@@ -395,6 +398,22 @@ class TestArgmaxOracle:
         assert_matches_scalar_optimizer(spec, r, ch)
 
 
+THREE_STAGE = multiplexed_response(
+    MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1e-6, eta_c=0.98)
+)
+
+
+@pytest.mark.parametrize("short_distance", [
+    lambda t: short_distance_key_rate(BB84, THREE_STAGE, t, 0.1),
+    lambda t: short_distance_lambda(BB84, THREE_STAGE, t),
+    lambda t: short_distance_approx_rate(BB84, THREE_STAGE, t),
+], ids=["key_rate", "lambda", "approx_rate"])
+@pytest.mark.parametrize("t", [math.nan, 0.0, -0.5, 2.0])
+def test_short_distance_rejects_transmission_outside_unit_interval(short_distance, t):
+    with pytest.raises(ValueError, match=r"transmission must be in \(0, 1\]"):
+        short_distance(t)
+
+
 class TestShortDistanceKeyRate:
     def test_perfect_rejection(self):
         stats = poisson_pair_stats(0.2)
@@ -442,6 +461,10 @@ class TestShortDistanceLambda:
     def test_regime_warning(self):
         with pytest.warns(UserWarning):
             short_distance_lambda(SARG04, wcp_response(), 0.4)
+
+    def test_degenerate_response_rejected(self):
+        with pytest.raises(ValueError, match="degenerate response: q1 = q2 = 0"):
+            short_distance_lambda(BB84, HeraldResponse(0.5, 0.0, 0.0), 0.01)
 
 
 class TestShortDistanceApproxRate:
@@ -536,6 +559,25 @@ class TestMinimumTransmissions:
     def test_closed_forms_reject_nan_dark_counts(self, closed_form):
         with pytest.raises(ValueError, match="dark_b"):
             closed_form(math.nan)
+
+    def test_bound_undefined_without_single_photon_heralds(self):
+        with pytest.raises(ZeroDivisionError, match="bound undefined for q1 = 0"):
+            tmin_bound_heralded(BB84, HeraldResponse(0.1, 0.0, 0.3), 1e-5, 0.01)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.01, math.nan])
+    def test_bound_rejects_nonpositive_pump_strength(self, lam):
+        with pytest.raises(ValueError, match="pump strength must be positive"):
+            tmin_bound_heralded(BB84, binary_response(), 1e-5, lam)
+
+    @pytest.mark.parametrize("r, dark_b", [
+        (wcp_response(), 0.99),  # no T is secure
+        (IDEAL_HERALD, 1e-12),  # T = 1e-8 is already secure
+    ], ids=["never_secure", "secure_at_lowest_t"])
+    def test_tmin_numerical_without_sign_change(self, r, dark_b):
+        with pytest.raises(RuntimeError) as exc:
+            tmin_numerical(BB84, r, dark_b)
+        # tmin_outcome compares this message with reference_tmin's
+        assert str(exc.value) == "no sign change of the optimized key rate on [1e-8, 1]"
 
     def test_lambda_opt_minimizes_bound(self):
         r = binary_response()
@@ -783,6 +825,11 @@ class TestScanAndFit:
         with pytest.raises(ValueError):
             scan_key_rate(BB84, wcp_response(), 1e-5, [])
 
+    @pytest.mark.parametrize("t", [0.0, math.nan, -0.1, 1.5])
+    def test_transmission_outside_unit_interval_rejected(self, t):
+        with pytest.raises(ValueError, match=r"transmission must be in \(0, 1\]"):
+            scan_key_rate(BB84, wcp_response(), 1e-5, [0.01, t])
+
     def test_source_crossover_ordering(self):
         # eta_A=0.6: WCP wins at high T, N=3 multiplexing wins at
         # intermediate T, only binary heralding survives at the lowest T
@@ -840,6 +887,12 @@ class TestScanAndFit:
                                np.logspace(-4, -2, 25))
         exponent, _ = fit_power_law(series)
         assert exponent == pytest.approx(2.0, abs=0.05)
+
+    def test_fit_without_secure_points(self):
+        # far below the WCP minimum transmission
+        series = scan_key_rate(BB84, wcp_response(), 1e-5, [1e-5, 1e-4])
+        with pytest.raises(ValueError, match="no secure points in the scan"):
+            fit_power_law(series)
 
     def test_fit_insufficient_points(self):
         series = scan_key_rate(BB84, binary_response(), 1e-5, [0.01, 0.02])

@@ -363,6 +363,16 @@ class TestTmin:
         assert float(row["tmin_wcp"]) > analytic
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tmin", "--dark-b", "0.99"],
+     "no sign change of the optimized key rate on [1e-8, 1]"),
+    (["compare-stages", "--eta-a-list", "0", "--dark-a", "0", "--dark-b", "1e-5",
+      "--fit"], "no secure points in the scan"),
+], ids=["tmin_never_secure", "fit_never_secure"])
+def test_analysis_error_is_one_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestContour:
     def test_bb84_origin_cell(self, capsys):
         code, out, _ = run_cli(
@@ -776,14 +786,16 @@ class TestFlagTable:
         assert sum(len(f) for f in flags.values()) == 80
 
     @pytest.mark.parametrize("command", sorted(READS))
-    def test_command_reads_every_flag(self, capsys, command):
-        read = {"config"}  # read by main
+    def test_command_reads_every_flag(self, command):
+        main_reads = {"config", "format", "output"}
+        read = set(main_reads)
         for argv in READ_CASES[command]:
             args = build_parser().parse_args(argv, namespace=_ReadRecorder())
             args._read = set()
-            assert args.func(args) == 0
+            header, rows, _ = args.func(args)
+            assert rows and all(len(row) == len(header) for row in rows)
+            assert not args._read & main_reads
             read |= args._read - {"func"}
-        capsys.readouterr()
         assert read == {flag.replace("-", "_") for flag in READS[command]}
 
     @pytest.mark.parametrize("command, flag", [

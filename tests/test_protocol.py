@@ -191,6 +191,20 @@ class TestQberThreshold:
         with pytest.raises(RuntimeError):
             _bisect(lambda q: 1.0, 1e-12, 0.5 - 1e-12, 1e-9)
 
+    @pytest.mark.parametrize("root, calls", [(0.0, 2), (1.0, 2), (0.5, 3)],
+                             ids=["at_lo", "at_hi", "at_first_midpoint"])
+    def test_exact_root_returned_at_once(self, root, calls):
+        from heralded_qkd.protocol import _bisect
+
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - root
+
+        assert _bisect(f, 0.0, 1.0, 1e-12) == root
+        assert len(seen) == calls
+
 
 class TestXi:
     def test_bb84(self):

@@ -273,6 +273,10 @@ class TestAdvantageThreshold:
     def test_binary_unattainable(self):
         assert advantage_threshold(0) == 1.0
 
+    def test_negative_stages_rejected(self):
+        with pytest.raises(ValueError, match="stages must be nonnegative, got -1"):
+            advantage_threshold(-1)
+
     def test_limit_two_thirds(self):
         assert advantage_threshold(60) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
