@@ -11,7 +11,6 @@ alongside numerical oracles for both.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +23,6 @@ from .protocol import ProtocolSpec
 from .source_detector import (
     HeraldResponse,
     MultiplexedDetectorParams,
-    PhotonStatistics,
     distance_factor,
     multiplexed_response,
     poisson_pair_stats,
@@ -100,33 +98,34 @@ def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _grid_scores(
+def _grid_pass(
     spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, lambda_max: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (p_exp, score) arrays over the coarse pump-strength grid.
+) -> tuple[tuple[int, ...], bool]:
+    """(candidates, certified) from one _key_rate_array pass over the coarse
+    pump-strength grid.
 
-    One _key_rate_array pass; a score is the array key rate, -inf where the
-    point is model-invalid, and within _KEY_RATE_ARRAY_TOL * p_exp of
-    key_rate's where it is valid.  The last setting is memoized, so a
-    tmin_numerical sign test and the optimize_lambda call after it share one
-    pass; the arrays are read-only because both get the same ones.
+    An array rate is within _KEY_RATE_ARRAY_TOL * p_exp of key_rate's where
+    the point is model-valid, and scores -inf where it is not.  candidates
+    are the grid indices, in order, that key_rate's first maximum can be at
+    (empty when no point is model-valid); certified is True when a point's
+    key_rate, and so the optimum, is proven positive.  The last setting is
+    memoized, so a tmin_numerical sign test and the optimize_lambda call
+    after it share one pass.
     """
     if not _LAMBDA_MIN < lambda_max:  # a NaN is rejected too
         raise ValueError(f"bounds need lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
     p_exp, rates = _key_rate_array(spec, _lambda_grid(lambda_max)[1], r, ch)
     scores = np.where(np.isnan(rates), -np.inf, rates)
-    p_exp.flags.writeable = scores.flags.writeable = False
-    return p_exp, scores
-
-
-def _score(
-    spec: ProtocolSpec, stats: PhotonStatistics, r: HeraldResponse, ch: ChannelParams
-) -> tuple[float, KeyRateReport]:
-    """Key rate as an optimization score; model-invalid points score -inf."""
-    report = key_rate(spec, stats, r, ch)
-    if math.isnan(report.key_rate):
-        return -math.inf, report
-    return report.key_rate, report
+    top = int(np.argmax(scores))
+    if scores[top] == -np.inf:  # the validity mask is key_rate's, bit for bit
+        return (), False
+    # Each array score is within tol * p_exp of key_rate's, so key_rate's first
+    # maximum is among the points within both points' tolerances of the array
+    # maximum, and every point outside them scores strictly below it.
+    near = scores >= scores[top] - _KEY_RATE_ARRAY_TOL * (p_exp + p_exp[top])
+    # a point clearing its own tolerance has key_rate > 0 there
+    certified = bool((scores > _KEY_RATE_ARRAY_TOL * p_exp).any())
+    return tuple(np.flatnonzero(near).tolist()), certified
 
 
 def optimize_lambda(
@@ -139,31 +138,33 @@ def optimize_lambda(
 
     A 200-point logarithmic grid over that range locates the best bracket,
     which is then refined by golden-section search to relative tolerance
-    1e-6 in the pump strength.  The grid is scored in one array pass, and
-    only the points near its best are rescored with key_rate, so the bracket
-    is the one a key_rate call at every grid point would give.  evaluations
-    is the number of key_rate calls, each pump strength evaluated once (0
-    when no grid point is model-valid).  converged is False when the
-    optimum sits at a bound or when no probed point was model-valid.
+    1e-6 in the pump strength.  The grid is scored in one array pass
+    (_grid_pass), and only the candidate points near its best are rescored
+    with key_rate, so the bracket is the one a key_rate call at every grid
+    point would give.  Every score comes from one evaluator, so evaluations
+    is the number of key_rate calls by construction, each pump strength
+    evaluated once (0 when no grid point is model-valid).  converged is
+    False when the optimum sits at a bound or when no probed point was
+    model-valid.
     """
-    p_exp, scores = _grid_scores(spec, r, ch, lambda_max)
-    grid = _lambda_grid(lambda_max)[0]
-    top = int(np.argmax(scores))
-    if scores[top] == -np.inf:  # the validity mask is key_rate's, bit for bit
+    candidates = _grid_pass(spec, r, ch, lambda_max)[0]
+    if not candidates:
         return OptimizationResult(
             lambda_opt=math.nan, report=None, converged=False, evaluations=0,
         )
-    # Each array score is within tol * p_exp of key_rate's, so key_rate's first
-    # maximum is among the points within both points' tolerances of the array
-    # maximum, and every point outside them scores strictly below it.
-    near = scores >= scores[top] - _KEY_RATE_ARRAY_TOL * (p_exp + p_exp[top])
-    scored = {int(i): _score(spec, poisson_pair_stats(grid[i]), r, ch)
-              for i in np.flatnonzero(near)}
-    evaluations = len(scored)
+    grid = _lambda_grid(lambda_max)[0]
+    reports: list[KeyRateReport] = []
 
+    def evaluate(lam: float) -> float:
+        """Key rate at lam as an optimization score; model-invalid is -inf."""
+        report = key_rate(spec, poisson_pair_stats(lam), r, ch)
+        reports.append(report)
+        return -math.inf if math.isnan(report.key_rate) else report.key_rate
+
+    scores = [evaluate(grid[i]) for i in candidates]
     # first maximum in grid order, as np.argmax; scores are never NaN
-    best_idx = max(scored, key=lambda i: scored[i][0])
-    best_score, best_report = scored[best_idx]
+    k = max(range(len(scores)), key=scores.__getitem__)
+    best_idx, best_score, best_report = candidates[k], scores[k], reports[k]
 
     a = grid[max(best_idx - 1, 0)]
     b = grid[min(best_idx + 1, _LAMBDA_GRID_POINTS - 1)]
@@ -171,26 +172,24 @@ def optimize_lambda(
     # golden-section refinement on the bracket
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc = _score(spec, poisson_pair_stats(c), r, ch)[0]
-    fd = _score(spec, poisson_pair_stats(d), r, ch)[0]
-    evaluations += 2
+    fc = evaluate(c)
+    fd = evaluate(d)
     while (b - a) > _LAMBDA_REL_TOL * b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
-            fc = _score(spec, poisson_pair_stats(c), r, ch)[0]
+            fc = evaluate(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
-            fd = _score(spec, poisson_pair_stats(d), r, ch)[0]
-        evaluations += 1
+            fd = evaluate(d)
 
     lam_opt = 0.5 * (a + b)
-    score, report = _score(spec, poisson_pair_stats(lam_opt), r, ch)
-    evaluations += 1
+    final = evaluate(lam_opt)
+    report = reports[-1]
     # keep the best of refinement and coarse grid (refinement can only help
     # inside the bracket, but guard against flat -inf plateaus at the edges)
-    if best_score > score:
+    if best_score > final:
         lam_opt, report = grid[best_idx], best_report
 
     at_bound = (
@@ -200,7 +199,7 @@ def optimize_lambda(
     )
     return OptimizationResult(
         lambda_opt=lam_opt, report=report, converged=not at_bound,
-        evaluations=evaluations,
+        evaluations=len(reports),
     )
 
 
@@ -209,6 +208,15 @@ def _short_distance_penalty(spec: ProtocolSpec, t: float) -> float:
     if not 0.0 < t <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {t}")
     return spec.i_ae_two - 2.0 * t
+
+
+def _regime_penalty(spec: ProtocolSpec, t: float) -> float:
+    """I_AE2 - 2T, required positive: only there does the short-distance
+    expansion have an interior optimum in the pump strength."""
+    penalty = _short_distance_penalty(spec, t)
+    if not penalty > 0.0:
+        raise ValueError(f"short-distance approximation needs I_AE2 > 2T, got T = {t}")
+    return penalty
 
 
 def short_distance_key_rate(
@@ -227,17 +235,11 @@ def short_distance_key_rate(
 def short_distance_lambda(spec: ProtocolSpec, r: HeraldResponse, t: float) -> float:
     """Pump strength maximizing the dark-count-free key rate.
 
-    T q1 / (T q1 + (I_AE2 - 2T) q2).  Warns when I_AE2 <= 2T: the
-    short-distance expansion does not have an interior optimum there.
+    T q1 / (T q1 + (I_AE2 - 2T) q2), defined for I_AE2 > 2T.
     """
     if r.q1 == 0.0 and r.q2 == 0.0:
         raise ValueError("degenerate response: q1 = q2 = 0")
-    penalty = _short_distance_penalty(spec, t)
-    if penalty <= 0.0:
-        warnings.warn(
-            "I_AE2 <= 2T: outside the short-distance approximation regime",
-            stacklevel=2,
-        )
+    penalty = _regime_penalty(spec, t)
     return t * r.q1 / (t * r.q1 + penalty * r.q2)
 
 
@@ -246,24 +248,22 @@ def short_distance_approx_rate(
 ) -> float:
     """Leading-order key rate at the optimal pump strength, quadratic in T.
 
-    (q1**2/q2) * p_sift * T**2 / (2 (I_AE2 - 2T)).  Dividing by the WCP
-    counterpart recovers the q1**2/q2 enhancement factor.
+    (q1**2/q2) * p_sift * T**2 / (2 (I_AE2 - 2T)), defined for I_AE2 > 2T.
+    Dividing by the WCP counterpart recovers the q1**2/q2 enhancement factor.
     """
     if r.q2 == 0.0:
         raise ZeroDivisionError("approximation undefined for q2 = 0")
-    penalty = _short_distance_penalty(spec, t)
-    if penalty == 0.0:
-        raise ZeroDivisionError("approximation singular at I_AE2 = 2T")
+    penalty = _regime_penalty(spec, t)
     return short_distance_factor(r) * spec.p_sift * t**2 / (2.0 * penalty)
 
 
 def tmin_single_photon(spec: ProtocolSpec, dark_b: float) -> float:
     """Minimum transmission T_min1 = d_B (1 - 2 Q_th) / Q_th, ideal source.
 
-    The WCP and heralded closed forms are built on it.
+    The WCP and heralded closed forms are built on it.  d_B must be in
+    [0, 1), as in ChannelParams.
     """
-    if not dark_b >= 0.0:  # a NaN is rejected too
-        raise ValueError(f"dark_b must be nonnegative, got {dark_b}")
+    ChannelParams(1.0, dark_b)  # its dark_b range check
     q_th = spec.q_threshold
     return dark_b * (1.0 - 2.0 * q_th) / q_th
 
@@ -335,23 +335,20 @@ def tmin_numerical(
     Oracle for the closed-form minimum transmission: the sign change of
     K(T, lambda) maximized by optimize_lambda over lambda in
     [1e-8, lambda_max] is located on T in [1e-8, 1] to relative tolerance
-    1e-3.  A step only needs that sign.  When a point of optimize_lambda's
-    array-scored grid clears the array kernel's error bound, its key_rate is
-    positive and so is the optimum, so the step skips the golden section;
-    only the other steps call optimize_lambda, which reuses the step's
-    array pass.  The result is the one optimize_lambda at every step gives.
+    1e-3.  A step only needs that sign.  When the step's _grid_pass
+    certifies a positive key_rate at a grid point, the optimum is positive
+    too, so the step skips the golden section; only the other steps call
+    optimize_lambda, which reuses the step's memoized pass.  The result is
+    the one optimize_lambda at every step gives.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
 
     def positive(t: float) -> bool:
         ch = ChannelParams(transmission=t, dark_b=dark_b)
-        p_exp, scores = _grid_scores(spec, r, ch, lambda_max)
-        # key_rate there is within the bound, so > 0, and optimize_lambda
-        # never returns less than the grid's best key_rate
-        if (scores > _KEY_RATE_ARRAY_TOL * p_exp).any():
-            return True
-        return optimize_lambda(spec, r, ch, lambda_max).key_rate > 0.0
+        # optimize_lambda never returns less than the grid's best key_rate
+        return (_grid_pass(spec, r, ch, lambda_max)[1]
+                or optimize_lambda(spec, r, ch, lambda_max).key_rate > 0.0)
 
     t_lo, t_hi = 1e-8, 1.0
     if not positive(t_hi) or positive(t_lo):

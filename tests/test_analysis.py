@@ -60,9 +60,9 @@ def grid_stats(lambda_max):
 def fresh_grid_scores():
     """Empty the array-pass memo before and after a test that patches
     _key_rate_array, so neither it nor a later test reads a stale pass."""
-    analysis._grid_scores.cache_clear()
+    analysis._grid_pass.cache_clear()
     yield
-    analysis._grid_scores.cache_clear()
+    analysis._grid_pass.cache_clear()
 
 
 class TestOptimizeLambda:
@@ -285,17 +285,18 @@ def scalar_optimize_lambda(spec, r, ch, lambda_max=1.0):
     golden section.  The reference that optimize_lambda must equal."""
     grid = analysis._lambda_grid(lambda_max)[0]
     n = len(grid)
-    scored = [analysis._score(spec, stats, r, ch) for stats in grid_stats(lambda_max)]
+
+    def score(lam):
+        report = analysis.key_rate(spec, poisson_pair_stats(lam), r, ch)
+        return (-math.inf if math.isnan(report.key_rate) else report.key_rate), report
+
+    scored = [score(lam) for lam in grid]
     evaluations = n
     best_idx = max(range(n), key=lambda i: scored[i][0])
     best_score, best_report = scored[best_idx]
     if best_score == -math.inf:
         return analysis.OptimizationResult(math.nan, None, False, evaluations)
     a, b = grid[max(best_idx - 1, 0)], grid[min(best_idx + 1, n - 1)]
-
-    def score(lam):
-        return analysis._score(spec, poisson_pair_stats(lam), r, ch)
-
     g = analysis._INV_GOLDEN
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = score(c)[0], score(d)[0]
@@ -321,7 +322,19 @@ def scalar_optimize_lambda(spec, r, ch, lambda_max=1.0):
 
 
 def assert_matches_scalar_optimizer(spec, r, ch, lambda_max=1.0):
-    got = optimize_lambda(spec, r, ch, lambda_max)
+    # key_rate calls counted by a patch here, not a fixture: this runs under
+    # @given, and the patch wraps whatever key_rate the test installed
+    calls = []
+
+    def counting_key_rate(*args):
+        calls.append(args)
+        return scored_key_rate(*args)
+
+    scored_key_rate = analysis.key_rate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "key_rate", counting_key_rate)
+        got = optimize_lambda(spec, r, ch, lambda_max)
+    assert len(calls) == got.evaluations
     ref = scalar_optimize_lambda(spec, r, ch, lambda_max)
     # repr compares NaN fields too; evaluations differ by design
     assert repr(dataclasses.replace(got, evaluations=0)) == repr(
@@ -401,6 +414,9 @@ class TestArgmaxOracle:
 THREE_STAGE = multiplexed_response(
     MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1e-6, eta_c=0.98)
 )
+IDEAL_THREE_STAGE = multiplexed_response(
+    MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1e-6)
+)
 
 
 @pytest.mark.parametrize("short_distance", [
@@ -459,8 +475,17 @@ class TestShortDistanceLambda:
         )
 
     def test_regime_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match="needs I_AE2 > 2T"):
             short_distance_lambda(SARG04, wcp_response(), 0.4)
+
+    @pytest.mark.parametrize("spec, r, t", [
+        (BB84, HeraldResponse(0.0, 0.1, 1.0), 0.9),
+        (SARG04, IDEAL_THREE_STAGE, 0.5),
+    ])
+    def test_outside_regime_rejected(self, spec, r, t):
+        # I_AE2 <= 2T: the formula gives no pump strength (below 0 or above 1)
+        with pytest.raises(ValueError, match="needs I_AE2 > 2T"):
+            short_distance_lambda(spec, r, t)
 
     def test_degenerate_response_rejected(self):
         with pytest.raises(ValueError, match="degenerate response: q1 = q2 = 0"):
@@ -495,8 +520,17 @@ class TestShortDistanceApproxRate:
     def test_singularities(self):
         with pytest.raises(ZeroDivisionError):
             short_distance_approx_rate(BB84, IDEAL_HERALD, 0.01)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="needs I_AE2 > 2T"):
             short_distance_approx_rate(BB84, wcp_response(), 0.5)
+
+    @pytest.mark.parametrize("spec, r, t", [
+        (BB84, IDEAL_THREE_STAGE, 0.9),
+        (SARG04, wcp_response(), 0.4),
+    ])
+    def test_outside_regime_rejected(self, spec, r, t):
+        # I_AE2 < 2T: the formula gives a negative rate
+        with pytest.raises(ValueError, match="needs I_AE2 > 2T"):
+            short_distance_approx_rate(spec, r, t)
 
 
 class TestMinimumTransmissions:
@@ -557,8 +591,10 @@ class TestMinimumTransmissions:
     ], ids=["tmin_single_photon", "tmin_wcp", "tmin_heralded",
             "lambda_opt_heralded", "tmin_bound_heralded"])
     def test_closed_forms_reject_nan_dark_counts(self, closed_form):
-        with pytest.raises(ValueError, match="dark_b"):
-            closed_form(math.nan)
+        # ChannelParams's range: the numerical paths reject the same d_B
+        for dark_b in (math.nan, 1.0, 5.0, math.inf):
+            with pytest.raises(ValueError, match=r"dark_b must be in \[0, 1\)"):
+                closed_form(dark_b)
 
     def test_bound_undefined_without_single_photon_heralds(self):
         with pytest.raises(ZeroDivisionError, match="bound undefined for q1 = 0"):
@@ -722,8 +758,9 @@ class TestTminCertificate:
            dark_b=dark_counts, lambda_max=lambda_maxes)
     def test_certificate_proves_positive_rate(self, spec, r, t, dark_b, lambda_max):
         ch = ChannelParams(t, dark_b)
-        p_exp, scores = analysis._grid_scores(spec, r, ch, lambda_max)
-        certified = np.flatnonzero(scores > _KEY_RATE_ARRAY_TOL * p_exp)
+        p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r, ch)
+        certified = np.flatnonzero(rates > _KEY_RATE_ARRAY_TOL * p_exp)
+        assert analysis._grid_pass(spec, r, ch, lambda_max)[1] == bool(certified.size)
         stats = grid_stats(lambda_max)
         for i in certified:
             assert key_rate(spec, stats[i], r, ch).key_rate > 0.0
@@ -782,16 +819,18 @@ class TestTminCertificate:
         assert t_min == reference_tmin(BB84, wcp_response(), 1e-5)
         assert 0.01 <= t_min < 0.01 * (1.0 + analysis._TMIN_REL_TOL)
 
-    def test_grid_scores_match_a_fresh_pass(self):
+    def test_grid_scores_match_a_fresh_pass(self, fresh_grid_scores):
         r, ch = binary_response(), ChannelParams(0.01, 1e-5)
-        p_exp, scores = analysis._grid_scores(SARG04, r, ch, 1.0)
-        fresh_p_exp, rates = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[1], r, ch)
-        assert p_exp.tolist() == fresh_p_exp.tolist()
-        assert scores.tolist() == np.where(np.isnan(rates), -np.inf, rates).tolist()
-        assert analysis._grid_scores(SARG04, r, ch, 1.0)[1] is scores
-        for array in (p_exp, scores):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        candidates, certified = analysis._grid_pass(SARG04, r, ch, 1.0)
+        p_exp, rates = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[1], r, ch)
+        scores = np.where(np.isnan(rates), -np.inf, rates)
+        top = int(np.argmax(scores))
+        bound = _KEY_RATE_ARRAY_TOL * (p_exp + p_exp[top])
+        assert candidates == tuple(int(i) for i in np.flatnonzero(scores >= scores[top] - bound))
+        assert certified == bool((scores > _KEY_RATE_ARRAY_TOL * p_exp).any())
+        assert 0 < len(candidates) < 200 and certified  # a nontrivial pass
+        assert analysis._grid_pass(SARG04, r, ch, 1.0) is analysis._grid_pass(SARG04, r, ch, 1.0)
+        assert analysis._grid_pass.cache_info().hits == 2
 
     @pytest.mark.parametrize("lambda_max", [1e-8, 0.0, -1.0, math.nan])
     def test_bad_lambda_max(self, lambda_max):

@@ -320,3 +320,36 @@ def test_package_api_is_the_module_lists():
     for m in modules:
         for name in m.__all__:
             assert getattr(heralded_qkd, name) is getattr(m, name)
+
+
+def test_no_module_imports_an_unused_name():
+    # the standard-library stand-in for a linter's unused-import rule; a name
+    # listed in a module's __all__ is a re-export, so it counts as used
+    import ast
+    from pathlib import Path
+
+    import heralded_qkd
+
+    unused = []
+    for path in sorted(Path(heralded_qkd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                used.update(c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant))
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
