@@ -3,7 +3,9 @@
 Numerical optimization of the key rate over the pump strength is done per
 channel transmission with a coarse logarithmic grid, scored in one array
 pass, followed by golden-section refinement (unimodality is not assumed up
-front; the grid locates the global bracket).  The short-distance and
+front; the grid locates the global bracket).  A scan over many
+transmissions scores their grids, and runs their golden sections in
+lockstep, as array passes across T.  The short-distance and
 minimum-transmission closed forms from the analytical treatment are provided
 alongside numerical oracles for both.
 """
@@ -23,6 +25,7 @@ from .protocol import ProtocolSpec
 from .source_detector import (
     HeraldResponse,
     MultiplexedDetectorParams,
+    _pair_probabilities,
     distance_factor,
     multiplexed_response,
     poisson_pair_stats,
@@ -52,8 +55,23 @@ _LAMBDA_MIN = 1e-8  # lower end of every pump-strength search
 _LAMBDA_GRID_POINTS = 200  # size of the coarse logarithmic pump-strength grid
 _LAMBDA_REL_TOL = 1e-6  # relative tolerance of the golden-section refinement
 _TMIN_REL_TOL = 1e-3  # relative tolerance of tmin_numerical's bisection in T
+# A golden-section step in lockstep costs one array pass however few T it
+# moves, so fewer searching T points than this finish in the scalar loop.
+# Measured: 8 made 12-point scans about 1.5x slower than 16, which runs them
+# scalar; 12 to 24 scored 50- and 200-point scans alike.
+_LOCKSTEP_MIN_ROWS = 16
+# T rows per coarse-grid array pass of a scan: bounds the pass's temporaries
+# (measured on 200-point scans: peak memory +3.6 MB in one pass, +0.6 MB in
+# 50-row passes)
+_SCAN_BLOCK_ROWS = 50
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# (spec, r, ch, lambda_max) -> (candidates, bracket) of every T of the
+# scan_key_rate call in progress, for its optimize_lambda calls; empty
+# between scans.  bracket is None, or the golden-section state (a, b, c, d)
+# at which the T left the lockstep.
+_scan_plans: dict = {}
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,8 @@ def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
     Depends only on lambda_max, so one build serves every optimization that
     shares it; the array is read-only because every caller gets the same one.
     """
+    if not _LAMBDA_MIN < lambda_max:  # a NaN is rejected too
+        raise ValueError(f"bounds need lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
     # an inf from overflow is rejected by poisson_pair_stats; no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.logspace(math.log10(_LAMBDA_MIN), math.log10(lambda_max),
@@ -95,6 +115,17 @@ def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
     pairs = np.array([[getattr(s, p) for s in stats] for p in ("p0", "p1", "p2")])
     pairs.flags.writeable = False
     return grid, pairs
+
+
+def _near_best(scores, p_exp, best, p_best):
+    """The grid points that key_rate's first maximum can be at, as a mask.
+
+    Each array score is within _KEY_RATE_ARRAY_TOL * p_exp of key_rate's, so
+    key_rate's first maximum is among the points within both points'
+    tolerances of the array maximum best (whose p_exp is p_best), and every
+    point outside them scores strictly below it.  Arrays that broadcast.
+    """
+    return scores >= best - _KEY_RATE_ARRAY_TOL * (p_exp + p_best)
 
 
 @lru_cache(maxsize=1)
@@ -107,25 +138,27 @@ def _grid_pass(
     An array rate is within _KEY_RATE_ARRAY_TOL * p_exp of key_rate's where
     the point is model-valid, and scores -inf where it is not.  candidates
     are the grid indices, in order, that key_rate's first maximum can be at
-    (empty when no point is model-valid); certified is True when a point's
-    key_rate, and so the optimum, is proven positive.  The last setting is
-    memoized, so a tmin_numerical sign test and the optimize_lambda call
-    after it share one pass.
+    (_near_best; empty when no point is model-valid); certified is True when
+    a point's key_rate, and so the optimum, is proven positive.  The last
+    setting is memoized, so a tmin_numerical sign test and the
+    optimize_lambda call after it share one pass.
     """
-    if not _LAMBDA_MIN < lambda_max:  # a NaN is rejected too
-        raise ValueError(f"bounds need lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
-    p_exp, rates = _key_rate_array(spec, _lambda_grid(lambda_max)[1], r, ch)
+    p_exp, rates = _key_rate_array(spec, _lambda_grid(lambda_max)[1], r,
+                                   ch.transmission, ch.dark_b)
     scores = np.where(np.isnan(rates), -np.inf, rates)
     top = int(np.argmax(scores))
     if scores[top] == -np.inf:  # the validity mask is key_rate's, bit for bit
         return (), False
-    # Each array score is within tol * p_exp of key_rate's, so key_rate's first
-    # maximum is among the points within both points' tolerances of the array
-    # maximum, and every point outside them scores strictly below it.
-    near = scores >= scores[top] - _KEY_RATE_ARRAY_TOL * (p_exp + p_exp[top])
+    near = _near_best(scores, p_exp, scores[top], p_exp[top])
     # a point clearing its own tolerance has key_rate > 0 there
     certified = bool((scores > _KEY_RATE_ARRAY_TOL * p_exp).any())
     return tuple(np.flatnonzero(near).tolist()), certified
+
+
+def _searching(a, b):
+    """The golden section's bracket [a, b] is still wider than its tolerance;
+    a and b are floats or arrays."""
+    return (b - a) > _LAMBDA_REL_TOL * b
 
 
 def optimize_lambda(
@@ -141,13 +174,17 @@ def optimize_lambda(
     1e-6 in the pump strength.  The grid is scored in one array pass
     (_grid_pass), and only the candidate points near its best are rescored
     with key_rate, so the bracket is the one a key_rate call at every grid
-    point would give.  Every score comes from one evaluator, so evaluations
-    is the number of key_rate calls by construction, each pump strength
-    evaluated once (0 when no grid point is model-valid).  converged is
-    False when the optimum sits at a bound or when no probed point was
-    model-valid.
+    point would give.  Called by scan_key_rate, it takes the grid's
+    candidates, and the golden-section bracket where this T left the
+    lockstep, from the scan's plan, and continues from there.  Every score
+    comes from one evaluator, so evaluations is the number of key_rate calls
+    made by this call, each pump strength evaluated once (0 when no grid
+    point is model-valid); array passes are not counted, so within a scan it
+    is not the search's total work.  converged is False when the optimum
+    sits at a bound or when no probed point was model-valid.
     """
-    candidates = _grid_pass(spec, r, ch, lambda_max)[0]
+    plan = _scan_plans.get((spec, r, ch, lambda_max)) if _scan_plans else None
+    candidates, bracket = plan or (_grid_pass(spec, r, ch, lambda_max)[0], None)
     if not candidates:
         return OptimizationResult(
             lambda_opt=math.nan, report=None, converged=False, evaluations=0,
@@ -166,15 +203,20 @@ def optimize_lambda(
     k = max(range(len(scores)), key=scores.__getitem__)
     best_idx, best_score, best_report = candidates[k], scores[k], reports[k]
 
-    a = grid[max(best_idx - 1, 0)]
-    b = grid[min(best_idx + 1, _LAMBDA_GRID_POINTS - 1)]
+    if bracket is None:
+        a = grid[max(best_idx - 1, 0)]
+        b = grid[min(best_idx + 1, _LAMBDA_GRID_POINTS - 1)]
+        c = b - _INV_GOLDEN * (b - a)
+        d = a + _INV_GOLDEN * (b - a)
+    else:  # where the scan's lockstep left this T
+        a, b, c, d = bracket
 
-    # golden-section refinement on the bracket
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc = evaluate(c)
-    fd = evaluate(d)
-    while (b - a) > _LAMBDA_REL_TOL * b:
+    # golden-section refinement on the bracket; one the lockstep converged
+    # needs no more scores
+    if _searching(a, b):
+        fc = evaluate(c)
+        fd = evaluate(d)
+    while _searching(a, b):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -203,6 +245,97 @@ def optimize_lambda(
     )
 
 
+def _scan_plan(
+    spec: ProtocolSpec, r: HeraldResponse, channels: list[ChannelParams], lambda_max: float
+) -> dict:
+    """_scan_plans entries of the distinct channels of one scan, all at one
+    d_B: each T's grid candidates, those _grid_pass gives, from (T x lambda)
+    array passes of at most _SCAN_BLOCK_ROWS rows, and its
+    _lockstep_brackets state."""
+    pairs = _lambda_grid(lambda_max)[1]
+    dark_b = channels[0].dark_b
+    ts = [ch.transmission for ch in channels]
+    candidates = []
+    for i in range(0, len(ts), _SCAN_BLOCK_ROWS):
+        block = np.array(ts[i:i + _SCAN_BLOCK_ROWS])[:, None]
+        p_exp, rates = _key_rate_array(spec, pairs, r, block, dark_b)
+        scores = np.where(np.isnan(rates), -np.inf, rates)
+        rows, top = np.arange(len(scores)), np.argmax(scores, axis=1)
+        best = scores[rows, top]
+        near = _near_best(scores, p_exp, best[:, None], p_exp[rows, top][:, None])
+        # a row at -inf is model-invalid throughout: no candidate
+        candidates += [tuple(np.flatnonzero(row).tolist()) if row_best > -math.inf else ()
+                       for row, row_best in zip(near, best.tolist())]
+    brackets = _lockstep_brackets(spec, r, dark_b, ts, candidates, lambda_max)
+    return {(spec, r, ch, lambda_max): plan
+            for ch, plan in zip(channels, zip(candidates, brackets))}
+
+
+def _lockstep_brackets(
+    spec: ProtocolSpec,
+    r: HeraldResponse,
+    dark_b: float,
+    ts: list[float],
+    candidates: list[tuple[int, ...]],
+    lambda_max: float,
+) -> list[tuple[float, float, float, float] | None]:
+    """Golden-section state (a, b, c, d) at which each T left the lockstep;
+    None for a T that never entered it.
+
+    The T points with exactly one grid candidate, whose bracket the grid
+    fixes, run optimize_lambda's golden-section steps together: each step
+    scores one new point per T in one _key_rate_array pass.  A step's
+    fc >= fd is taken from the array scores only where they differ by more
+    than both points' tolerances, or are both -inf (the validity mask is
+    key_rate's), so it is key_rate's decision.  A T leaves when its bracket
+    has converged, when its decision is not proven, or when fewer than
+    _LOCKSTEP_MIN_ROWS T points would go on; optimize_lambda continues it.
+    """
+    brackets = [None] * len(ts)
+    rows = np.array([i for i, found in enumerate(candidates) if len(found) == 1])
+    if len(rows) < _LOCKSTEP_MIN_ROWS:
+        return brackets
+    grid = np.array(_lambda_grid(lambda_max)[0])
+    top = np.array([candidates[i][0] for i in rows])
+    t = np.array(ts)[rows]
+
+    def score(lams, t):
+        """(p_exp, score) at one pump strength per row; the pair statistics
+        are poisson_pair_stats's, bit for bit."""
+        pairs = np.array(list(map(_pair_probabilities, lams.tolist()))).T
+        p_exp, rates = _key_rate_array(spec, pairs, r, t, dark_b)
+        return p_exp, np.where(np.isnan(rates), -np.inf, rates)
+
+    # optimize_lambda's arithmetic, elementwise, so every bracket is its own
+    a = grid[np.maximum(top - 1, 0)]
+    b = grid[np.minimum(top + 1, _LAMBDA_GRID_POINTS - 1)]
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    (pc, fc), (pd, fd) = score(c, t), score(d, t)
+    while True:
+        with np.errstate(invalid="ignore"):  # -inf - -inf where both are invalid
+            proven = (np.abs(fc - fd) > _KEY_RATE_ARRAY_TOL * (pc + pd)) | (
+                (fc == -np.inf) & (fd == -np.inf))
+        stay = _searching(a, b) & proven
+        if np.count_nonzero(stay) < _LOCKSTEP_MIN_ROWS:
+            stay[:] = False
+        leave = ~stay
+        for i, state in zip(rows[leave].tolist(),
+                            zip(*(x[leave].tolist() for x in (a, b, c, d)))):
+            brackets[i] = state
+        if not stay.any():
+            return brackets
+        rows, t, a, b, c, d, fc, fd, pc, pd = (
+            x[stay] for x in (rows, t, a, b, c, d, fc, fd, pc, pd))
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = (np.where(left, b - _INV_GOLDEN * (b - a), d),
+                np.where(left, c, a + _INV_GOLDEN * (b - a)))
+        p_new, f_new = score(np.where(left, c, d), t)
+        pc, pd = np.where(left, p_new, pd), np.where(left, pc, p_new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+
+
 def _short_distance_penalty(spec: ProtocolSpec, t: float) -> float:
     """I_AE2 - 2T: the short-distance cost of a multiphoton event."""
     if not 0.0 < t <= 1.0:
@@ -210,13 +343,17 @@ def _short_distance_penalty(spec: ProtocolSpec, t: float) -> float:
     return spec.i_ae_two - 2.0 * t
 
 
+def _short_distance_regime(spec: ProtocolSpec, t: float) -> bool:
+    """I_AE2 > 2T: only there does the short-distance expansion have an
+    interior optimum in the pump strength."""
+    return _short_distance_penalty(spec, t) > 0.0
+
+
 def _regime_penalty(spec: ProtocolSpec, t: float) -> float:
-    """I_AE2 - 2T, required positive: only there does the short-distance
-    expansion have an interior optimum in the pump strength."""
-    penalty = _short_distance_penalty(spec, t)
-    if not penalty > 0.0:
+    """I_AE2 - 2T, required positive (_short_distance_regime)."""
+    if not _short_distance_regime(spec, t):
         raise ValueError(f"short-distance approximation needs I_AE2 > 2T, got T = {t}")
-    return penalty
+    return _short_distance_penalty(spec, t)
 
 
 def short_distance_key_rate(
@@ -371,17 +508,31 @@ def scan_key_rate(
     t_grid,
     lambda_max: float = DEFAULT_LAMBDA_MAX,
 ) -> ScanSeries:
-    """Optimize the pump strength, up to lambda_max, at each grid transmission."""
+    """Optimize the pump strength, up to lambda_max, at each grid transmission.
+
+    Each point is optimize_lambda's result at its transmission, bit for bit
+    (evaluations aside).  The scan scores the coarse grids of all its
+    transmissions in (T x lambda) array passes, and runs their golden
+    sections in lockstep as array passes while enough T points search and
+    each step's decision is proven (_lockstep_brackets).  It then calls
+    optimize_lambda once per point, which rescores the grid candidates and
+    finishes that T's search with key_rate; a point's evaluations counts
+    only those calls, not the array passes.
+    """
     t_grid = list(t_grid)
     if not t_grid:
         raise ValueError("transmission grid must be nonempty")
     for t in t_grid:
         if not 0.0 < t <= 1.0:
             raise ValueError(f"transmission must be in (0, 1], got {t}")
-    points = []
-    for t in t_grid:
-        ch = ChannelParams(transmission=t, dark_b=dark_b)
-        points.append((t, optimize_lambda(spec, r, ch, lambda_max)))
+    channels = [ChannelParams(transmission=t, dark_b=dark_b) for t in t_grid]
+    try:
+        # a repeated T is planned once
+        _scan_plans.update(_scan_plan(spec, r, list(dict.fromkeys(channels)), lambda_max))
+        points = [(ch.transmission, optimize_lambda(spec, r, ch, lambda_max))
+                  for ch in channels]
+    finally:
+        _scan_plans.clear()
     return ScanSeries(points=points)
 
 

@@ -332,7 +332,7 @@ def cmd_scan(args) -> tuple:
         approx = ",".join(
             f"{_fmt(t)}:{_fmt(analysis.short_distance_approx_rate(spec, r, t))}"
             for t in grid
-            if analysis._short_distance_penalty(spec, t) > 0.0
+            if analysis._short_distance_regime(spec, t)
         )
         comments.append(f"short_distance_approx T:K = {approx}")
     rows = [_scan_row(t, res.lambda_opt, res.report) for t, res in series.points]

@@ -58,17 +58,17 @@ class KeyRateReport:
     secure: bool
 
 
-def _detection(p0, p1, p2, r: HeraldResponse, ch: ChannelParams):
-    """(p_exp, QBER, single-photon fraction y) from the pair probabilities.
+def _detection(p0, p1, p2, r: HeraldResponse, t, dark_b: float):
+    """(p_exp, QBER, single-photon fraction y) from the pair probabilities
+    and the channel transmission t.
 
-    p0, p1 and p2 are floats or numpy arrays.  p_exp is the detection
-    probability per pulse; half of the dark-count events (d_B per detector
-    and heralded pulse) are errors.  Where nothing is detected (p_exp = 0)
-    QBER and y are undefined: the values returned there stand in, and the
-    caller replaces or masks them.
+    p0, p1, p2 and t are floats or numpy arrays of any shapes that
+    broadcast.  p_exp is the detection probability per pulse; half of the
+    dark-count events (d_B per detector and heralded pulse) are errors.
+    Where nothing is detected (p_exp = 0) QBER and y are undefined: the
+    values returned there stand in, and the caller replaces or masks them.
     """
-    t = ch.transmission
-    dark = ch.dark_b * (p0 * r.q0 + p1 * r.q1 + p2 * r.q2)
+    dark = dark_b * (p0 * r.q0 + p1 * r.q1 + p2 * r.q2)
     p_exp = t * p1 * r.q1 + 2.0 * t * p2 * r.q2 + 2.0 * dark
     # a zero p_exp divides by 1 in place of a branch; any other keeps its bits
     per_click = p_exp + (p_exp == 0.0)
@@ -88,7 +88,7 @@ def key_rate(
     the single-photon information function, or nothing is detected, key_rate
     is NaN and secure is False.
     """
-    p_exp, q, y = _detection(stats.p0, stats.p1, stats.p2, r, ch)
+    p_exp, q, y = _detection(stats.p0, stats.p1, stats.p2, r, ch.transmission, ch.dark_b)
     if p_exp == 0.0:
         q = y = math.nan
     # the printed multiphoton fraction can exceed 1 at large pump strength
@@ -101,25 +101,30 @@ def key_rate(
     )
 
 
-# _key_rate_array's valid rates are within this times p_exp of key_rate's: the
-# two run the same arithmetic and differ only in np.log2 against math.log2 in
+# each valid entry of _key_rate_array is within this times its p_exp of
+# key_rate's at the same inputs, whatever the arrays' shapes: the two run the
+# same elementwise arithmetic and differ only in np.log2 against math.log2 in
 # the margin, whose terms are O(1), so by a few dozen ulp of 1 at most, and K
 # is p_exp * p_sift times the margin
 _KEY_RATE_ARRAY_TOL = 1e-13
 
 
 def _key_rate_array(
-    spec: ProtocolSpec, pairs: np.ndarray, r: HeraldResponse, ch: ChannelParams
+    spec: ProtocolSpec, pairs: np.ndarray, r: HeraldResponse, t, dark_b: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(p_exp, key rate) of key_rate over arrays of pair statistics (p0, p1, p2).
+    """(p_exp, key rate) of key_rate over pair statistics pairs = (p0, p1, p2)
+    and transmissions t, broadcast together elementwise.
 
-    The same _detection and margin as key_rate, so p_exp, QBER, y, Q/y and
-    the model-invalid entries (key rate NaN) equal the scalar ones bit for
-    bit.  A valid key rate is within _KEY_RATE_ARRAY_TOL * p_exp of key_rate's.
+    pairs[i] and t may have any shapes that broadcast (a (rows, 1) column of
+    transmissions against one grid scores a (rows, grid) block).  Each entry
+    runs the same _detection and margin as key_rate at its own (p0, p1, p2,
+    t, dark_b), so p_exp, QBER, y, Q/y and the model-invalid entries (key
+    rate NaN) equal the scalar ones bit for bit, and each valid key rate is
+    within _KEY_RATE_ARRAY_TOL times its own p_exp of key_rate's.
     """
     # invalid entries hold NaN, inf or garbage until masked; numpy stays quiet
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p_exp, q, y = _detection(*pairs, r, ch)
+        p_exp, q, y = _detection(*pairs, r, t, dark_b)
         ratio = q / y
         valid = (p_exp != 0.0) & (y > 0.0) & (ratio <= spec.q_max)
         i_ab = 1.0 - _binary_entropy(q, np.log2)

@@ -103,12 +103,16 @@ def poisson_pair_stats(lam: float) -> PhotonStatistics:
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"pump strength must be finite and nonnegative, got {lam}")
+    return PhotonStatistics(*_pair_probabilities(lam))
+
+
+def _pair_probabilities(lam: float) -> tuple[float, float, float]:
+    """(p0, p1, p2) of poisson_pair_stats, without its range check."""
     p0 = math.exp(-lam)
     p1 = lam * p0
     # -expm1(-lam) avoids the catastrophic cancellation of 1 - p0 - p1 at
     # tiny lam, which could otherwise round p2 negative
-    p2 = max(-math.expm1(-lam) - p1, 0.0)
-    return PhotonStatistics(p0=p0, p1=p1, p2=p2)
+    return p0, p1, max(-math.expm1(-lam) - p1, 0.0)
 
 
 def multiplexed_response(params: MultiplexedDetectorParams) -> HeraldResponse:

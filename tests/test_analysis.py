@@ -196,7 +196,7 @@ class TestLambdaGrid:
 # and 1, and d_B including 0.
 unit = st.floats(0.0, 1.0)
 log_small = st.floats(-10.0, 0.0).map(lambda e: 10.0**e)
-responses = st.one_of(
+source_responses = st.one_of(
     st.just(wcp_response()),
     st.builds(binary_response, unit, log_small),
     st.builds(
@@ -204,8 +204,8 @@ responses = st.one_of(
             MultiplexedDetectorParams(n, eta_a, dark_a, eta_c)),
         st.integers(1, 8), unit, log_small, unit,
     ),
-    st.builds(HeraldResponse, unit, unit, unit),
 )
+responses = st.one_of(source_responses, st.builds(HeraldResponse, unit, unit, unit))
 transmissions = st.one_of(st.sampled_from([0.0, 1.0]), unit, log_small)
 dark_counts = st.one_of(st.just(0.0), log_small.map(lambda d: 0.1 * d))
 lambda_maxes = st.sampled_from([1.0, 0.5, 10.0])
@@ -214,7 +214,8 @@ lambda_maxes = st.sampled_from([1.0, 0.5, 10.0])
 def assert_array_agrees(spec, r, ch, lambda_max=1.0):
     """_key_rate_array against key_rate at every grid point: p_exp and the
     validity mask exactly, a valid rate within _KEY_RATE_ARRAY_TOL * p_exp."""
-    p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r, ch)
+    p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r,
+                                   ch.transmission, ch.dark_b)
     for i, s in enumerate(grid_stats(lambda_max)):
         rep = key_rate(spec, s, r, ch)
         assert p_exp[i] == rep.p_exp
@@ -349,6 +350,22 @@ def assert_matches_scalar_optimizer(spec, r, ch, lambda_max=1.0):
     return got
 
 
+def plateau_key_rate(spec, stats, r, ch):
+    """A synthetic rate min(p1, 0.2), with a plateau of exact ties, at p_exp = 1."""
+    k = min(stats.p1, 0.2)
+    return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
+
+
+def plateau_key_rate_array(spec, pairs, r, t, dark_b):
+    """plateau_key_rate's array form, off by 0.9 of the array bound: down
+    everywhere but up at the last entry of each row (the grid's top point,
+    or a lockstep pass's last T)."""
+    shape = np.broadcast_shapes(np.shape(t), pairs[1].shape)
+    error = np.full(shape, -0.9 * _KEY_RATE_ARRAY_TOL)
+    error[..., -1] = 0.9 * _KEY_RATE_ARRAY_TOL
+    return np.ones(shape), np.minimum(pairs[1], 0.2) + error
+
+
 class TestArgmaxOracle:
     @settings(max_examples=100, deadline=None)
     @given(spec=st.sampled_from([BB84, SARG04]), r=responses, t=transmissions,
@@ -367,21 +384,10 @@ class TestArgmaxOracle:
         assert res.evaluations > 200  # all 200 grid points rescored
 
     def test_first_of_tied_maxima_wins(self, monkeypatch, fresh_grid_scores):
-        # a synthetic rate min(p1, 0.2) with a plateau of exact ties, at
-        # p_exp = 1, whose array form is off by 0.9 of the bound: down
-        # everywhere but up at the last grid point, where it peaks.  The
-        # rescoring must still find the first scalar maximum.
-        def fake_key_rate(spec, stats, r, ch):
-            k = min(stats.p1, 0.2)
-            return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
-
-        def fake_key_rate_array(spec, pairs, r, ch):
-            error = np.full(pairs.shape[1], -0.9 * _KEY_RATE_ARRAY_TOL)
-            error[-1] = 0.9 * _KEY_RATE_ARRAY_TOL
-            return np.ones(pairs.shape[1]), np.minimum(pairs[1], 0.2) + error
-
-        monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
-        monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
+        # the rescoring must still find the first scalar maximum of
+        # plateau_key_rate, whose array form peaks at the last grid point
+        monkeypatch.setattr(analysis, "key_rate", plateau_key_rate)
+        monkeypatch.setattr(analysis, "_key_rate_array", plateau_key_rate_array)
         res = assert_matches_scalar_optimizer(BB84, wcp_response(),
                                               ChannelParams(0.1, 0.0))
         assert res.converged and 0.2 < res.lambda_opt < 0.3  # p1 = 0.2 at 0.259
@@ -417,6 +423,169 @@ THREE_STAGE = multiplexed_response(
 IDEAL_THREE_STAGE = multiplexed_response(
     MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1e-6)
 )
+
+
+def assert_scan_matches_scalar_optimizer(spec, r, dark_b, t_grid, lambda_max=1.0):
+    """scan_key_rate against the full-scalar optimizer at every T; every
+    scalar key_rate call of the scan is counted in some point's evaluations."""
+    calls = []
+
+    def counting_key_rate(*args):
+        calls.append(args)
+        return scored_key_rate(*args)
+
+    scored_key_rate = analysis.key_rate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "key_rate", counting_key_rate)
+        series = scan_key_rate(spec, r, dark_b, t_grid, lambda_max)
+    assert len(calls) == sum(res.evaluations for _, res in series.points)
+    assert [t for t, _ in series.points] == list(t_grid)
+    for t, got in series.points:
+        ref = scalar_optimize_lambda(spec, r, ChannelParams(t, dark_b), lambda_max)
+        assert repr(dataclasses.replace(got, evaluations=0)) == repr(
+            dataclasses.replace(ref, evaluations=0))
+    return series
+
+
+@st.composite
+def scan_grids(draw):
+    """T grids below and above the lockstep's cut-off, with repeated T."""
+    n = draw(st.integers(1, 3 * analysis._LOCKSTEP_MIN_ROWS))
+    ts = draw(st.lists(st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
+                       min_size=n, max_size=n))
+    repeats = draw(st.lists(st.sampled_from(ts), max_size=4))
+    return draw(st.permutations(ts + repeats))
+
+
+def recorded_plans(monkeypatch):
+    """Patch optimize_lambda to record the scan plan each call finds, if any."""
+    plans = []
+
+    def recording_optimize(spec, r, ch, lambda_max):
+        plans.append(analysis._scan_plans.get((spec, r, ch, lambda_max)))
+        return optimize_lambda(spec, r, ch, lambda_max)
+
+    monkeypatch.setattr(analysis, "optimize_lambda", recording_optimize)
+    return plans
+
+
+class TestScanLockstep:
+    """scan_key_rate's (T x lambda) array passes and lockstep golden section
+    against the per-T scalar optimizer."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses,
+           dark_b=dark_counts, t_grid=scan_grids(), lambda_max=lambda_maxes)
+    def test_equals_scalar_optimizer(self, spec, r, dark_b, t_grid, lambda_max):
+        assert_scan_matches_scalar_optimizer(spec, r, dark_b, t_grid, lambda_max)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=responses, dark_b=dark_counts,
+           t_grid=scan_grids(), lambda_max=lambda_maxes)
+    def test_candidates_are_the_grid_pass_ones(self, spec, r, dark_b, t_grid, lambda_max):
+        # the (T x lambda) block passes give each T the candidates, empty for a
+        # row with no model-valid point, that its own _grid_pass gives
+        with pytest.MonkeyPatch.context() as mp:
+            plans = recorded_plans(mp)
+            scan_key_rate(spec, r, dark_b, t_grid, lambda_max)
+        for t, (candidates, _) in zip(t_grid, plans):
+            ch = ChannelParams(t, dark_b)
+            assert candidates == analysis._grid_pass(spec, r, ch, lambda_max)[0]
+
+    def test_undecided_steps_drop_out_to_the_scalar_loop(self, monkeypatch,
+                                                         fresh_grid_scores):
+        # plateau_key_rate with lambda_max = 0.26: only the top grid point
+        # reaches the plateau, so every T has one candidate and enters the
+        # lockstep; once c and d both sit on the plateau their rates tie
+        # exactly, the array scores differ by at most 1.8 of the bound, and
+        # no step may be decided from them
+        monkeypatch.setattr(analysis, "key_rate", plateau_key_rate)
+        monkeypatch.setattr(analysis, "_key_rate_array", plateau_key_rate_array)
+        plans = recorded_plans(monkeypatch)
+        t_grid = np.linspace(0.05, 0.5, analysis._LOCKSTEP_MIN_ROWS + 4).tolist()
+        series = assert_scan_matches_scalar_optimizer(BB84, wcp_response(), 0.0,
+                                                      t_grid, lambda_max=0.26)
+        grid = analysis._lambda_grid(0.26)[0]
+        for (t, res), (candidates, bracket) in zip(series.points, plans):
+            assert candidates == (199,)
+            a, b, _, _ = bracket
+            # left mid-way: narrower than the grid's bracket, not converged
+            assert grid[198] <= a < b <= grid[199] and (a, b) != (grid[198], grid[199])
+            assert analysis._searching(a, b)
+            assert res.converged and 0.259 < res.lambda_opt < 0.26  # p1 = 0.2 at 0.2592
+
+    def test_steps_between_invalid_points(self, monkeypatch, fresh_grid_scores):
+        # a synthetic rate at p_exp = 1, model-valid only in two windows of
+        # p1 / P, P being the p1 of grid point 150: within 0.5% of 1, where
+        # it peaks at 0 on that grid point, every T's one candidate; and in
+        # [0.93, 0.97], between grid points, where it is 1e-3.  The first two
+        # golden-section points fall in neither, and fc >= fd between their
+        # two -inf scores moves the bracket down onto the higher window.
+        peak = grid_stats(1.0)[150].p1
+
+        def window_rate(p1):
+            off = p1 / peak - 1.0
+            return np.where(abs(off) < 0.005, -abs(off),
+                            np.where((-0.07 <= off) & (off <= -0.03), 1e-3, math.nan))
+
+        def window_key_rate(spec, stats, r, ch):
+            return KeyRateReport(1.0, 0.0, 1.0, float(window_rate(stats.p1)), True, False)
+
+        def window_key_rate_array(spec, pairs, r, t, dark_b):
+            rates = window_rate(pairs[1] + np.zeros(np.shape(t)))
+            return np.ones(rates.shape), rates
+
+        monkeypatch.setattr(analysis, "key_rate", window_key_rate)
+        monkeypatch.setattr(analysis, "_key_rate_array", window_key_rate_array)
+        plans = recorded_plans(monkeypatch)
+        t_grid = np.linspace(0.05, 0.5, analysis._LOCKSTEP_MIN_ROWS).tolist()
+        series = assert_scan_matches_scalar_optimizer(BB84, wcp_response(), 0.0, t_grid)
+        assert all(candidates == (150,) and bracket is not None
+                   for candidates, bracket in plans)
+        assert all(res.key_rate == 1e-3 for _, res in series.points)
+
+    def test_no_plan_outlives_a_scan(self, monkeypatch):
+        r = THREE_STAGE
+        t_grid = np.logspace(-4, -1, 40).tolist()
+        plans = recorded_plans(monkeypatch)
+        scan_key_rate(BB84, r, 1e-5, t_grid)
+        assert analysis._scan_plans == {}
+        # every T was planned, and left the lockstep with its bracket
+        # narrowed from the grid's (about 20% of lambda) to below 1e-4
+        assert len(plans) == 40
+        assert all(b - a < 1e-4 * b for _, (a, b, _, _) in plans)
+
+        def failing_optimize(spec, r, ch, lambda_max):
+            if ch.transmission == t_grid[3]:
+                raise RuntimeError("mid-scan failure")
+            return optimize_lambda(spec, r, ch, lambda_max)
+
+        monkeypatch.setattr(analysis, "optimize_lambda", failing_optimize)
+        with pytest.raises(RuntimeError, match="mid-scan failure"):
+            scan_key_rate(BB84, r, 1e-5, t_grid)
+        assert analysis._scan_plans == {}
+
+    def test_optimize_after_a_scan_equals_a_cold_call(self):
+        t_grid = np.logspace(-4, -1, 40).tolist()
+        series = scan_key_rate(SARG04, THREE_STAGE, 1e-5, t_grid)
+        ch = ChannelParams(t_grid[17], 1e-5)
+        after = optimize_lambda(SARG04, THREE_STAGE, ch)
+        analysis._grid_pass.cache_clear()
+        cold = optimize_lambda(SARG04, THREE_STAGE, ch)
+        assert after == cold
+        scanned = series.points[17][1]
+        assert dataclasses.replace(scanned, evaluations=cold.evaluations) == cold
+        # the scan's lockstep left fewer scalar key_rate calls to this T
+        assert scanned.evaluations < cold.evaluations
+
+    @pytest.mark.parametrize("dark_b, lambda_max, message", [
+        (1e-5, 1e-8, "bounds"), (1e-5, math.nan, "bounds"),
+        (1.0, 0.0, r"dark_b must be in \[0, 1\)"),  # the channel is checked first
+    ])
+    def test_bad_settings_rejected(self, dark_b, lambda_max, message):
+        with pytest.raises(ValueError, match=message):
+            scan_key_rate(BB84, wcp_response(), dark_b, [0.01, 0.1], lambda_max)
+        assert analysis._scan_plans == {}
 
 
 @pytest.mark.parametrize("short_distance", [
@@ -758,7 +927,8 @@ class TestTminCertificate:
            dark_b=dark_counts, lambda_max=lambda_maxes)
     def test_certificate_proves_positive_rate(self, spec, r, t, dark_b, lambda_max):
         ch = ChannelParams(t, dark_b)
-        p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r, ch)
+        p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r,
+                                       t, dark_b)
         certified = np.flatnonzero(rates > _KEY_RATE_ARRAY_TOL * p_exp)
         assert analysis._grid_pass(spec, r, ch, lambda_max)[1] == bool(certified.size)
         stats = grid_stats(lambda_max)
@@ -774,9 +944,9 @@ class TestTminCertificate:
         expected = reference_tmin(spec, r, 1e-5)
         passes, optimized, scored = [], [], []
 
-        def counting_array(spec, pairs, r, ch):
-            passes.append(ch.transmission)
-            return _key_rate_array(spec, pairs, r, ch)
+        def counting_array(spec, pairs, r, t, dark_b):
+            passes.append(t)
+            return _key_rate_array(spec, pairs, r, t, dark_b)
 
         def counting_optimize(spec, r, ch, lambda_max):
             optimized.append((ch.transmission, optimize_lambda(spec, r, ch, lambda_max)))
@@ -809,9 +979,10 @@ class TestTminCertificate:
             k = float(ch.transmission >= 0.01)
             return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
 
-        def fake_key_rate_array(spec, pairs, r, ch):
-            k = float(ch.transmission >= 0.01) + 0.9 * _KEY_RATE_ARRAY_TOL
-            return np.ones(pairs.shape[1]), np.full(pairs.shape[1], k)
+        def fake_key_rate_array(spec, pairs, r, t, dark_b):
+            shape = np.broadcast_shapes(np.shape(t), pairs[1].shape)
+            k = np.where(np.asarray(t) >= 0.01, 1.0, 0.0) + 0.9 * _KEY_RATE_ARRAY_TOL
+            return np.ones(shape), np.broadcast_to(k, shape)
 
         monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
         monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
@@ -822,7 +993,8 @@ class TestTminCertificate:
     def test_grid_scores_match_a_fresh_pass(self, fresh_grid_scores):
         r, ch = binary_response(), ChannelParams(0.01, 1e-5)
         candidates, certified = analysis._grid_pass(SARG04, r, ch, 1.0)
-        p_exp, rates = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[1], r, ch)
+        p_exp, rates = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[1], r,
+                                       ch.transmission, ch.dark_b)
         scores = np.where(np.isnan(rates), -np.inf, rates)
         top = int(np.argmax(scores))
         bound = _KEY_RATE_ARRAY_TOL * (p_exp + p_exp[top])
