@@ -18,10 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .keyrate import (
-    _KEY_RATE_ARRAY_TOL, ChannelParams, KeyRateReport, _key_rate_array, key_rate,
-)
-from .protocol import ProtocolSpec
+from .keyrate import ChannelParams, KeyRateReport, _detection, key_rate
+from .protocol import ProtocolSpec, _binary_entropy, _margin
 from .source_detector import (
     HeraldResponse,
     MultiplexedDetectorParams,
@@ -96,6 +94,14 @@ class ScanSeries:
     points: list[tuple[float, OptimizationResult]]
 
 
+def _linear_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from lo to hi, np.linspace's arithmetic bit
+    for bit: lo + i*step, the last one pinned to hi.  Log grids take 10.0 ** x
+    of them, libm's pow, which unlike numpy's power is the same on every CPU."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 @lru_cache(maxsize=8)
 def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
     """Coarse logarithmic pump-strength grid, and its pair statistics as a
@@ -104,17 +110,48 @@ def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
     Depends only on lambda_max, so one build serves every optimization that
     shares it; the array is read-only because every caller gets the same one.
     """
-    if not _LAMBDA_MIN < lambda_max:  # a NaN is rejected too
-        raise ValueError(f"bounds need lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
-    # an inf from overflow is rejected by poisson_pair_stats; no numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.logspace(math.log10(_LAMBDA_MIN), math.log10(lambda_max),
-                           _LAMBDA_GRID_POINTS)
-    grid = tuple(float(x) for x in grid)
+    if not _LAMBDA_MIN < lambda_max < math.inf:  # a NaN is rejected too
+        raise ValueError(f"bounds need finite lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
+    try:
+        grid = tuple(10.0**x for x in _linear_grid(
+            math.log10(_LAMBDA_MIN), math.log10(lambda_max), _LAMBDA_GRID_POINTS))
+    except OverflowError:  # lambda_max within rounding of the largest float
+        raise ValueError(f"bounds need a finite lambda grid, got {lambda_max}") from None
     stats = [poisson_pair_stats(lam) for lam in grid]
     pairs = np.array([[getattr(s, p) for s in stats] for p in ("p0", "p1", "p2")])
     pairs.flags.writeable = False
     return grid, pairs
+
+
+# each valid entry of _key_rate_array is within this times its p_exp of
+# key_rate's at the same inputs, whatever the arrays' shapes: the two run the
+# same elementwise arithmetic and differ only in np.log2 against math.log2 in
+# the margin, whose terms are O(1), so by a few dozen ulp of 1 at most, and K
+# is p_exp * p_sift times the margin
+_KEY_RATE_ARRAY_TOL = 1e-13
+
+
+def _key_rate_array(
+    spec: ProtocolSpec, pairs: np.ndarray, r: HeraldResponse, t, dark_b: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_exp, key rate) of key_rate over pair statistics pairs = (p0, p1, p2)
+    and transmissions t, broadcast together elementwise.
+
+    pairs[i] and t may have any shapes that broadcast (a (rows, 1) column of
+    transmissions against one grid scores a (rows, grid) block).  Each entry
+    runs the same _detection and margin as key_rate at its own (p0, p1, p2,
+    t, dark_b), so p_exp, QBER, y, Q/y and the model-invalid entries (key
+    rate NaN) equal the scalar ones bit for bit, and each valid key rate is
+    within _KEY_RATE_ARRAY_TOL times its own p_exp of key_rate's.
+    """
+    # invalid entries hold NaN, inf or garbage until masked; numpy stays quiet
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p_exp, q, y = _detection(*pairs, r, t, dark_b)
+        ratio = q / y
+        valid = (p_exp != 0.0) & (y > 0.0) & (ratio <= spec.q_max)
+        i_ab = 1.0 - _binary_entropy(q, np.log2)
+        margin = _margin(spec, i_ab, y, spec.eve_info(ratio, np.log2))
+        return p_exp, np.where(valid, p_exp * spec.p_sift * margin, np.nan)
 
 
 def _near_best(scores, p_exp, best, p_best):

@@ -15,8 +15,6 @@ import math
 import sys
 from collections.abc import Sequence
 
-import numpy as np
-
 from . import analysis
 from .keyrate import ChannelParams, KeyRateReport, key_rate, renormalized_key_rate
 from .protocol import PROTOCOLS, ProtocolSpec, get_protocol
@@ -220,8 +218,8 @@ def _t_grid(args) -> list[float]:
             f"T range must satisfy 0 < t_min < t_max <= 1, "
             f"got [{args.t_min}, {args.t_max}]"
         )
-    grid = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.points)
-    return [float(t) for t in grid]
+    return [10.0**x for x in analysis._linear_grid(
+        math.log10(args.t_min), math.log10(args.t_max), args.points)]
 
 
 def _emit_table(args, header: Sequence[str], rows: list[list], comments: list[str]):
@@ -370,8 +368,8 @@ def cmd_contour(args) -> tuple:
     if args.q_points * args.y_points > _MAX_CELLS:
         raise CliError(f"--q-points x --y-points must be at most {_MAX_CELLS}, "
                        f"got {args.q_points} x {args.y_points}")
-    q_grid = np.linspace(args.q_min, args.q_max, args.q_points).tolist()
-    y_grid = np.linspace(args.y_min, args.y_max, args.y_points).tolist()
+    q_grid = analysis._linear_grid(args.q_min, args.q_max, args.q_points)
+    y_grid = analysis._linear_grid(args.y_min, args.y_max, args.y_points)
     header = ["Q", "y", "renormalized_key_rate"]
     rows = [[q, y, renormalized_key_rate(spec, q, y)] for q in q_grid for y in y_grid]
     # the linearized security boundary Q = Q_th (1 - xi (1 - y))
@@ -425,7 +423,7 @@ def _fitted_prefactor(
     spec: ProtocolSpec, r: HeraldResponse, dark_b: float
 ) -> float:
     """Quadratic-model prefactor fitted to a numerically optimized scan."""
-    grid = np.logspace(-3.5, -2, 12)
+    grid = [10.0**x for x in analysis._linear_grid(-3.5, -2.0, 12)]
     series = analysis.scan_key_rate(spec, r, dark_b, grid)
     _, prefactor = analysis.fit_power_law(series)
     return prefactor

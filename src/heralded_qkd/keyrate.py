@@ -11,11 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .protocol import (
-    ProtocolSpec, _binary_entropy, _checked_terms, _margin, _security_terms,
-)
+from .protocol import ProtocolSpec, _checked_terms, _security_terms
 from .source_detector import HeraldResponse, PhotonStatistics
 
 __all__ = [
@@ -99,37 +95,6 @@ def key_rate(
         p_exp=p_exp, qber=q, y=y, key_rate=k, pns_valid=valid,
         secure=(k > 0.0 and valid),
     )
-
-
-# each valid entry of _key_rate_array is within this times its p_exp of
-# key_rate's at the same inputs, whatever the arrays' shapes: the two run the
-# same elementwise arithmetic and differ only in np.log2 against math.log2 in
-# the margin, whose terms are O(1), so by a few dozen ulp of 1 at most, and K
-# is p_exp * p_sift times the margin
-_KEY_RATE_ARRAY_TOL = 1e-13
-
-
-def _key_rate_array(
-    spec: ProtocolSpec, pairs: np.ndarray, r: HeraldResponse, t, dark_b: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p_exp, key rate) of key_rate over pair statistics pairs = (p0, p1, p2)
-    and transmissions t, broadcast together elementwise.
-
-    pairs[i] and t may have any shapes that broadcast (a (rows, 1) column of
-    transmissions against one grid scores a (rows, grid) block).  Each entry
-    runs the same _detection and margin as key_rate at its own (p0, p1, p2,
-    t, dark_b), so p_exp, QBER, y, Q/y and the model-invalid entries (key
-    rate NaN) equal the scalar ones bit for bit, and each valid key rate is
-    within _KEY_RATE_ARRAY_TOL times its own p_exp of key_rate's.
-    """
-    # invalid entries hold NaN, inf or garbage until masked; numpy stays quiet
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p_exp, q, y = _detection(*pairs, r, t, dark_b)
-        ratio = q / y
-        valid = (p_exp != 0.0) & (y > 0.0) & (ratio <= spec.q_max)
-        i_ab = 1.0 - _binary_entropy(q, np.log2)
-        margin = _margin(spec, i_ab, y, spec.eve_info(ratio, np.log2))
-        return p_exp, np.where(valid, p_exp * spec.p_sift * margin, np.nan)
 
 
 def renormalized_key_rate(spec: ProtocolSpec, q: float, y: float) -> float:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from heralded_qkd import analysis
 from heralded_qkd.analysis import (
+    _KEY_RATE_ARRAY_TOL,
+    _key_rate_array,
     fit_power_law,
     lambda_opt_heralded,
     optimal_stage_count,
@@ -23,13 +25,7 @@ from heralded_qkd.analysis import (
     tmin_single_photon,
     tmin_wcp,
 )
-from heralded_qkd.keyrate import (
-    _KEY_RATE_ARRAY_TOL,
-    ChannelParams,
-    KeyRateReport,
-    _key_rate_array,
-    key_rate,
-)
+from heralded_qkd.keyrate import ChannelParams, KeyRateReport, key_rate
 from heralded_qkd.protocol import BB84, SARG04
 from heralded_qkd.source_detector import (
     HeraldResponse,
@@ -106,7 +102,8 @@ class TestOptimizeLambda:
         assert not res.converged
         assert res.key_rate == -math.inf
 
-    @pytest.mark.parametrize("lambda_max", [1e-8, 0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("lambda_max", [1e-8, 0.0, -1.0, math.nan, math.inf,
+                                            1.7976931348623157e308])
     def test_bad_bounds(self, lambda_max):
         with pytest.raises(ValueError, match="bounds"):
             optimize_lambda(BB84, wcp_response(), ChannelParams(0.1, 0.0), lambda_max)
@@ -124,7 +121,7 @@ class TestOptimizeLambda:
 
         monkeypatch.setattr(analysis, "key_rate", recording_key_rate)
         res = optimize_lambda(spec, r, ch)
-        assert res.lambda_opt in [float(x) for x in np.logspace(-8, 0, 200)]
+        assert res.lambda_opt in TestLambdaGrid.fresh_grid(1e-8, 1.0, 200)[0]
         assert len(set(scored)) == len(scored) == res.evaluations
         assert res.report == key_rate(spec, poisson_pair_stats(res.lambda_opt), r, ch)
 
@@ -134,8 +131,20 @@ class TestLambdaGrid:
 
     @staticmethod
     def fresh_grid(lo, hi, n):
-        grid = [float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n)]
+        # libm's pow of np.linspace's exponents: numpy's own power would round
+        # differently on CPUs with AVX-512
+        exponents = np.linspace(math.log10(lo), math.log10(hi), n).tolist()
+        grid = [10.0**x for x in exponents]
         return grid, [poisson_pair_stats(lam) for lam in grid]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-1e3, 1e3), hi=st.floats(-1e3, 1e3), n=st.integers(2, 500))
+    def test_linear_grid_is_linspace(self, lo, hi, n):
+        # np.linspace has a second formula for a step that underflows to 0;
+        # no grid comes near it
+        assume(lo == hi or (hi - lo) / (n - 1) != 0.0)
+        grid = analysis._linear_grid(lo, hi, n)
+        assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(lo, hi, n).tolist()]
 
     def test_matches_logspace_and_pair_stats(self):
         grid, pairs = analysis._lambda_grid(1.0)
@@ -224,6 +233,23 @@ def assert_array_agrees(spec, r, ch, lambda_max=1.0):
             assert abs(rates[i] - rep.key_rate) <= _KEY_RATE_ARRAY_TOL * rep.p_exp
 
 
+def exact_log2(x):
+    """math.log2 elementwise, with np.log2's -inf at 0 and NaN below 0."""
+    def one(v):
+        return -math.inf if v == 0.0 else math.log2(v) if v > 0.0 else math.nan
+
+    return np.vectorize(one, otypes=[float])(x)
+
+
+class NumpyWithExactLog2:
+    """numpy, save that log2 is exact_log2."""
+
+    log2 = staticmethod(exact_log2)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 def sarg04_edge_transmission(stats, r, dark_b):
     """Smallest float T in (0, 1] at which key_rate is SARG04-valid, or None.
 
@@ -271,6 +297,21 @@ class TestKeyRateArray:
             hits += rep.qber / rep.y == SARG04.q_max
             assert_array_agrees(SARG04, wcp_response(), ChannelParams(t, 1e-5))
         assert hits > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=responses, t=transmissions,
+           dark_b=dark_counts, lambda_max=lambda_maxes)
+    def test_equals_key_rate_with_exact_log2(self, spec, r, t, dark_b, lambda_max):
+        # the premise of _KEY_RATE_ARRAY_TOL: np.log2 is the kernels' only
+        # difference, so with math.log2 every entry is key_rate's bit for bit
+        ch = ChannelParams(t, dark_b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "np", NumpyWithExactLog2())
+            p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1],
+                                           r, t, dark_b)
+        reports = [key_rate(spec, s, r, ch) for s in grid_stats(lambda_max)]
+        assert p_exp.tolist() == [rep.p_exp for rep in reports]
+        assert [x.hex() for x in rates.tolist()] == [rep.key_rate.hex() for rep in reports]
 
     def test_zero_and_undefined_points(self):
         # nothing detected (p_exp 0), Q = 0 (0*log2(0)), and y <= 0
@@ -1004,7 +1045,8 @@ class TestTminCertificate:
         assert analysis._grid_pass(SARG04, r, ch, 1.0) is analysis._grid_pass(SARG04, r, ch, 1.0)
         assert analysis._grid_pass.cache_info().hits == 2
 
-    @pytest.mark.parametrize("lambda_max", [1e-8, 0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("lambda_max", [1e-8, 0.0, -1.0, math.nan, math.inf,
+                                            1.7976931348623157e308])
     def test_bad_lambda_max(self, lambda_max):
         with pytest.raises(ValueError, match="bounds"):
             tmin_numerical(BB84, wcp_response(), 1e-5, lambda_max)

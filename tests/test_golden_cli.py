@@ -5,10 +5,17 @@ these bytes is a change of the output contract and must be explained.
 Regenerate the files (only for a deliberate output change) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+The same bytes are required with numpy's AVX-512 code switched off, so that
+they do not depend on which CPU runs the tests.
 """
 
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +66,52 @@ def run(argv) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name):
     code, out = run(CASES[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def avx512_dispatch_features() -> list[str]:
+    """numpy's AVX-512 dispatch targets (X86_V4 and AVX512*) that this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__
+            if (f == "X86_V4" or f.startswith("AVX512")) and umath.__cpu_features__[f]]
+
+
+# run in a fresh interpreter: every case's (exit code, stdout), and the
+# features that are still on
+_DISPATCH_OFF_SCRIPT = """
+import json, sys
+from test_golden_cli import CASES, avx512_dispatch_features, run
+cases = {name: run(argv) for name, argv in CASES.items()}
+json.dump({"still_on": avx512_dispatch_features(), "cases": cases}, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def dispatch_off_runs() -> dict:
+    features = avx512_dispatch_features()
+    if not features:
+        pytest.skip("numpy dispatches no AVX-512 code on this CPU, so there is "
+                    "nothing to switch off")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-c", _DISPATCH_OFF_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["still_on"] == []
+    return result["cases"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden_without_avx512(dispatch_off_runs, name):
+    code, out = dispatch_off_runs[name]
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 

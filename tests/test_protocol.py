@@ -353,3 +353,25 @@ def test_no_module_imports_an_unused_name():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_only_analysis_imports_numpy():
+    # every array pass lives in analysis, so the rest of the package, the CLI
+    # included, is plain Python
+    import ast
+    from pathlib import Path
+
+    import heralded_qkd
+
+    importers = set()
+    for path in Path(heralded_qkd.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"analysis.py"}
