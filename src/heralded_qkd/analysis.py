@@ -96,10 +96,20 @@ class ScanSeries:
 
 def _linear_grid(lo: float, hi: float, n: int) -> list[float]:
     """n >= 2 evenly spaced floats from lo to hi, np.linspace's arithmetic bit
-    for bit: lo + i*step, the last one pinned to hi.  Log grids take 10.0 ** x
-    of them, libm's pow, which unlike numpy's power is the same on every CPU."""
+    for bit: lo + i*step, the last one pinned to hi."""
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n - 1)] + [hi]
+
+
+def _log_grid(lo_exp: float, hi_exp: float, n: int) -> list[float]:
+    """The package's log grids: 10.0 ** x of _linear_grid's exponents, libm's
+    pow, which unlike numpy's power is the same on every CPU."""
+    return [10.0**x for x in _linear_grid(lo_exp, hi_exp, n)]
+
+
+def _pair_array(lams) -> np.ndarray:
+    """poisson_pair_stats's (p0, p1, p2) of each of lams, as a (3, n) array."""
+    return np.array(list(map(_pair_probabilities, lams))).T
 
 
 @lru_cache(maxsize=8)
@@ -113,36 +123,36 @@ def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
     if not _LAMBDA_MIN < lambda_max < math.inf:  # a NaN is rejected too
         raise ValueError(f"bounds need finite lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
     try:
-        grid = tuple(10.0**x for x in _linear_grid(
+        grid = tuple(_log_grid(
             math.log10(_LAMBDA_MIN), math.log10(lambda_max), _LAMBDA_GRID_POINTS))
     except OverflowError:  # lambda_max within rounding of the largest float
         raise ValueError(f"bounds need a finite lambda grid, got {lambda_max}") from None
-    stats = [poisson_pair_stats(lam) for lam in grid]
-    pairs = np.array([[getattr(s, p) for s in stats] for p in ("p0", "p1", "p2")])
+    pairs = _pair_array(grid)
     pairs.flags.writeable = False
     return grid, pairs
 
 
-# each valid entry of _key_rate_array is within this times its p_exp of
+# each finite score of _key_rate_array is within this times its p_exp of
 # key_rate's at the same inputs, whatever the arrays' shapes: the two run the
 # same elementwise arithmetic and differ only in np.log2 against math.log2 in
 # the margin, whose terms are O(1), so by a few dozen ulp of 1 at most, and K
-# is p_exp * p_sift times the margin
+# is p_exp * p_sift times the margin.  _beats is its one reader.
 _KEY_RATE_ARRAY_TOL = 1e-13
 
 
 def _key_rate_array(
     spec: ProtocolSpec, pairs: np.ndarray, r: HeraldResponse, t, dark_b: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(p_exp, key rate) of key_rate over pair statistics pairs = (p0, p1, p2)
+    """(p_exp, score) of key_rate over pair statistics pairs = (p0, p1, p2)
     and transmissions t, broadcast together elementwise.
 
     pairs[i] and t may have any shapes that broadcast (a (rows, 1) column of
     transmissions against one grid scores a (rows, grid) block).  Each entry
     runs the same _detection and margin as key_rate at its own (p0, p1, p2,
-    t, dark_b), so p_exp, QBER, y, Q/y and the model-invalid entries (key
-    rate NaN) equal the scalar ones bit for bit, and each valid key rate is
-    within _KEY_RATE_ARRAY_TOL times its own p_exp of key_rate's.
+    t, dark_b), so p_exp, QBER, y and Q/y equal the scalar ones bit for bit.
+    A score is -inf exactly where key_rate is NaN (model-invalid), the
+    optimizer's score for it; any other is within _KEY_RATE_ARRAY_TOL times
+    its own p_exp of key_rate's.  Compare scores only through _beats.
     """
     # invalid entries hold NaN, inf or garbage until masked; numpy stays quiet
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -151,18 +161,16 @@ def _key_rate_array(
         valid = (p_exp != 0.0) & (y > 0.0) & (ratio <= spec.q_max)
         i_ab = 1.0 - _binary_entropy(q, np.log2)
         margin = _margin(spec, i_ab, y, spec.eve_info(ratio, np.log2))
-        return p_exp, np.where(valid, p_exp * spec.p_sift * margin, np.nan)
+        return p_exp, np.where(valid, p_exp * spec.p_sift * margin, -np.inf)
 
 
-def _near_best(scores, p_exp, best, p_best):
-    """The grid points that key_rate's first maximum can be at, as a mask.
-
-    Each array score is within _KEY_RATE_ARRAY_TOL * p_exp of key_rate's, so
-    key_rate's first maximum is among the points within both points'
-    tolerances of the array maximum best (whose p_exp is p_best), and every
-    point outside them scores strictly below it.  Arrays that broadcast.
-    """
-    return scores >= best - _KEY_RATE_ARRAY_TOL * (p_exp + p_best)
+def _beats(x, p_x, y, p_y):
+    """key_rate at array score x (p_exp p_x) is proven above key_rate at y
+    (p_exp p_y), NaN counting as -inf: each finite score is within
+    _KEY_RATE_ARRAY_TOL times its p_exp of key_rate's, and y is below x by
+    more than both.  Against y = 0 at p_y = 0 it proves key_rate > 0 at x.
+    Floats or arrays that broadcast; no -inf - -inf is formed."""
+    return y < x - _KEY_RATE_ARRAY_TOL * (p_x + p_y)
 
 
 @lru_cache(maxsize=1)
@@ -172,23 +180,20 @@ def _grid_pass(
     """(candidates, certified) from one _key_rate_array pass over the coarse
     pump-strength grid.
 
-    An array rate is within _KEY_RATE_ARRAY_TOL * p_exp of key_rate's where
-    the point is model-valid, and scores -inf where it is not.  candidates
-    are the grid indices, in order, that key_rate's first maximum can be at
-    (_near_best; empty when no point is model-valid); certified is True when
-    a point's key_rate, and so the optimum, is proven positive.  The last
-    setting is memoized, so a tmin_numerical sign test and the
-    optimize_lambda call after it share one pass.
+    candidates are the grid indices, in order, that key_rate's first maximum
+    can be at: those the array maximum does not _beat (empty when no point
+    is model-valid).  certified is True when a point's key_rate, and so the
+    optimum, is proven positive.  The last setting is memoized, so a
+    tmin_numerical sign test and the optimize_lambda call after it share one
+    pass.
     """
-    p_exp, rates = _key_rate_array(spec, _lambda_grid(lambda_max)[1], r,
-                                   ch.transmission, ch.dark_b)
-    scores = np.where(np.isnan(rates), -np.inf, rates)
+    p_exp, scores = _key_rate_array(spec, _lambda_grid(lambda_max)[1], r,
+                                    ch.transmission, ch.dark_b)
     top = int(np.argmax(scores))
     if scores[top] == -np.inf:  # the validity mask is key_rate's, bit for bit
         return (), False
-    near = _near_best(scores, p_exp, scores[top], p_exp[top])
-    # a point clearing its own tolerance has key_rate > 0 there
-    certified = bool((scores > _KEY_RATE_ARRAY_TOL * p_exp).any())
+    near = ~_beats(scores[top], p_exp[top], scores, p_exp)
+    certified = bool(_beats(scores, p_exp, 0.0, 0.0).any())
     return tuple(np.flatnonzero(near).tolist()), certified
 
 
@@ -295,11 +300,10 @@ def _scan_plan(
     candidates = []
     for i in range(0, len(ts), _SCAN_BLOCK_ROWS):
         block = np.array(ts[i:i + _SCAN_BLOCK_ROWS])[:, None]
-        p_exp, rates = _key_rate_array(spec, pairs, r, block, dark_b)
-        scores = np.where(np.isnan(rates), -np.inf, rates)
+        p_exp, scores = _key_rate_array(spec, pairs, r, block, dark_b)
         rows, top = np.arange(len(scores)), np.argmax(scores, axis=1)
         best = scores[rows, top]
-        near = _near_best(scores, p_exp, best[:, None], p_exp[rows, top][:, None])
+        near = ~_beats(best[:, None], p_exp[rows, top][:, None], scores, p_exp)
         # a row at -inf is model-invalid throughout: no candidate
         candidates += [tuple(np.flatnonzero(row).tolist()) if row_best > -math.inf else ()
                        for row, row_best in zip(near, best.tolist())]
@@ -322,11 +326,11 @@ def _lockstep_brackets(
     The T points with exactly one grid candidate, whose bracket the grid
     fixes, run optimize_lambda's golden-section steps together: each step
     scores one new point per T in one _key_rate_array pass.  A step's
-    fc >= fd is taken from the array scores only where they differ by more
-    than both points' tolerances, or are both -inf (the validity mask is
-    key_rate's), so it is key_rate's decision.  A T leaves when its bracket
-    has converged, when its decision is not proven, or when fewer than
-    _LOCKSTEP_MIN_ROWS T points would go on; optimize_lambda continues it.
+    fc >= fd is taken from the array scores only where one _beats the other,
+    or both are -inf (the validity mask is key_rate's), so it is key_rate's
+    decision.  A T leaves when its bracket has converged, when its decision
+    is not proven, or when fewer than _LOCKSTEP_MIN_ROWS T points would go
+    on; optimize_lambda continues it.
     """
     brackets = [None] * len(ts)
     rows = np.array([i for i, found in enumerate(candidates) if len(found) == 1])
@@ -336,12 +340,8 @@ def _lockstep_brackets(
     top = np.array([candidates[i][0] for i in rows])
     t = np.array(ts)[rows]
 
-    def score(lams, t):
-        """(p_exp, score) at one pump strength per row; the pair statistics
-        are poisson_pair_stats's, bit for bit."""
-        pairs = np.array(list(map(_pair_probabilities, lams.tolist()))).T
-        p_exp, rates = _key_rate_array(spec, pairs, r, t, dark_b)
-        return p_exp, np.where(np.isnan(rates), -np.inf, rates)
+    def score(lams, t):  # (p_exp, score) at one pump strength per row
+        return _key_rate_array(spec, _pair_array(lams.tolist()), r, t, dark_b)
 
     # optimize_lambda's arithmetic, elementwise, so every bracket is its own
     a = grid[np.maximum(top - 1, 0)]
@@ -350,9 +350,8 @@ def _lockstep_brackets(
     d = a + _INV_GOLDEN * (b - a)
     (pc, fc), (pd, fd) = score(c, t), score(d, t)
     while True:
-        with np.errstate(invalid="ignore"):  # -inf - -inf where both are invalid
-            proven = (np.abs(fc - fd) > _KEY_RATE_ARRAY_TOL * (pc + pd)) | (
-                (fc == -np.inf) & (fd == -np.inf))
+        proven = (_beats(fc, pc, fd, pd) | _beats(fd, pd, fc, pc)
+                  | ((fc == -np.inf) & (fd == -np.inf)))
         stay = _searching(a, b) & proven
         if np.count_nonzero(stay) < _LOCKSTEP_MIN_ROWS:
             stay[:] = False
@@ -577,8 +576,8 @@ def fit_power_law(series: ScanSeries) -> tuple[float, float]:
     """Fit K = prefactor * T**exponent over secure scan points.
 
     Least squares on log K versus log T over the top decade of secure
-    transmissions, where the quadratic scaling holds.
-    Returns (exponent, prefactor).
+    transmissions, where the quadratic scaling holds; that decade needs at
+    least 3 distinct T.  Returns (exponent, prefactor).
     """
     secure = [
         (t, res.report.key_rate)
@@ -589,9 +588,9 @@ def fit_power_law(series: ScanSeries) -> tuple[float, float]:
         raise ValueError("no secure points in the scan")
     t_max = max(t for t, _ in secure)
     selected = [(t, k) for t, k in secure if t_max / 10.0 <= t]
-    if len(selected) < 3:
-        raise ValueError(f"need at least 3 secure points in window "
-                         f"({t_max / 10.0}, {t_max}), got {len(selected)}")
+    if (distinct := len({t for t, _ in selected})) < 3:  # too few T for a line
+        raise ValueError(f"need at least 3 distinct secure transmissions in window "
+                         f"({t_max / 10.0}, {t_max}), got {distinct}")
     log_t = np.log10([t for t, _ in selected])
     log_k = np.log10([k for _, k in selected])
     exponent, intercept = np.polyfit(log_t, log_k, 1)

@@ -218,8 +218,7 @@ def _t_grid(args) -> list[float]:
             f"T range must satisfy 0 < t_min < t_max <= 1, "
             f"got [{args.t_min}, {args.t_max}]"
         )
-    return [10.0**x for x in analysis._linear_grid(
-        math.log10(args.t_min), math.log10(args.t_max), args.points)]
+    return analysis._log_grid(math.log10(args.t_min), math.log10(args.t_max), args.points)
 
 
 def _emit_table(args, header: Sequence[str], rows: list[list], comments: list[str]):
@@ -423,7 +422,7 @@ def _fitted_prefactor(
     spec: ProtocolSpec, r: HeraldResponse, dark_b: float
 ) -> float:
     """Quadratic-model prefactor fitted to a numerically optimized scan."""
-    grid = [10.0**x for x in analysis._linear_grid(-3.5, -2.0, 12)]
+    grid = analysis._log_grid(-3.5, -2.0, 12)
     series = analysis.scan_key_rate(spec, r, dark_b, grid)
     _, prefactor = analysis.fit_power_law(series)
     return prefactor

@@ -220,17 +220,23 @@ dark_counts = st.one_of(st.just(0.0), log_small.map(lambda d: 0.1 * d))
 lambda_maxes = st.sampled_from([1.0, 0.5, 10.0])
 
 
+def optimizer_score(k):
+    """A key rate as the optimizer scores it: a model-invalid NaN is -inf."""
+    return -math.inf if math.isnan(k) else k
+
+
 def assert_array_agrees(spec, r, ch, lambda_max=1.0):
-    """_key_rate_array against key_rate at every grid point: p_exp and the
-    validity mask exactly, a valid rate within _KEY_RATE_ARRAY_TOL * p_exp."""
-    p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r,
-                                   ch.transmission, ch.dark_b)
+    """_key_rate_array against key_rate at every grid point: p_exp exactly, a
+    score of -inf exactly where key_rate is NaN, any other score within
+    _KEY_RATE_ARRAY_TOL * p_exp of key_rate."""
+    p_exp, scores = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r,
+                                    ch.transmission, ch.dark_b)
     for i, s in enumerate(grid_stats(lambda_max)):
         rep = key_rate(spec, s, r, ch)
         assert p_exp[i] == rep.p_exp
-        assert math.isnan(rates[i]) == math.isnan(rep.key_rate)
+        assert (scores[i] == -math.inf) == math.isnan(rep.key_rate)
         if not math.isnan(rep.key_rate):
-            assert abs(rates[i] - rep.key_rate) <= _KEY_RATE_ARRAY_TOL * rep.p_exp
+            assert abs(scores[i] - rep.key_rate) <= _KEY_RATE_ARRAY_TOL * rep.p_exp
 
 
 def exact_log2(x):
@@ -303,15 +309,33 @@ class TestKeyRateArray:
            dark_b=dark_counts, lambda_max=lambda_maxes)
     def test_equals_key_rate_with_exact_log2(self, spec, r, t, dark_b, lambda_max):
         # the premise of _KEY_RATE_ARRAY_TOL: np.log2 is the kernels' only
-        # difference, so with math.log2 every entry is key_rate's bit for bit
+        # difference, so with math.log2 every score is key_rate's optimizer
+        # score bit for bit
         ch = ChannelParams(t, dark_b)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "np", NumpyWithExactLog2())
-            p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1],
-                                           r, t, dark_b)
+            p_exp, scores = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1],
+                                            r, t, dark_b)
         reports = [key_rate(spec, s, r, ch) for s in grid_stats(lambda_max)]
         assert p_exp.tolist() == [rep.p_exp for rep in reports]
-        assert [x.hex() for x in rates.tolist()] == [rep.key_rate.hex() for rep in reports]
+        assert [x.hex() for x in scores.tolist()] == [
+            optimizer_score(rep.key_rate).hex() for rep in reports]
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses,
+           t=transmissions, dark_b=dark_counts, lambda_max=lambda_maxes)
+    def test_beats_proves_key_rate_order(self, spec, r, t, dark_b, lambda_max):
+        # the one proof rule for array scores, over every pair of grid points:
+        # a point that _beats another has the higher key_rate, NaN counting
+        # as -inf, and a point that _beats 0 at p_exp 0 has key_rate > 0
+        ch = ChannelParams(t, dark_b)
+        p_exp, scores = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r,
+                                        t, dark_b)
+        k = np.array([optimizer_score(key_rate(spec, s, r, ch).key_rate)
+                      for s in grid_stats(lambda_max)])
+        beats = analysis._beats(scores[:, None], p_exp[:, None], scores, p_exp)
+        assert not (beats & ~(k[:, None] > k)).any()
+        assert not (analysis._beats(scores, p_exp, 0.0, 0.0) & ~(k > 0.0)).any()
 
     def test_zero_and_undefined_points(self):
         # nothing detected (p_exp 0), Q = 0 (0*log2(0)), and y <= 0
@@ -533,6 +557,21 @@ class TestScanLockstep:
             ch = ChannelParams(t, dark_b)
             assert candidates == analysis._grid_pass(spec, r, ch, lambda_max)[0]
 
+    @pytest.mark.parametrize("spec, r", [(BB84, THREE_STAGE), (SARG04, wcp_response())])
+    def test_every_block_is_planned(self, spec, r):
+        # more distinct T than two blocks of rows, so the third block holds 7
+        t_grid = analysis._log_grid(-8.0, 0.0, 2 * analysis._SCAN_BLOCK_ROWS + 7)
+        with pytest.MonkeyPatch.context() as mp:
+            plans = recorded_plans(mp)
+            series = scan_key_rate(spec, r, 1e-5, t_grid)
+        assert len(set(t_grid)) == len(plans) == len(t_grid)
+        for (t, got), plan in zip(series.points, plans):
+            ch = ChannelParams(t, 1e-5)
+            cold = optimize_lambda(spec, r, ch)
+            assert repr(dataclasses.replace(got, evaluations=0)) == repr(
+                dataclasses.replace(cold, evaluations=0))
+            assert plan is not None and plan[0] == analysis._grid_pass(spec, r, ch, 1.0)[0]
+
     def test_undecided_steps_drop_out_to_the_scalar_loop(self, monkeypatch,
                                                          fresh_grid_scores):
         # plateau_key_rate with lambda_max = 0.26: only the top grid point
@@ -564,17 +603,19 @@ class TestScanLockstep:
         # two -inf scores moves the bracket down onto the higher window.
         peak = grid_stats(1.0)[150].p1
 
-        def window_rate(p1):
+        def window_rate(p1, invalid):
             off = p1 / peak - 1.0
             return np.where(abs(off) < 0.005, -abs(off),
-                            np.where((-0.07 <= off) & (off <= -0.03), 1e-3, math.nan))
+                            np.where((-0.07 <= off) & (off <= -0.03), 1e-3, invalid))
 
         def window_key_rate(spec, stats, r, ch):
-            return KeyRateReport(1.0, 0.0, 1.0, float(window_rate(stats.p1)), True, False)
+            k = float(window_rate(stats.p1, math.nan))
+            return KeyRateReport(1.0, 0.0, 1.0, k, True, False)
 
         def window_key_rate_array(spec, pairs, r, t, dark_b):
-            rates = window_rate(pairs[1] + np.zeros(np.shape(t)))
-            return np.ones(rates.shape), rates
+            # the kernel's scores: -inf where key_rate is NaN
+            scores = window_rate(pairs[1] + np.zeros(np.shape(t)), -np.inf)
+            return np.ones(scores.shape), scores
 
         monkeypatch.setattr(analysis, "key_rate", window_key_rate)
         monkeypatch.setattr(analysis, "_key_rate_array", window_key_rate_array)
@@ -1148,9 +1189,14 @@ class TestScanAndFit:
             fit_power_law(series)
 
     def test_fit_insufficient_points(self):
-        series = scan_key_rate(BB84, binary_response(), 1e-5, [0.01, 0.02])
-        with pytest.raises(ValueError):
-            fit_power_law(series)
+        # too few distinct T in the top decade, however many points repeat them
+        for r, t_grid in [(binary_response(), [0.01, 0.02]),
+                          (THREE_STAGE, [0.01] * 5),
+                          (THREE_STAGE, [0.01] * 4 + [0.011])]:
+            series = scan_key_rate(BB84, r, 1e-5, t_grid)
+            assert all(res.report.secure for _, res in series.points)
+            with pytest.raises(ValueError, match="at least 3 distinct"):
+                fit_power_law(series)
 
     def test_fitted_prefactor_ratio_matches_detector_factor(self):
         d_b = 1e-5

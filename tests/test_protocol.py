@@ -375,3 +375,23 @@ def test_only_analysis_imports_numpy():
             if any(m.split(".")[0] == "numpy" for m in modules):
                 importers.add(path.name)
     assert importers == {"analysis.py"}
+
+
+def test_only_beats_reads_the_array_tolerance():
+    # every comparison of array scores goes through analysis._beats, so the
+    # array kernel's error bound has one reader
+    import ast
+    from pathlib import Path
+
+    import heralded_qkd
+
+    readers = set()
+    for path in Path(heralded_qkd.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if ((isinstance(node, ast.Name) and node.id == "_KEY_RATE_ARRAY_TOL"
+                     and isinstance(node.ctx, ast.Load))
+                        or (isinstance(node, ast.Attribute)
+                            and node.attr == "_KEY_RATE_ARRAY_TOL")):
+                    readers.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert readers == {"analysis._beats"}
