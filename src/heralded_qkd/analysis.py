@@ -65,12 +65,6 @@ _SCAN_BLOCK_ROWS = 50
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# (spec, r, ch, lambda_max) -> (candidates, bracket) of every T of the
-# scan_key_rate call in progress, for its optimize_lambda calls; empty
-# between scans.  bracket is None, or the golden-section state (a, b, c, d)
-# at which the T left the lockstep.
-_scan_plans: dict = {}
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -173,7 +167,6 @@ def _beats(x, p_x, y, p_y):
     return y < x - _KEY_RATE_ARRAY_TOL * (p_x + p_y)
 
 
-@lru_cache(maxsize=1)
 def _grid_pass(
     spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, lambda_max: float
 ) -> tuple[tuple[int, ...], bool]:
@@ -183,9 +176,7 @@ def _grid_pass(
     candidates are the grid indices, in order, that key_rate's first maximum
     can be at: those the array maximum does not _beat (empty when no point
     is model-valid).  certified is True when a point's key_rate, and so the
-    optimum, is proven positive.  The last setting is memoized, so a
-    tmin_numerical sign test and the optimize_lambda call after it share one
-    pass.
+    optimum, is proven positive.
     """
     p_exp, scores = _key_rate_array(spec, _lambda_grid(lambda_max)[1], r,
                                     ch.transmission, ch.dark_b)
@@ -208,6 +199,8 @@ def optimize_lambda(
     r: HeraldResponse,
     ch: ChannelParams,
     lambda_max: float = DEFAULT_LAMBDA_MAX,
+    *,
+    _plan: tuple | None = None,
 ) -> OptimizationResult:
     """Maximize the key rate over the pump strength in [1e-8, lambda_max].
 
@@ -216,17 +209,22 @@ def optimize_lambda(
     1e-6 in the pump strength.  The grid is scored in one array pass
     (_grid_pass), and only the candidate points near its best are rescored
     with key_rate, so the bracket is the one a key_rate call at every grid
-    point would give.  Called by scan_key_rate, it takes the grid's
-    candidates, and the golden-section bracket where this T left the
-    lockstep, from the scan's plan, and continues from there.  Every score
-    comes from one evaluator, so evaluations is the number of key_rate calls
-    made by this call, each pump strength evaluated once (0 when no grid
-    point is model-valid); array passes are not counted, so within a scan it
-    is not the search's total work.  converged is False when the optimum
-    sits at a bound or when no probed point was model-valid.
+    point would give.  Every score comes from one evaluator, so evaluations
+    is the number of key_rate calls made by this call, each pump strength
+    evaluated once (0 when no grid point is model-valid); array passes are
+    not counted, so a call given a plan does not count the search's total
+    work.  converged is False when the optimum sits at a bound or when no
+    probed point was model-valid.
+
+    _plan, for the package's own callers, is (candidates, bracket) already
+    worked out for this call's inputs: the grid candidates _grid_pass gives,
+    and None or the golden-section state (a, b, c, d) to continue from.
+    scan_key_rate passes each T's plan, tmin_numerical its step's grid pass;
+    the result equals the one computed without it.
     """
-    plan = _scan_plans.get((spec, r, ch, lambda_max)) if _scan_plans else None
-    candidates, bracket = plan or (_grid_pass(spec, r, ch, lambda_max)[0], None)
+    if _plan is None:  # ((), None) is a plan: no grid point is model-valid
+        _plan = _grid_pass(spec, r, ch, lambda_max)[0], None
+    candidates, bracket = _plan
     if not candidates:
         return OptimizationResult(
             lambda_opt=math.nan, report=None, converged=False, evaluations=0,
@@ -250,7 +248,7 @@ def optimize_lambda(
         b = grid[min(best_idx + 1, _LAMBDA_GRID_POINTS - 1)]
         c = b - _INV_GOLDEN * (b - a)
         d = a + _INV_GOLDEN * (b - a)
-    else:  # where the scan's lockstep left this T
+    else:  # where the plan's lockstep left this T
         a, b, c, d = bracket
 
     # golden-section refinement on the bracket; one the lockstep converged
@@ -289,9 +287,9 @@ def optimize_lambda(
 
 def _scan_plan(
     spec: ProtocolSpec, r: HeraldResponse, channels: list[ChannelParams], lambda_max: float
-) -> dict:
-    """_scan_plans entries of the distinct channels of one scan, all at one
-    d_B: each T's grid candidates, those _grid_pass gives, from (T x lambda)
+) -> list[tuple]:
+    """optimize_lambda's _plan for each of channels, all at one d_B, in
+    order: each T's grid candidates, those _grid_pass gives, from (T x lambda)
     array passes of at most _SCAN_BLOCK_ROWS rows, and its
     _lockstep_brackets state."""
     pairs = _lambda_grid(lambda_max)[1]
@@ -307,9 +305,8 @@ def _scan_plan(
         # a row at -inf is model-invalid throughout: no candidate
         candidates += [tuple(np.flatnonzero(row).tolist()) if row_best > -math.inf else ()
                        for row, row_best in zip(near, best.tolist())]
-    brackets = _lockstep_brackets(spec, r, dark_b, ts, candidates, lambda_max)
-    return {(spec, r, ch, lambda_max): plan
-            for ch, plan in zip(channels, zip(candidates, brackets))}
+    return list(zip(candidates, _lockstep_brackets(spec, r, dark_b, ts, candidates,
+                                                    lambda_max)))
 
 
 def _lockstep_brackets(
@@ -379,17 +376,12 @@ def _short_distance_penalty(spec: ProtocolSpec, t: float) -> float:
     return spec.i_ae_two - 2.0 * t
 
 
-def _short_distance_regime(spec: ProtocolSpec, t: float) -> bool:
-    """I_AE2 > 2T: only there does the short-distance expansion have an
-    interior optimum in the pump strength."""
-    return _short_distance_penalty(spec, t) > 0.0
-
-
 def _regime_penalty(spec: ProtocolSpec, t: float) -> float:
-    """I_AE2 - 2T, required positive (_short_distance_regime)."""
-    if not _short_distance_regime(spec, t):
+    """I_AE2 - 2T, required positive: only there does the short-distance
+    expansion have an interior optimum in the pump strength."""
+    if not (penalty := _short_distance_penalty(spec, t)) > 0.0:
         raise ValueError(f"short-distance approximation needs I_AE2 > 2T, got T = {t}")
-    return _short_distance_penalty(spec, t)
+    return penalty
 
 
 def short_distance_key_rate(
@@ -511,17 +503,19 @@ def tmin_numerical(
     1e-3.  A step only needs that sign.  When the step's _grid_pass
     certifies a positive key_rate at a grid point, the optimum is positive
     too, so the step skips the golden section; only the other steps call
-    optimize_lambda, which reuses the step's memoized pass.  The result is
-    the one optimize_lambda at every step gives.
+    optimize_lambda, handing it the step's grid candidates as its _plan, so
+    each step makes one array pass.  The result is the one optimize_lambda
+    at every step gives.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
 
     def positive(t: float) -> bool:
         ch = ChannelParams(transmission=t, dark_b=dark_b)
+        candidates, certified = _grid_pass(spec, r, ch, lambda_max)
         # optimize_lambda never returns less than the grid's best key_rate
-        return (_grid_pass(spec, r, ch, lambda_max)[1]
-                or optimize_lambda(spec, r, ch, lambda_max).key_rate > 0.0)
+        return certified or optimize_lambda(
+            spec, r, ch, lambda_max, _plan=(candidates, None)).key_rate > 0.0
 
     t_lo, t_hi = 1e-8, 1.0
     if not positive(t_hi) or positive(t_lo):
@@ -551,9 +545,9 @@ def scan_key_rate(
     transmissions in (T x lambda) array passes, and runs their golden
     sections in lockstep as array passes while enough T points search and
     each step's decision is proven (_lockstep_brackets).  It then calls
-    optimize_lambda once per point, which rescores the grid candidates and
-    finishes that T's search with key_rate; a point's evaluations counts
-    only those calls, not the array passes.
+    optimize_lambda once per point with that T's plan, which rescores the
+    grid candidates and finishes the T's search with key_rate; a point's
+    evaluations counts only those calls, not the array passes.
     """
     t_grid = list(t_grid)
     if not t_grid:
@@ -562,14 +556,11 @@ def scan_key_rate(
         if not 0.0 < t <= 1.0:
             raise ValueError(f"transmission must be in (0, 1], got {t}")
     channels = [ChannelParams(transmission=t, dark_b=dark_b) for t in t_grid]
-    try:
-        # a repeated T is planned once
-        _scan_plans.update(_scan_plan(spec, r, list(dict.fromkeys(channels)), lambda_max))
-        points = [(ch.transmission, optimize_lambda(spec, r, ch, lambda_max))
-                  for ch in channels]
-    finally:
-        _scan_plans.clear()
-    return ScanSeries(points=points)
+    distinct = list(dict.fromkeys(channels))  # a repeated T is planned once
+    plans = dict(zip(distinct, _scan_plan(spec, r, distinct, lambda_max)))
+    return ScanSeries(points=[
+        (ch.transmission, optimize_lambda(spec, r, ch, lambda_max, _plan=plans[ch]))
+        for ch in channels])
 
 
 def fit_power_law(series: ScanSeries) -> tuple[float, float]:

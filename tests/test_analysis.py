@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heralded_qkd import analysis
@@ -50,15 +50,6 @@ def grid_stats(lambda_max):
     """Pair statistics of the coarse grid's points, built as the optimizer
     builds the ones it rescores."""
     return [poisson_pair_stats(lam) for lam in analysis._lambda_grid(lambda_max)[0]]
-
-
-@pytest.fixture
-def fresh_grid_scores():
-    """Empty the array-pass memo before and after a test that patches
-    _key_rate_array, so neither it nor a later test reads a stale pass."""
-    analysis._grid_pass.cache_clear()
-    yield
-    analysis._grid_pass.cache_clear()
 
 
 class TestOptimizeLambda:
@@ -180,8 +171,8 @@ class TestLambdaGrid:
         # (K = p_sift T lam e^-lam for an ideal herald peaks at lam = 1)
         results = []
 
-        def recording_optimize(*args):
-            results.append(optimize_lambda(*args))
+        def recording_optimize(*args, _plan=None):
+            results.append(optimize_lambda(*args, _plan=_plan))
             return results[-1]
 
         monkeypatch.setattr(analysis, "optimize_lambda", recording_optimize)
@@ -448,7 +439,7 @@ class TestArgmaxOracle:
         assert res.key_rate < 0.0 and not res.converged
         assert res.evaluations > 200  # all 200 grid points rescored
 
-    def test_first_of_tied_maxima_wins(self, monkeypatch, fresh_grid_scores):
+    def test_first_of_tied_maxima_wins(self, monkeypatch):
         # the rescoring must still find the first scalar maximum of
         # plateau_key_rate, whose array form peaks at the last grid point
         monkeypatch.setattr(analysis, "key_rate", plateau_key_rate)
@@ -523,12 +514,12 @@ def scan_grids(draw):
 
 
 def recorded_plans(monkeypatch):
-    """Patch optimize_lambda to record the scan plan each call finds, if any."""
+    """Patch optimize_lambda to record the plan each call is given, if any."""
     plans = []
 
-    def recording_optimize(spec, r, ch, lambda_max):
-        plans.append(analysis._scan_plans.get((spec, r, ch, lambda_max)))
-        return optimize_lambda(spec, r, ch, lambda_max)
+    def recording_optimize(spec, r, ch, lambda_max, *, _plan=None):
+        plans.append(_plan)
+        return optimize_lambda(spec, r, ch, lambda_max, _plan=_plan)
 
     monkeypatch.setattr(analysis, "optimize_lambda", recording_optimize)
     return plans
@@ -572,8 +563,7 @@ class TestScanLockstep:
                 dataclasses.replace(cold, evaluations=0))
             assert plan is not None and plan[0] == analysis._grid_pass(spec, r, ch, 1.0)[0]
 
-    def test_undecided_steps_drop_out_to_the_scalar_loop(self, monkeypatch,
-                                                         fresh_grid_scores):
+    def test_undecided_steps_drop_out_to_the_scalar_loop(self, monkeypatch):
         # plateau_key_rate with lambda_max = 0.26: only the top grid point
         # reaches the plateau, so every T has one candidate and enters the
         # lockstep; once c and d both sit on the plateau their rates tie
@@ -594,7 +584,7 @@ class TestScanLockstep:
             assert analysis._searching(a, b)
             assert res.converged and 0.259 < res.lambda_opt < 0.26  # p1 = 0.2 at 0.2592
 
-    def test_steps_between_invalid_points(self, monkeypatch, fresh_grid_scores):
+    def test_steps_between_invalid_points(self, monkeypatch):
         # a synthetic rate at p_exp = 1, model-valid only in two windows of
         # p1 / P, P being the p1 of grid point 150: within 0.5% of 1, where
         # it peaks at 0 on that grid point, every T's one candidate; and in
@@ -631,28 +621,25 @@ class TestScanLockstep:
         t_grid = np.logspace(-4, -1, 40).tolist()
         plans = recorded_plans(monkeypatch)
         scan_key_rate(BB84, r, 1e-5, t_grid)
-        assert analysis._scan_plans == {}
         # every T was planned, and left the lockstep with its bracket
         # narrowed from the grid's (about 20% of lambda) to below 1e-4
         assert len(plans) == 40
         assert all(b - a < 1e-4 * b for _, (a, b, _, _) in plans)
 
-        def failing_optimize(spec, r, ch, lambda_max):
+        def failing_optimize(spec, r, ch, lambda_max, *, _plan=None):
             if ch.transmission == t_grid[3]:
                 raise RuntimeError("mid-scan failure")
-            return optimize_lambda(spec, r, ch, lambda_max)
+            return optimize_lambda(spec, r, ch, lambda_max, _plan=_plan)
 
         monkeypatch.setattr(analysis, "optimize_lambda", failing_optimize)
         with pytest.raises(RuntimeError, match="mid-scan failure"):
             scan_key_rate(BB84, r, 1e-5, t_grid)
-        assert analysis._scan_plans == {}
 
     def test_optimize_after_a_scan_equals_a_cold_call(self):
         t_grid = np.logspace(-4, -1, 40).tolist()
         series = scan_key_rate(SARG04, THREE_STAGE, 1e-5, t_grid)
         ch = ChannelParams(t_grid[17], 1e-5)
         after = optimize_lambda(SARG04, THREE_STAGE, ch)
-        analysis._grid_pass.cache_clear()
         cold = optimize_lambda(SARG04, THREE_STAGE, ch)
         assert after == cold
         scanned = series.points[17][1]
@@ -667,7 +654,6 @@ class TestScanLockstep:
     def test_bad_settings_rejected(self, dark_b, lambda_max, message):
         with pytest.raises(ValueError, match=message):
             scan_key_rate(BB84, wcp_response(), dark_b, [0.01, 0.1], lambda_max)
-        assert analysis._scan_plans == {}
 
 
 @pytest.mark.parametrize("short_distance", [
@@ -1019,8 +1005,20 @@ class TestTminCertificate:
         if certified.size:
             assert optimize_lambda(spec, r, ch, lambda_max).key_rate > 0.0
 
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses, t=transmissions,
+           dark_b=dark_counts, lambda_max=lambda_maxes)
+    @example(spec=BB84, r=wcp_response(), t=0.0, dark_b=0.0, lambda_max=1.0)  # plan ((), None)
+    def test_step_plan_equals_no_plan(self, spec, r, t, dark_b, lambda_max):
+        # the plan a sign test hands over is the one optimize_lambda works
+        # out for itself: the results agree bit for bit, evaluations included
+        ch = ChannelParams(t, dark_b)
+        plan = (analysis._grid_pass(spec, r, ch, lambda_max)[0], None)
+        assert repr(optimize_lambda(spec, r, ch, lambda_max, _plan=plan)) == repr(
+            optimize_lambda(spec, r, ch, lambda_max))
+
     @pytest.mark.parametrize("spec", [BB84, SARG04])
-    def test_one_array_pass_per_sign_test(self, spec, monkeypatch, fresh_grid_scores):
+    def test_one_array_pass_per_sign_test(self, spec, monkeypatch):
         r = multiplexed_response(
             MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1e-6, eta_c=0.98))
         expected = reference_tmin(spec, r, 1e-5)
@@ -1030,8 +1028,9 @@ class TestTminCertificate:
             passes.append(t)
             return _key_rate_array(spec, pairs, r, t, dark_b)
 
-        def counting_optimize(spec, r, ch, lambda_max):
-            optimized.append((ch.transmission, optimize_lambda(spec, r, ch, lambda_max)))
+        def counting_optimize(spec, r, ch, lambda_max, *, _plan=None):
+            optimized.append((ch.transmission,
+                              optimize_lambda(spec, r, ch, lambda_max, _plan=_plan)))
             return optimized[-1][1]
 
         def counting_key_rate(spec, stats, r, ch):
@@ -1052,8 +1051,7 @@ class TestTminCertificate:
         assert len(scored) == sum(res.evaluations for _, res in optimized)
         assert 0 < len(optimized) < 17
 
-    def test_array_rate_within_the_bound_is_not_certified(
-            self, monkeypatch, fresh_grid_scores):
+    def test_array_rate_within_the_bound_is_not_certified(self, monkeypatch):
         # a synthetic rate, 0 below T = 0.01 and 1 from there, at p_exp = 1,
         # whose array form is 0.9 of the bound too high: below 0.01 every
         # array rate is positive, yet only optimize_lambda may decide the sign
@@ -1072,19 +1070,16 @@ class TestTminCertificate:
         assert t_min == reference_tmin(BB84, wcp_response(), 1e-5)
         assert 0.01 <= t_min < 0.01 * (1.0 + analysis._TMIN_REL_TOL)
 
-    def test_grid_scores_match_a_fresh_pass(self, fresh_grid_scores):
+    def test_grid_scores_match_a_fresh_pass(self):
         r, ch = binary_response(), ChannelParams(0.01, 1e-5)
         candidates, certified = analysis._grid_pass(SARG04, r, ch, 1.0)
-        p_exp, rates = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[1], r,
-                                       ch.transmission, ch.dark_b)
-        scores = np.where(np.isnan(rates), -np.inf, rates)
+        p_exp, scores = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[1], r,
+                                        ch.transmission, ch.dark_b)
         top = int(np.argmax(scores))
         bound = _KEY_RATE_ARRAY_TOL * (p_exp + p_exp[top])
         assert candidates == tuple(int(i) for i in np.flatnonzero(scores >= scores[top] - bound))
         assert certified == bool((scores > _KEY_RATE_ARRAY_TOL * p_exp).any())
         assert 0 < len(candidates) < 200 and certified  # a nontrivial pass
-        assert analysis._grid_pass(SARG04, r, ch, 1.0) is analysis._grid_pass(SARG04, r, ch, 1.0)
-        assert analysis._grid_pass.cache_info().hits == 2
 
     @pytest.mark.parametrize("lambda_max", [1e-8, 0.0, -1.0, math.nan, math.inf,
                                             1.7976931348623157e308])

@@ -395,3 +395,36 @@ def test_only_beats_reads_the_array_tolerance():
                             and node.attr == "_KEY_RATE_ARRAY_TOL")):
                     readers.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert readers == {"analysis._beats"}
+
+
+def test_no_function_mutates_module_state():
+    # plans travel as arguments: no function writes to a module-level name,
+    # by a mutating method, a subscript store or delete, or a global statement
+    import ast
+    from pathlib import Path
+
+    import heralded_qkd
+
+    mutators = {"add", "append", "clear", "discard", "extend", "insert", "pop",
+                "popitem", "remove", "reverse", "setdefault", "sort", "update"}
+    writes = []
+    for path in Path(heralded_qkd.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        targets = [target for top in tree.body for target in (
+            top.targets if isinstance(top, ast.Assign)
+            else [top.target] if isinstance(top, (ast.AnnAssign, ast.AugAssign)) else [])]
+        names = {node.id for target in targets
+                 for node in ast.walk(target) if isinstance(node, ast.Name)}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in mutators)
+                store = (isinstance(node, ast.Subscript)
+                         and isinstance(node.ctx, (ast.Store, ast.Del)))
+                target = node.func.value if call else node.value if store else None
+                if (isinstance(node, ast.Global)
+                        or (isinstance(target, ast.Name) and target.id in names)):
+                    writes.append(f"{path.stem}.{func.name}:{node.lineno}")
+    assert writes == []

@@ -1,0 +1,23 @@
+"""README's fenced python blocks run as written and print their results."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_block_runs(source):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+    assert out.getvalue().strip()
