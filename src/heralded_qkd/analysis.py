@@ -194,6 +194,75 @@ def _searching(a, b):
     return (b - a) > _LAMBDA_REL_TOL * b
 
 
+def _pair_ranges(a: float, b: float) -> tuple[tuple[float, float], ...]:
+    """((p0_lo, p0_hi), (p1_lo, p1_hi), (p2_lo, p2_hi)): the range of each of
+    _pair_probabilities over pump strengths [a, b], 0 <= a <= b.
+
+    p0 = e^-lam falls, p2 = 1 - (1 + lam) e^-lam rises (its derivative is
+    lam e^-lam >= 0), and p1 = lam e^-lam rises to its peak e^-1 at lam = 1
+    and falls after it, so each range is set by the values at a and b, and
+    by the peak when the cell holds lam = 1 inside.  p0 and p1 are rounded
+    to a few ulp; p2 = -expm1(-lam) - p1 cancels at small lam, and its
+    rounding error, each operand's ulp and the difference's, stays below
+    1e-15 lam, by which its range is widened.
+    """
+    p0_hi, p1_a, p2_a = _pair_probabilities(a)
+    p0_lo, p1_b, p2_b = _pair_probabilities(b)
+    p1_lo, p1_hi = (p1_a, p1_b) if p1_a < p1_b else (p1_b, p1_a)
+    if a < 1.0 < b:
+        p1_hi = _pair_probabilities(1.0)[1]
+    return (p0_lo, p0_hi), (p1_lo, p1_hi), (max(p2_a - 1e-15 * a, 0.0), p2_b + 1e-15 * b)
+
+
+def _no_positive_rate(
+    spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, a: float, b: float
+) -> bool:
+    """key_rate is proven <= 0 or NaN at every pump strength in [a, b],
+    0 < a <= b, by an interval bound over the cell; False proves nothing.
+
+    dark and p_exp rise in each of p0, p1, p2, so _detection's expressions
+    at the ends of their _pair_ranges bound them, and Q = dark/p_exp is in
+    [dark_lo/p_exp_hi, dark_hi/p_exp_lo] and y = 1 - p2 q2/p_exp in
+    [1 - p2_hi q2/p_exp_lo, 1 - p2_lo q2/p_exp_hi].  Where y <= 0 or
+    Q/y > q_max key_rate is NaN, so the cell is invalid throughout when
+    y_hi <= 0 or r_lo = Q_lo/y_hi > q_max.  At every other point
+    y >= max(y_lo, 0) and Q/y is in [r_lo, r_hi = min(Q_hi/y_lo, q_max)],
+    and the margin is at most
+    1 - H(Q_lo) - max(y_lo, 0) min(I1(r_lo), I1(r_hi)) - (1 - y_hi) I_AE2,
+    by three shape facts:
+    - Q <= 1/2, because p_exp >= 2 dark, and H rises on [0, 1/2]
+      (H' = log2((1 - Q)/Q) >= 0), so H(Q) >= H(Q_lo);
+    - y <= 1, because p2 q2/p_exp >= 0, so 1 - y >= 1 - y_hi >= 0;
+    - I1 = I_AE^(1) >= 0 has a single peak on [0, q_max], so its minimum
+      over an interval is at an end.  BB84's I1 is H, which rises
+      throughout.  SARG04's has slope ln[2 (1 - 2q)^2 / (q (1 - q))] / ln 2,
+      whose argument falls on (0, 1/2) and is 1 at the root q = 1/3 of
+      9q^2 - 9q + 2: it rises to 1/3, then falls to I1(1/2) = 1/2, and
+      I1(0) = 0.
+    K = p_exp p_sift margin then has the margin's sign.  The cell is proven
+    when the bound is below -1e-9: a rounding margin, not a tuning
+    constant; the terms are O(1) and, with p2's cancellation inside its
+    range, the bound and key_rate each round them by errors around 1e-15.
+    """
+    (p0_lo, p0_hi), (p1_lo, p1_hi), (p2_lo, p2_hi) = _pair_ranges(a, b)
+    t, q0, q1, q2 = ch.transmission, r.q0, r.q1, r.q2
+    dark_lo = ch.dark_b * (p0_lo * q0 + p1_lo * q1 + p2_lo * q2)
+    dark_hi = ch.dark_b * (p0_hi * q0 + p1_hi * q1 + p2_hi * q2)
+    p_exp_lo = t * p1_lo * q1 + 2.0 * t * p2_lo * q2 + 2.0 * dark_lo
+    p_exp_hi = t * p1_hi * q1 + 2.0 * t * p2_hi * q2 + 2.0 * dark_hi
+    if p_exp_lo == 0.0:  # key_rate may be valid where p_exp > 0: no bound
+        return False
+    q_lo = dark_lo / p_exp_hi
+    y_lo, y_hi = 1.0 - p2_hi * q2 / p_exp_lo, 1.0 - p2_lo * q2 / p_exp_hi
+    if y_hi <= 0.0 or (r_lo := q_lo / y_hi) > spec.q_max:
+        return True
+    bound = 1.0 - _binary_entropy(q_lo) - (1.0 - y_hi) * spec.i_ae_two
+    if y_lo > 0.0:  # else the single-photon term is bounded by 0
+        r_hi = min(dark_hi / p_exp_lo / y_lo, spec.q_max)
+        bound -= y_lo * min(spec.eve_info(r_lo), spec.eve_info(r_hi))
+    return bound < -1e-9
+
+
 def optimize_lambda(
     spec: ProtocolSpec,
     r: HeraldResponse,
@@ -201,6 +270,7 @@ def optimize_lambda(
     lambda_max: float = DEFAULT_LAMBDA_MAX,
     *,
     _plan: tuple | None = None,
+    _sign_only: bool = False,
 ) -> OptimizationResult:
     """Maximize the key rate over the pump strength in [1e-8, lambda_max].
 
@@ -221,6 +291,15 @@ def optimize_lambda(
     and None or the golden-section state (a, b, c, d) to continue from.
     scan_key_rate passes each T's plan, tmin_numerical its step's grid pass;
     the result equals the one computed without it.
+
+    _sign_only, for tmin_numerical, which reads only the sign of key_rate:
+    when no rescored grid point is positive, the search stops as soon as
+    _no_positive_rate proves that the bracket [a, b] holds no positive rate,
+    checked before the first golden step and after each one.  The full
+    search's key_rate is the better of the best grid point and the rate at
+    (a + b)/2, which lies in every later bracket, so it is <= 0 too.  Such a
+    result is the best point scored so far, with converged False and
+    evaluations the key_rate calls made; only its sign is the full search's.
     """
     if _plan is None:  # ((), None) is a plan: no grid point is model-valid
         _plan = _grid_pass(spec, r, ch, lambda_max)[0], None
@@ -230,18 +309,21 @@ def optimize_lambda(
             lambda_opt=math.nan, report=None, converged=False, evaluations=0,
         )
     grid = _lambda_grid(lambda_max)[0]
-    reports: list[KeyRateReport] = []
+    points: list[tuple[float, float, KeyRateReport]] = []  # (score, lam, report)
 
     def evaluate(lam: float) -> float:
         """Key rate at lam as an optimization score; model-invalid is -inf."""
         report = key_rate(spec, poisson_pair_stats(lam), r, ch)
-        reports.append(report)
-        return -math.inf if math.isnan(report.key_rate) else report.key_rate
+        score = -math.inf if math.isnan(report.key_rate) else report.key_rate
+        points.append((score, lam, report))
+        return score
 
-    scores = [evaluate(grid[i]) for i in candidates]
+    for i in candidates:
+        evaluate(grid[i])
     # first maximum in grid order, as np.argmax; scores are never NaN
-    k = max(range(len(scores)), key=scores.__getitem__)
-    best_idx, best_score, best_report = candidates[k], scores[k], reports[k]
+    k = max(range(len(candidates)), key=lambda j: points[j][0])
+    best_idx = candidates[k]
+    best_score, _, best_report = points[k]
 
     if bracket is None:
         a = grid[max(best_idx - 1, 0)]
@@ -251,8 +333,19 @@ def optimize_lambda(
     else:  # where the plan's lockstep left this T
         a, b, c, d = bracket
 
+    sign_only = _sign_only and not best_score > 0.0
+
+    def nonpositive() -> OptimizationResult:
+        """The sign-only result: the first best point scored so far."""
+        _, lam, report = max(points, key=lambda point: point[0])
+        return OptimizationResult(
+            lambda_opt=lam, report=report, converged=False, evaluations=len(points),
+        )
+
     # golden-section refinement on the bracket; one the lockstep converged
     # needs no more scores
+    if sign_only and _no_positive_rate(spec, r, ch, a, b):
+        return nonpositive()
     if _searching(a, b):
         fc = evaluate(c)
         fd = evaluate(d)
@@ -265,10 +358,12 @@ def optimize_lambda(
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = evaluate(d)
+        if sign_only and _no_positive_rate(spec, r, ch, a, b):
+            return nonpositive()
 
     lam_opt = 0.5 * (a + b)
     final = evaluate(lam_opt)
-    report = reports[-1]
+    report = points[-1][2]
     # keep the best of refinement and coarse grid (refinement can only help
     # inside the bracket, but guard against flat -inf plateaus at the edges)
     if best_score > final:
@@ -281,7 +376,7 @@ def optimize_lambda(
     )
     return OptimizationResult(
         lambda_opt=lam_opt, report=report, converged=not at_bound,
-        evaluations=len(reports),
+        evaluations=len(points),
     )
 
 
@@ -515,7 +610,8 @@ def tmin_numerical(
         candidates, certified = _grid_pass(spec, r, ch, lambda_max)
         # optimize_lambda never returns less than the grid's best key_rate
         return certified or optimize_lambda(
-            spec, r, ch, lambda_max, _plan=(candidates, None)).key_rate > 0.0
+            spec, r, ch, lambda_max, _plan=(candidates, None), _sign_only=True,
+        ).key_rate > 0.0
 
     t_lo, t_hi = 1e-8, 1.0
     if not positive(t_hi) or positive(t_lo):

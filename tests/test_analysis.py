@@ -26,7 +26,7 @@ from heralded_qkd.analysis import (
     tmin_wcp,
 )
 from heralded_qkd.keyrate import ChannelParams, KeyRateReport, key_rate
-from heralded_qkd.protocol import BB84, SARG04
+from heralded_qkd.protocol import BB84, SARG04, binary_entropy
 from heralded_qkd.source_detector import (
     HeraldResponse,
     MultiplexedDetectorParams,
@@ -171,8 +171,8 @@ class TestLambdaGrid:
         # (K = p_sift T lam e^-lam for an ideal herald peaks at lam = 1)
         results = []
 
-        def recording_optimize(*args, _plan=None):
-            results.append(optimize_lambda(*args, _plan=_plan))
+        def recording_optimize(*args, _plan=None, _sign_only=False):
+            results.append(optimize_lambda(*args, _plan=_plan, _sign_only=_sign_only))
             return results[-1]
 
         monkeypatch.setattr(analysis, "optimize_lambda", recording_optimize)
@@ -1028,9 +1028,9 @@ class TestTminCertificate:
             passes.append(t)
             return _key_rate_array(spec, pairs, r, t, dark_b)
 
-        def counting_optimize(spec, r, ch, lambda_max, *, _plan=None):
-            optimized.append((ch.transmission,
-                              optimize_lambda(spec, r, ch, lambda_max, _plan=_plan)))
+        def counting_optimize(spec, r, ch, lambda_max, *, _plan=None, _sign_only=False):
+            optimized.append((ch.transmission, optimize_lambda(
+                spec, r, ch, lambda_max, _plan=_plan, _sign_only=_sign_only)))
             return optimized[-1][1]
 
         def counting_key_rate(spec, stats, r, ch):
@@ -1050,6 +1050,11 @@ class TestTminCertificate:
         assert set(scored) <= set(optimized_t)
         assert len(scored) == sum(res.evaluations for _, res in optimized)
         assert 0 < len(optimized) < 17
+        # the sign-only steps stop early: fewer key_rate calls than the full
+        # optimizations reference_tmin makes at the same T
+        full = [optimize_lambda(spec, r, ChannelParams(t, 1e-5)) for t in optimized_t]
+        assert sum(res.evaluations for _, res in optimized) < sum(
+            res.evaluations for res in full)
 
     def test_array_rate_within_the_bound_is_not_certified(self, monkeypatch):
         # a synthetic rate, 0 below T = 0.01 and 1 from there, at p_exp = 1,
@@ -1099,6 +1104,94 @@ class TestTminCertificate:
     def test_nonpositive_dark_counts(self, dark_b):
         with pytest.raises(ValueError, match="dark_b must be positive"):
             tmin_numerical(BB84, wcp_response(), dark_b)
+
+
+sign_test_transmissions = st.floats(-8.0, 0.0).map(lambda e: 10.0**e)
+sign_test_lambda_maxes = st.sampled_from([0.5, 1.0, 3.0, 10.0])
+
+
+def dense_unit_grid(hi):
+    """Dense points of [0, hi]: 20,001 evenly spaced, and the decades down to
+    1e-300, where H and I1 are steepest."""
+    even = [hi * i / 20_000 for i in range(20_001)]
+    return sorted(set(even + [10.0**e for e in range(-300, 0) if 10.0**e < hi]))
+
+
+def rises_then_falls(values, tol=1e-15):
+    """values rise to their maximum and fall after it, up to tol of rounding."""
+    top = max(range(len(values)), key=values.__getitem__)
+    return (all(y >= x - tol for x, y in zip(values[:top], values[1:top + 1]))
+            and all(y <= x + tol for x, y in zip(values[top:], values[top + 1:])))
+
+
+class TestSignOnlySteps:
+    """tmin_numerical's sign-only optimizations, which stop once
+    _no_positive_rate proves the golden-section bracket nonpositive."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses,
+           t=sign_test_transmissions, dark_b=dark_counts,
+           lambda_max=sign_test_lambda_maxes)
+    def test_sign_equals_full_search(self, spec, r, t, dark_b, lambda_max):
+        ch = ChannelParams(t, dark_b)
+        full = optimize_lambda(spec, r, ch, lambda_max)
+        fast = optimize_lambda(spec, r, ch, lambda_max, _sign_only=True)
+        assert (fast.key_rate > 0.0) == (full.key_rate > 0.0)
+        assert fast.evaluations <= full.evaluations
+        # a search runs in full, or stops early at a nonpositive point
+        assert fast == full or (fast.key_rate <= 0.0 and not fast.converged
+                                and fast.evaluations < full.evaluations)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses,
+           t=sign_test_transmissions, dark_b=dark_counts,
+           lambda_max=sign_test_lambda_maxes, lo=st.floats(0.0, 1.0),
+           width=st.floats(0.0, 1.0))
+    def test_proven_cell_holds_no_positive_rate(self, spec, r, t, dark_b, lambda_max,
+                                                lo, width):
+        # a cell [a, b] of [1e-8, lambda_max], log-uniform in its ends
+        log_min, log_max = -8.0, math.log10(lambda_max)
+        log_a = log_min + lo * (log_max - log_min)
+        # sorted: at width 0 or log_a = log_max rounding can swap the ends
+        a, b = sorted((10.0**log_a, 10.0 ** (log_a + width * (log_max - log_a))))
+        # 31 interior points, kept inside [a, b] against rounding, and the ends
+        lams = [min(max(a * (b / a) ** (i / 32), a), b) for i in range(1, 32)] + [a, b]
+        # the pair statistics the bound starts from enclose every point's,
+        # p1's peak and p2's cancellation at small lam included, to the ulp
+        ranges = analysis._pair_ranges(a, b)
+        for lam in lams + ([1.0] if a <= 1.0 <= b else []):
+            for p, (p_lo, p_hi) in zip(dataclasses.astuple(poisson_pair_stats(lam)), ranges):
+                assert p_lo * (1.0 - 1e-15) <= p <= p_hi * (1.0 + 1e-15), lam
+        ch = ChannelParams(t, dark_b)
+        if not analysis._no_positive_rate(spec, r, ch, a, b):
+            return
+        for lam in lams:
+            k = key_rate(spec, poisson_pair_stats(lam), r, ch).key_rate
+            assert math.isnan(k) or k <= 0.0, lam
+
+    def test_binary_entropy_rises_to_one_half(self):
+        qs = dense_unit_grid(0.5)
+        h = [binary_entropy(q) for q in qs]
+        assert all(y >= x - 1e-15 for x, y in zip(h, h[1:]))
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    def test_eve_info_is_nonnegative_with_one_peak(self, spec):
+        qs = dense_unit_grid(spec.q_max)
+        info = [spec.eve_info(q) for q in qs]
+        assert min(info) >= 0.0
+        assert rises_then_falls(info)
+
+    def test_sarg04_eve_info_peaks_at_one_third(self):
+        qs = [SARG04.q_max * i / 20_000 for i in range(20_001)]
+        top = max(range(len(qs)), key=lambda i: SARG04.eve_info(qs[i]))
+        assert abs(qs[top] - 1.0 / 3.0) <= qs[1]
+
+    def test_equals_reference_bisection_at_lambda_max_3(self):
+        # a grid of its own, up to lambda = 3; the sign tests stay at small
+        # lambda, so the bound's p1-peak branch is left to the cell property
+        for spec, r, dark_b in tmin_pool(seed=12, per_kind=6):
+            assert tmin_outcome(tmin_numerical, spec, r, dark_b, 3.0) == tmin_outcome(
+                reference_tmin, spec, r, dark_b, 3.0)
 
 
 class TestScanAndFit:
