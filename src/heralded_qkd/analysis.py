@@ -12,6 +12,7 @@ alongside numerical oracles for both.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,7 +69,11 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of maximizing the key rate over the pump strength."""
+    """Outcome of maximizing the key rate over the pump strength.
+
+    evaluations counts only scalar key_rate calls, not array passes;
+    converged is False on every sign-only result (see optimize_lambda).
+    """
 
     lambda_opt: float
     report: KeyRateReport | None
@@ -162,30 +167,23 @@ def _beats(x, p_x, y, p_y):
     """key_rate at array score x (p_exp p_x) is proven above key_rate at y
     (p_exp p_y), NaN counting as -inf: each finite score is within
     _KEY_RATE_ARRAY_TOL times its p_exp of key_rate's, and y is below x by
-    more than both.  Against y = 0 at p_y = 0 it proves key_rate > 0 at x.
-    Floats or arrays that broadcast; no -inf - -inf is formed."""
+    more than both.  Floats or arrays that broadcast; no -inf - -inf is
+    formed."""
     return y < x - _KEY_RATE_ARRAY_TOL * (p_x + p_y)
 
 
 def _grid_pass(
     spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, lambda_max: float
-) -> tuple[tuple[int, ...], bool]:
-    """(candidates, certified) from one _key_rate_array pass over the coarse
-    pump-strength grid.
-
-    candidates are the grid indices, in order, that key_rate's first maximum
-    can be at: those the array maximum does not _beat (empty when no point
-    is model-valid).  certified is True when a point's key_rate, and so the
-    optimum, is proven positive.
-    """
+) -> tuple[int, ...]:
+    """The grid indices, in order, that key_rate's first maximum over the
+    coarse pump-strength grid can be at, from one _key_rate_array pass: those
+    the array maximum does not _beat (empty when no point is model-valid)."""
     p_exp, scores = _key_rate_array(spec, _lambda_grid(lambda_max)[1], r,
                                     ch.transmission, ch.dark_b)
     top = int(np.argmax(scores))
     if scores[top] == -np.inf:  # the validity mask is key_rate's, bit for bit
-        return (), False
-    near = ~_beats(scores[top], p_exp[top], scores, p_exp)
-    certified = bool(_beats(scores, p_exp, 0.0, 0.0).any())
-    return tuple(np.flatnonzero(near).tolist()), certified
+        return ()
+    return tuple(np.flatnonzero(~_beats(scores[top], p_exp[top], scores, p_exp)).tolist())
 
 
 def _searching(a, b):
@@ -280,36 +278,44 @@ def optimize_lambda(
     (_grid_pass), and only the candidate points near its best are rescored
     with key_rate, so the bracket is the one a key_rate call at every grid
     point would give.  Every score comes from one evaluator, so evaluations
-    is the number of key_rate calls made by this call, each pump strength
-    evaluated once (0 when no grid point is model-valid); array passes are
-    not counted, so a call given a plan does not count the search's total
-    work.  converged is False when the optimum sits at a bound or when no
-    probed point was model-valid.
+    counts only the scalar key_rate calls made by this call, each pump
+    strength evaluated once (0 when no grid point is model-valid); array
+    passes are not counted, so a call given a plan does not count the
+    search's total work.  converged is False when the optimum sits at a
+    bound, when no probed point was model-valid, and on every _sign_only
+    result.
 
-    _plan, for the package's own callers, is (candidates, bracket) already
-    worked out for this call's inputs: the grid candidates _grid_pass gives,
-    and None or the golden-section state (a, b, c, d) to continue from.
-    scan_key_rate passes each T's plan, tmin_numerical its step's grid pass;
-    the result equals the one computed without it.
+    _plan, for scan_key_rate, is (candidates, bracket) already worked out
+    for this call's inputs: the grid candidates _grid_pass gives, and None
+    or the golden-section state (a, b, c, d) to continue from; the result
+    equals the one computed without it.
 
-    _sign_only, for tmin_numerical, which reads only the sign of key_rate:
-    when no rescored grid point is positive, the search stops as soon as
-    _no_positive_rate proves that the bracket [a, b] holds no positive rate,
-    checked before the first golden step and after each one.  The full
-    search's key_rate is the better of the best grid point and the rate at
-    (a + b)/2, which lies in every later bracket, so it is <= 0 too.  Such a
-    result is the best point scored so far, with converged False and
-    evaluations the key_rate calls made; only its sign is the full search's.
+    _sign_only, for tmin_numerical, which reads only the sign of key_rate,
+    returns as soon as that sign is known, in three stages:
+    1. unless q2 = 0, the grid point nearest lambda_opt_heralded (for WCP,
+       q0 = q1 = q2 = 1, tmin_wcp's pump strength) is scored before any
+       array pass, and returned if its key_rate is positive;
+    2. else the grid pass's candidates are rescored in order, and the first
+       positive one is returned;
+    3. else the golden section runs, and stops as soon as _no_positive_rate
+       proves that its bracket [a, b] holds no positive rate, checked before
+       the first golden step and after each one.  The full search's key_rate
+       is the better of the best grid point and the rate at (a + b)/2, which
+       lies in every later bracket, so it is <= 0 too; the result is the
+       best point scored so far.
+    A positive key_rate at grid index i proves the full search's result
+    positive: if i is a candidate, the full search's best grid score is at
+    least key_rate at i; if not, the array maximum top _beats it, so
+    key_rate at top is above it, and top is always a candidate; and the full
+    search never returns less than its best grid score.  A pump strength
+    off the grid has no such guarantee, which is why stage 1 scores a grid
+    point.  So every sign-only result has the full search's sign, converged
+    False and evaluations the key_rate calls made; one that stops at a
+    positive grid point carries that point's report.
     """
-    if _plan is None:  # ((), None) is a plan: no grid point is model-valid
-        _plan = _grid_pass(spec, r, ch, lambda_max)[0], None
-    candidates, bracket = _plan
-    if not candidates:
-        return OptimizationResult(
-            lambda_opt=math.nan, report=None, converged=False, evaluations=0,
-        )
     grid = _lambda_grid(lambda_max)[0]
     points: list[tuple[float, float, KeyRateReport]] = []  # (score, lam, report)
+    scored: dict[int, tuple[float, float, KeyRateReport]] = {}  # grid index: point
 
     def evaluate(lam: float) -> float:
         """Key rate at lam as an optimization score; model-invalid is -inf."""
@@ -318,12 +324,41 @@ def optimize_lambda(
         points.append((score, lam, report))
         return score
 
+    def grid_point(i: int) -> tuple[float, float, KeyRateReport]:
+        """The point of grid index i, evaluated on first use."""
+        if i not in scored:
+            evaluate(grid[i])
+            scored[i] = points[-1]
+        return scored[i]
+
+    def stop(point=None) -> OptimizationResult:
+        """A sign-only result at point, by default the first best one so far."""
+        _, lam, report = point or max(points, key=lambda p: p[0])
+        return OptimizationResult(
+            lambda_opt=lam, report=report, converged=False, evaluations=len(points),
+        )
+
+    if _sign_only and r.q2 != 0.0:
+        hint = lambda_opt_heralded(spec, r, ch.dark_b)
+        i = min(bisect.bisect_left(grid, hint), _LAMBDA_GRID_POINTS - 1)
+        if i > 0 and hint / grid[i - 1] < grid[i] / hint:  # nearer on the log grid
+            i -= 1
+        if (point := grid_point(i))[0] > 0.0:
+            return stop(point)
+
+    if _plan is None:  # ((), None) is a plan: no grid point is model-valid
+        _plan = _grid_pass(spec, r, ch, lambda_max), None
+    candidates, bracket = _plan
+    if not candidates:
+        return OptimizationResult(
+            lambda_opt=math.nan, report=None, converged=False, evaluations=len(points),
+        )
     for i in candidates:
-        evaluate(grid[i])
+        if (point := grid_point(i))[0] > 0.0 and _sign_only:
+            return stop(point)
     # first maximum in grid order, as np.argmax; scores are never NaN
-    k = max(range(len(candidates)), key=lambda j: points[j][0])
-    best_idx = candidates[k]
-    best_score, _, best_report = points[k]
+    best_idx = max(candidates, key=lambda i: scored[i][0])
+    best_score, _, best_report = scored[best_idx]
 
     if bracket is None:
         a = grid[max(best_idx - 1, 0)]
@@ -333,19 +368,10 @@ def optimize_lambda(
     else:  # where the plan's lockstep left this T
         a, b, c, d = bracket
 
-    sign_only = _sign_only and not best_score > 0.0
-
-    def nonpositive() -> OptimizationResult:
-        """The sign-only result: the first best point scored so far."""
-        _, lam, report = max(points, key=lambda point: point[0])
-        return OptimizationResult(
-            lambda_opt=lam, report=report, converged=False, evaluations=len(points),
-        )
-
     # golden-section refinement on the bracket; one the lockstep converged
     # needs no more scores
-    if sign_only and _no_positive_rate(spec, r, ch, a, b):
-        return nonpositive()
+    if _sign_only and _no_positive_rate(spec, r, ch, a, b):
+        return stop()
     if _searching(a, b):
         fc = evaluate(c)
         fd = evaluate(d)
@@ -358,8 +384,8 @@ def optimize_lambda(
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = evaluate(d)
-        if sign_only and _no_positive_rate(spec, r, ch, a, b):
-            return nonpositive()
+        if _sign_only and _no_positive_rate(spec, r, ch, a, b):
+            return stop()
 
     lam_opt = 0.5 * (a + b)
     final = evaluate(lam_opt)
@@ -375,7 +401,7 @@ def optimize_lambda(
              or lam_opt >= lambda_max * (1.0 - 1e-5))
     )
     return OptimizationResult(
-        lambda_opt=lam_opt, report=report, converged=not at_bound,
+        lambda_opt=lam_opt, report=report, converged=not (at_bound or _sign_only),
         evaluations=len(points),
     )
 
@@ -595,23 +621,18 @@ def tmin_numerical(
     Oracle for the closed-form minimum transmission: the sign change of
     K(T, lambda) maximized by optimize_lambda over lambda in
     [1e-8, lambda_max] is located on T in [1e-8, 1] to relative tolerance
-    1e-3.  A step only needs that sign.  When the step's _grid_pass
-    certifies a positive key_rate at a grid point, the optimum is positive
-    too, so the step skips the golden section; only the other steps call
-    optimize_lambda, handing it the step's grid candidates as its _plan, so
-    each step makes one array pass.  The result is the one optimize_lambda
-    at every step gives.
+    1e-3.  A step only needs that sign, so each is one optimize_lambda call
+    with _sign_only, which stops as soon as the sign is known: at the
+    closed-form pump strength's grid point, at the first positive grid
+    candidate, or at a proof that the rest of the search is nonpositive.
+    The result is the one a full optimize_lambda at every step gives.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
 
     def positive(t: float) -> bool:
         ch = ChannelParams(transmission=t, dark_b=dark_b)
-        candidates, certified = _grid_pass(spec, r, ch, lambda_max)
-        # optimize_lambda never returns less than the grid's best key_rate
-        return certified or optimize_lambda(
-            spec, r, ch, lambda_max, _plan=(candidates, None), _sign_only=True,
-        ).key_rate > 0.0
+        return optimize_lambda(spec, r, ch, lambda_max, _sign_only=True).key_rate > 0.0
 
     t_lo, t_hi = 1e-8, 1.0
     if not positive(t_hi) or positive(t_lo):

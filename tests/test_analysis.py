@@ -546,7 +546,7 @@ class TestScanLockstep:
             scan_key_rate(spec, r, dark_b, t_grid, lambda_max)
         for t, (candidates, _) in zip(t_grid, plans):
             ch = ChannelParams(t, dark_b)
-            assert candidates == analysis._grid_pass(spec, r, ch, lambda_max)[0]
+            assert candidates == analysis._grid_pass(spec, r, ch, lambda_max)
 
     @pytest.mark.parametrize("spec, r", [(BB84, THREE_STAGE), (SARG04, wcp_response())])
     def test_every_block_is_planned(self, spec, r):
@@ -561,7 +561,7 @@ class TestScanLockstep:
             cold = optimize_lambda(spec, r, ch)
             assert repr(dataclasses.replace(got, evaluations=0)) == repr(
                 dataclasses.replace(cold, evaluations=0))
-            assert plan is not None and plan[0] == analysis._grid_pass(spec, r, ch, 1.0)[0]
+            assert plan is not None and plan[0] == analysis._grid_pass(spec, r, ch, 1.0)
 
     def test_undecided_steps_drop_out_to_the_scalar_loop(self, monkeypatch):
         # plateau_key_rate with lambda_max = 0.26: only the top grid point
@@ -973,9 +973,46 @@ def tmin_pool(seed, per_kind):
     ]
 
 
+def closed_form_index(spec, r, dark_b, lambda_max=1.0):
+    """Index of the grid point nearest lambda_opt_heralded on the log grid:
+    the pump strength a sign-only optimize_lambda scores first."""
+    grid = analysis._lambda_grid(lambda_max)[0]
+    lam = lambda_opt_heralded(spec, r, dark_b)
+    if lam == 0.0:
+        return 0
+    return min(range(len(grid)), key=lambda i: abs(math.log(grid[i] / lam)))
+
+
+def traced_tmin(monkeypatch, spec, r, dark_b, lambda_max=1.0):
+    """tmin_numerical's outcome, with the T of each array pass, (T, result)
+    of each optimize_lambda call and (T, pair statistics) of each key_rate
+    call."""
+    passes, optimized, scored = [], [], []
+
+    def counting_array(spec, pairs, r, t, dark_b):
+        passes.append(t)
+        return _key_rate_array(spec, pairs, r, t, dark_b)
+
+    def counting_optimize(spec, r, ch, lambda_max, *, _plan=None, _sign_only=False):
+        optimized.append((ch.transmission, optimize_lambda(
+            spec, r, ch, lambda_max, _plan=_plan, _sign_only=_sign_only)))
+        return optimized[-1][1]
+
+    def counting_key_rate(spec, stats, r, ch):
+        scored.append((ch.transmission, stats))
+        return key_rate(spec, stats, r, ch)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_key_rate_array", counting_array)
+        patch.setattr(analysis, "optimize_lambda", counting_optimize)
+        patch.setattr(analysis, "key_rate", counting_key_rate)
+        got = tmin_outcome(tmin_numerical, spec, r, dark_b, lambda_max)
+    return got, passes, optimized, scored
+
+
 class TestTminCertificate:
-    """tmin_numerical reads the sign of a step off the array-scored grid
-    whenever a grid point's array rate clears the array kernel's error bound."""
+    """tmin_numerical's steps are sign-only optimize_lambda calls, which read
+    a positive sign off the first grid point whose key_rate is positive."""
 
     def test_equals_reference_bisection(self):
         pool = tmin_pool(seed=11, per_kind=11)
@@ -991,29 +1028,42 @@ class TestTminCertificate:
         assert at_edge > 0
 
     @settings(max_examples=150, deadline=None)
-    @given(spec=st.sampled_from([BB84, SARG04]), r=responses, t=transmissions,
-           dark_b=dark_counts, lambda_max=lambda_maxes)
-    def test_certificate_proves_positive_rate(self, spec, r, t, dark_b, lambda_max):
+    @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses, t=transmissions,
+           dark_b=dark_counts, lambda_max=st.sampled_from([1.0, 0.5, 1e-2, 1e-4]))
+    @example(spec=BB84, r=binary_response(dark_a=0.0), t=0.01, dark_b=1e-5,
+             lambda_max=1.0)  # q0 = 0: the closed-form point is grid[0]
+    @example(spec=BB84, r=wcp_response(), t=0.5, dark_b=1e-5,
+             lambda_max=1e-3)  # the closed-form point is the last grid point
+    def test_positive_grid_point_proves_positive_optimum(self, spec, r, t, dark_b,
+                                                         lambda_max):
+        # the sign-only proof: a positive key_rate at any grid point makes the
+        # full search positive, so the sign-only search may stop there
         ch = ChannelParams(t, dark_b)
-        p_exp, rates = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1], r,
-                                       t, dark_b)
-        certified = np.flatnonzero(rates > _KEY_RATE_ARRAY_TOL * p_exp)
-        assert analysis._grid_pass(spec, r, ch, lambda_max)[1] == bool(certified.size)
-        stats = grid_stats(lambda_max)
-        for i in certified:
-            assert key_rate(spec, stats[i], r, ch).key_rate > 0.0
-        if certified.size:
-            assert optimize_lambda(spec, r, ch, lambda_max).key_rate > 0.0
+        grid = analysis._lambda_grid(lambda_max)[0]
+        full = optimize_lambda(spec, r, ch, lambda_max)
+        if any(key_rate(spec, s, r, ch).key_rate > 0.0 for s in grid_stats(lambda_max)):
+            assert full.key_rate > 0.0
+        fast = optimize_lambda(spec, r, ch, lambda_max, _sign_only=True)
+        assert (fast.key_rate > 0.0) == (full.key_rate > 0.0)
+        # a positive sign-only result is a grid point's, or the full search's
+        # when no grid point is positive; either way its report is key_rate's
+        # at its pump strength, bit for bit
+        if fast.key_rate > 0.0:
+            assert fast.lambda_opt in grid or repr((fast.lambda_opt, fast.report)) == repr(
+                (full.lambda_opt, full.report))
+            assert repr(fast.report) == repr(
+                key_rate(spec, poisson_pair_stats(fast.lambda_opt), r, ch))
 
     @settings(max_examples=150, deadline=None)
     @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses, t=transmissions,
            dark_b=dark_counts, lambda_max=lambda_maxes)
     @example(spec=BB84, r=wcp_response(), t=0.0, dark_b=0.0, lambda_max=1.0)  # plan ((), None)
     def test_step_plan_equals_no_plan(self, spec, r, t, dark_b, lambda_max):
-        # the plan a sign test hands over is the one optimize_lambda works
-        # out for itself: the results agree bit for bit, evaluations included
+        # a plan of _grid_pass's candidates and no bracket is the one
+        # optimize_lambda works out for itself: the results agree bit for
+        # bit, evaluations included
         ch = ChannelParams(t, dark_b)
-        plan = (analysis._grid_pass(spec, r, ch, lambda_max)[0], None)
+        plan = (analysis._grid_pass(spec, r, ch, lambda_max), None)
         assert repr(optimize_lambda(spec, r, ch, lambda_max, _plan=plan)) == repr(
             optimize_lambda(spec, r, ch, lambda_max))
 
@@ -1022,44 +1072,66 @@ class TestTminCertificate:
         r = multiplexed_response(
             MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1e-6, eta_c=0.98))
         expected = reference_tmin(spec, r, 1e-5)
-        passes, optimized, scored = [], [], []
-
-        def counting_array(spec, pairs, r, t, dark_b):
-            passes.append(t)
-            return _key_rate_array(spec, pairs, r, t, dark_b)
-
-        def counting_optimize(spec, r, ch, lambda_max, *, _plan=None, _sign_only=False):
-            optimized.append((ch.transmission, optimize_lambda(
-                spec, r, ch, lambda_max, _plan=_plan, _sign_only=_sign_only)))
-            return optimized[-1][1]
-
-        def counting_key_rate(spec, stats, r, ch):
-            scored.append(ch.transmission)
-            return key_rate(spec, stats, r, ch)
-
-        monkeypatch.setattr(analysis, "_key_rate_array", counting_array)
-        monkeypatch.setattr(analysis, "optimize_lambda", counting_optimize)
-        monkeypatch.setattr(analysis, "key_rate", counting_key_rate)
-        assert tmin_numerical(spec, r, 1e-5) == expected
-        # 2 endpoint tests and 15 bisection steps, one array pass each: the
-        # optimize_lambda of an uncertified step reuses its step's pass
-        assert len(passes) == len(set(passes)) == 17
+        got, passes, optimized, scored = traced_tmin(monkeypatch, spec, r, 1e-5)
+        assert got == expected
+        # 2 endpoint tests and 15 bisection steps, one sign-only
+        # optimize_lambda each, which makes at most one array pass
         optimized_t = [t for t, _ in optimized]
-        assert len(optimized_t) == len(set(optimized_t)) and set(optimized_t) < set(passes)
-        # certified steps make no key_rate call; the rest are counted
-        assert set(scored) <= set(optimized_t)
-        assert len(scored) == sum(res.evaluations for _, res in optimized)
-        assert 0 < len(optimized) < 17
+        assert len(optimized_t) == len(set(optimized_t)) == 17
+        assert len(passes) == len(set(passes)) and set(passes) <= set(optimized_t)
+        # a step whose closed-form grid point is positive makes no array pass
+        # and one key_rate call, and returns that point
+        lam = analysis._lambda_grid(1.0)[0][closed_form_index(spec, r, 1e-5)]
+        for t, res in optimized:
+            assert not res.converged
+            if t not in passes:
+                assert (res.evaluations, res.lambda_opt) == (1, lam)
+                assert res.key_rate > 0.0
+        assert 0 < len(passes) < 17
+        # each step scores a pump strength once, the closed-form point too
+        assert len(set(scored)) == len(scored) == sum(
+            res.evaluations for _, res in optimized)
         # the sign-only steps stop early: fewer key_rate calls than the full
         # optimizations reference_tmin makes at the same T
         full = [optimize_lambda(spec, r, ChannelParams(t, 1e-5)) for t in optimized_t]
         assert sum(res.evaluations for _, res in optimized) < sum(
             res.evaluations for res in full)
 
+    def test_closed_form_point_above_lambda_max(self, monkeypatch):
+        # WCP's closed-form pump strength, about 0.01 at d_B = 1e-5, is above
+        # lambda_max = 1e-3, so the point scored first is the last grid point
+        r = wcp_response()
+        assert closed_form_index(BB84, r, 1e-5, 1e-3) == 199
+        got, _, optimized, _ = traced_tmin(monkeypatch, BB84, r, 1e-5, 1e-3)
+        assert got == tmin_outcome(reference_tmin, BB84, r, 1e-5, 1e-3)
+        assert any(res.evaluations == 1 and res.lambda_opt == 1e-3 and res.key_rate > 0.0
+                   for _, res in optimized)
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    def test_closed_form_point_without_vacuum_heralds(self, spec, monkeypatch):
+        # q0 = 0 (no herald dark counts): the closed-form pump strength is 0,
+        # and the point scored first is grid[0] = 1e-8
+        r = binary_response(dark_a=0.0)
+        assert r.q0 == 0.0 and lambda_opt_heralded(spec, r, 1e-5) == 0.0
+        got, _, optimized, _ = traced_tmin(monkeypatch, spec, r, 1e-5)
+        assert got == tmin_outcome(reference_tmin, spec, r, 1e-5)
+        assert any(res.evaluations == 1 and res.lambda_opt == 1e-8 and res.key_rate > 0.0
+                   for _, res in optimized)
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    def test_no_closed_form_point_without_multiphoton_heralds(self, spec, monkeypatch):
+        # q2 = 0 has no closed-form pump strength: every step starts with its
+        # array pass
+        r = HeraldResponse(q0=1e-3, q1=0.6, q2=0.0)
+        got, passes, optimized, _ = traced_tmin(monkeypatch, spec, r, 1e-5)
+        assert got == tmin_outcome(reference_tmin, spec, r, 1e-5)
+        assert isinstance(got, float)
+        assert len(passes) == len(optimized) == 17
+
     def test_array_rate_within_the_bound_is_not_certified(self, monkeypatch):
         # a synthetic rate, 0 below T = 0.01 and 1 from there, at p_exp = 1,
         # whose array form is 0.9 of the bound too high: below 0.01 every
-        # array rate is positive, yet only optimize_lambda may decide the sign
+        # array rate is positive, yet only key_rate may decide the sign
         def fake_key_rate(spec, stats, r, ch):
             k = float(ch.transmission >= 0.01)
             return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
@@ -1077,14 +1149,13 @@ class TestTminCertificate:
 
     def test_grid_scores_match_a_fresh_pass(self):
         r, ch = binary_response(), ChannelParams(0.01, 1e-5)
-        candidates, certified = analysis._grid_pass(SARG04, r, ch, 1.0)
+        candidates = analysis._grid_pass(SARG04, r, ch, 1.0)
         p_exp, scores = _key_rate_array(SARG04, analysis._lambda_grid(1.0)[1], r,
                                         ch.transmission, ch.dark_b)
         top = int(np.argmax(scores))
         bound = _KEY_RATE_ARRAY_TOL * (p_exp + p_exp[top])
         assert candidates == tuple(int(i) for i in np.flatnonzero(scores >= scores[top] - bound))
-        assert certified == bool((scores > _KEY_RATE_ARRAY_TOL * p_exp).any())
-        assert 0 < len(candidates) < 200 and certified  # a nontrivial pass
+        assert 0 < len(candidates) < 200  # a nontrivial pass
 
     @pytest.mark.parametrize("lambda_max", [1e-8, 0.0, -1.0, math.nan, math.inf,
                                             1.7976931348623157e308])
@@ -1125,8 +1196,9 @@ def rises_then_falls(values, tol=1e-15):
 
 
 class TestSignOnlySteps:
-    """tmin_numerical's sign-only optimizations, which stop once
-    _no_positive_rate proves the golden-section bracket nonpositive."""
+    """tmin_numerical's sign-only optimizations, which stop at the first
+    positive grid point or once _no_positive_rate proves the golden-section
+    bracket nonpositive."""
 
     @settings(max_examples=200, deadline=None)
     @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses,
@@ -1137,10 +1209,21 @@ class TestSignOnlySteps:
         full = optimize_lambda(spec, r, ch, lambda_max)
         fast = optimize_lambda(spec, r, ch, lambda_max, _sign_only=True)
         assert (fast.key_rate > 0.0) == (full.key_rate > 0.0)
-        assert fast.evaluations <= full.evaluations
-        # a search runs in full, or stops early at a nonpositive point
-        assert fast == full or (fast.key_rate <= 0.0 and not fast.converged
-                                and fast.evaluations < full.evaluations)
+        assert not fast.converged
+        # the closed-form grid point is one key_rate call more than the full
+        # search makes, unless it is one of the grid candidates
+        hint = None if r.q2 == 0.0 else closed_form_index(spec, r, dark_b, lambda_max)
+        extra = int(hint is not None and hint not in analysis._grid_pass(
+            spec, r, ch, lambda_max))
+        assert fast.evaluations <= full.evaluations + extra
+        # a search runs in full, or stops early at a positive grid point or
+        # at a nonpositive point
+        grid = analysis._lambda_grid(lambda_max)[0]
+        ran_in_full = (repr((fast.lambda_opt, fast.report)) == repr(
+            (full.lambda_opt, full.report)) and fast.evaluations == full.evaluations + extra)
+        stopped = fast.evaluations < full.evaluations + extra and (
+            fast.key_rate <= 0.0 or fast.lambda_opt in grid)
+        assert ran_in_full or stopped
 
     @settings(max_examples=300, deadline=None)
     @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses,

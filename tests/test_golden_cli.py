@@ -48,6 +48,8 @@ CASES = {
                               "--format", "json"],
     "tmin_bb84": ["tmin", "--protocol", "bb84", *_BINARY, "--dark-b", "1e-5"],
     "tmin_sarg04": ["tmin", "--protocol", "sarg04", *_BINARY, "--dark-b", "1e-5"],
+    "tmin_wcp": ["tmin", "--protocol", "bb84", "--source", "wcp", "--dark-b", "1e-5"],
+    "tmin_multiplexed": ["tmin", "--protocol", "sarg04", *_MULTIPLEXED, "--dark-b", "1e-5"],
     "contour_csv": ["contour", "--protocol", "sarg04", *_CONTOUR],
     "contour_json": ["contour", "--protocol", "sarg04", *_CONTOUR, "--format", "json"],
     "compare_stages_fit": ["compare-stages", "--eta-a-list", "0.4", "0.8",
