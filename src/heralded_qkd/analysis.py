@@ -54,6 +54,10 @@ _LAMBDA_MIN = 1e-8  # lower end of every pump-strength search
 _LAMBDA_GRID_POINTS = 200  # size of the coarse logarithmic pump-strength grid
 _LAMBDA_REL_TOL = 1e-6  # relative tolerance of the golden-section refinement
 _TMIN_REL_TOL = 1e-3  # relative tolerance of tmin_numerical's bisection in T
+# tmin_numerical probes the bisection midpoints in [est/1.6, 1.05 est], est
+# = tmin_heralded, so the root is inside while est is 0.952-1.6 times it;
+# measured on the 512 tmin_search pool configs: 0.9995-1.503
+_TMIN_BAND = (1.0 / 1.6, 1.05)
 # A golden-section step in lockstep costs one array pass however few T it
 # moves, so fewer searching T points than this finish in the scalar loop.
 # Measured: 8 made 12-point scans about 1.5x slower than 16, which runs them
@@ -65,6 +69,8 @@ _LOCKSTEP_MIN_ROWS = 16
 _SCAN_BLOCK_ROWS = 50
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a _margin_bound below this proves its cell holds no positive key_rate
+_PROVEN_NONPOSITIVE = -1e-9
 
 
 @dataclass(frozen=True)
@@ -212,11 +218,14 @@ def _pair_ranges(a: float, b: float) -> tuple[tuple[float, float], ...]:
     return (p0_lo, p0_hi), (p1_lo, p1_hi), (max(p2_a - 1e-15 * a, 0.0), p2_b + 1e-15 * b)
 
 
-def _no_positive_rate(
+def _margin_bound(
     spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, a: float, b: float
-) -> bool:
-    """key_rate is proven <= 0 or NaN at every pump strength in [a, b],
-    0 < a <= b, by an interval bound over the cell; False proves nothing.
+) -> float:
+    """An upper bound on key_rate's margin K/(p_exp p_sift), which has K's
+    sign, at every pump strength in [a, b], 0 < a <= b, NaN counting as
+    -inf: -inf where the cell is model-invalid throughout, inf where there
+    is no bound.  A bound below _PROVEN_NONPOSITIVE proves key_rate <= 0 or
+    NaN throughout the cell.
 
     dark and p_exp rise in each of p0, p1, p2, so _detection's expressions
     at the ends of their _pair_ranges bound them, and Q = dark/p_exp is in
@@ -237,10 +246,15 @@ def _no_positive_rate(
       whose argument falls on (0, 1/2) and is 1 at the root q = 1/3 of
       9q^2 - 9q + 2: it rises to 1/3, then falls to I1(1/2) = 1/2, and
       I1(0) = 0.
-    K = p_exp p_sift margin then has the margin's sign.  The cell is proven
-    when the bound is below -1e-9: a rounding margin, not a tuning
-    constant; the terms are O(1) and, with p2's cancellation inside its
-    range, the bound and key_rate each round them by errors around 1e-15.
+    K = p_exp p_sift margin then has the margin's sign.  The proof needs
+    the bound below -1e-9: a rounding margin, not a tuning constant; the
+    terms are O(1) and, with p2's cancellation inside its range, the bound
+    and key_rate each round them by errors around 1e-15.
+
+    The bound exceeds the margin's supremum over the cell by an amount
+    first order in the cell's width, so along a golden section it falls
+    toward the best margin scored by about _INV_GOLDEN per step;
+    optimize_lambda schedules its checks by that (see there).
     """
     (p0_lo, p0_hi), (p1_lo, p1_hi), (p2_lo, p2_hi) = _pair_ranges(a, b)
     t, q0, q1, q2 = ch.transmission, r.q0, r.q1, r.q2
@@ -249,16 +263,16 @@ def _no_positive_rate(
     p_exp_lo = t * p1_lo * q1 + 2.0 * t * p2_lo * q2 + 2.0 * dark_lo
     p_exp_hi = t * p1_hi * q1 + 2.0 * t * p2_hi * q2 + 2.0 * dark_hi
     if p_exp_lo == 0.0:  # key_rate may be valid where p_exp > 0: no bound
-        return False
+        return math.inf
     q_lo = dark_lo / p_exp_hi
     y_lo, y_hi = 1.0 - p2_hi * q2 / p_exp_lo, 1.0 - p2_lo * q2 / p_exp_hi
     if y_hi <= 0.0 or (r_lo := q_lo / y_hi) > spec.q_max:
-        return True
+        return -math.inf
     bound = 1.0 - _binary_entropy(q_lo) - (1.0 - y_hi) * spec.i_ae_two
     if y_lo > 0.0:  # else the single-photon term is bounded by 0
         r_hi = min(dark_hi / p_exp_lo / y_lo, spec.q_max)
         bound -= y_lo * min(spec.eve_info(r_lo), spec.eve_info(r_hi))
-    return bound < -1e-9
+    return bound
 
 
 def optimize_lambda(
@@ -297,12 +311,20 @@ def optimize_lambda(
        array pass, and returned if its key_rate is positive;
     2. else the grid pass's candidates are rescored in order, and the first
        positive one is returned;
-    3. else the golden section runs, and stops as soon as _no_positive_rate
-       proves that its bracket [a, b] holds no positive rate, checked before
-       the first golden step and after each one.  The full search's key_rate
-       is the better of the best grid point and the rate at (a + b)/2, which
-       lies in every later bracket, so it is <= 0 too; the result is the
-       best point scored so far.
+    3. else the golden section runs, and stops once _margin_bound proves
+       that its bracket [a, b] holds no positive rate (a bound below
+       -1e-9).  The full search's key_rate is the better of the best grid
+       point and the rate at (a + b)/2, which lies in every later bracket,
+       so it is <= 0 too; the result is the best point scored so far.
+       The bound is checked before the first golden step, and after a step
+       only when a check could succeed: a failed bound's excess over the
+       best margin K/(p_exp p_sift) scored by then is taken to shrink by
+       _INV_GOLDEN per step, and the next check waits for the first step
+       at which that extrapolation falls below -1e-9 (none while the best
+       margin is above it or the bound was inf; every step while no
+       scored point is model-valid).  A skipped check can only delay a
+       stop: a search never stopped returns the full search's result, so
+       the sign is the same either way.
     A positive key_rate at grid index i proves the full search's result
     positive: if i is a candidate, the full search's best grid score is at
     least key_rate at i; if not, the array maximum top _beats it, so
@@ -368,9 +390,28 @@ def optimize_lambda(
     else:  # where the plan's lockstep left this T
         a, b, c, d = bracket
 
+    # the sign-only check schedule: floor is the best margin scored when the
+    # last check failed, excess that check's bound above it, shrunk by
+    # _INV_GOLDEN per golden step since
+    floor, excess = -math.inf, 0.0
+
+    def proven(a: float, b: float) -> bool:
+        """A check of the bracket [a, b] is due, and proves it nonpositive."""
+        nonlocal floor, excess
+        excess *= _INV_GOLDEN
+        if not floor + excess < _PROVEN_NONPOSITIVE:  # the check must fail
+            return False
+        if (bound := _margin_bound(spec, r, ch, a, b)) < _PROVEN_NONPOSITIVE:
+            return True
+        floor = max((score / (report.p_exp * spec.p_sift)
+                     for score, _, report in points if score > -math.inf),
+                    default=-math.inf)
+        excess = bound - floor if floor > -math.inf else 0.0
+        return False
+
     # golden-section refinement on the bracket; one the lockstep converged
     # needs no more scores
-    if _sign_only and _no_positive_rate(spec, r, ch, a, b):
+    if _sign_only and proven(a, b):
         return stop()
     if _searching(a, b):
         fc = evaluate(c)
@@ -384,7 +425,7 @@ def optimize_lambda(
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = evaluate(d)
-        if _sign_only and _no_positive_rate(spec, r, ch, a, b):
+        if _sign_only and proven(a, b):
             return stop()
 
     lam_opt = 0.5 * (a + b)
@@ -621,31 +662,58 @@ def tmin_numerical(
     Oracle for the closed-form minimum transmission: the sign change of
     K(T, lambda) maximized by optimize_lambda over lambda in
     [1e-8, lambda_max] is located on T in [1e-8, 1] to relative tolerance
-    1e-3.  A step only needs that sign, so each is one optimize_lambda call
-    with _sign_only, which stops as soon as the sign is known: at the
-    closed-form pump strength's grid point, at the first positive grid
-    candidate, or at a proof that the rest of the search is nonpositive.
-    The result is the one a full optimize_lambda at every step gives.
+    1e-3, by bisecting at the midpoints sqrt(t_lo t_hi).  A probe only needs
+    that sign, so each is one optimize_lambda call with _sign_only, which
+    stops as soon as the sign is known: at the closed-form pump strength's
+    grid point, at the first positive grid candidate, or at a proof that
+    the rest of the search is nonpositive.
+
+    After probing both ends, the bisection descends along its own midpoints
+    steered by the closed form est = tmin_heralded: it probes only those in
+    [est/1.6, 1.05 est], takes one above that band as positive and one
+    below it as negative, and at the end probes each end of its bracket
+    whose sign it took.  If either contradicts, or est is undefined or not
+    finite, the plain bisection probing every midpoint runs, reusing the
+    signs probed so far.  So the result is the plain bisection's wherever
+    the sign is monotone outside the band, and always the upper end of a
+    probed sign change at most 1e-3 wide; each probe's sign is the one a
+    full optimize_lambda gives.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
+    probed: dict[float, bool] = {}
 
     def positive(t: float) -> bool:
-        ch = ChannelParams(transmission=t, dark_b=dark_b)
-        return optimize_lambda(spec, r, ch, lambda_max, _sign_only=True).key_rate > 0.0
+        if t not in probed:
+            ch = ChannelParams(transmission=t, dark_b=dark_b)
+            probed[t] = optimize_lambda(
+                spec, r, ch, lambda_max, _sign_only=True).key_rate > 0.0
+        return probed[t]
 
-    t_lo, t_hi = 1e-8, 1.0
-    if not positive(t_hi) or positive(t_lo):
+    def bisection(sign) -> tuple[float, float]:
+        t_lo, t_hi = 1e-8, 1.0
+        while t_hi / t_lo - 1.0 > _TMIN_REL_TOL:
+            t_mid = math.sqrt(t_lo * t_hi)
+            if sign(t_mid):
+                t_hi = t_mid
+            else:
+                t_lo = t_mid
+        return t_lo, t_hi
+
+    if not positive(1.0) or positive(1e-8):
         raise RuntimeError(
             "no sign change of the optimized key rate on [1e-8, 1]"
         )
-    while t_hi / t_lo - 1.0 > _TMIN_REL_TOL:
-        t_mid = math.sqrt(t_lo * t_hi)
-        if positive(t_mid):
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
-    return t_hi
+    try:
+        est = tmin_heralded(spec, r, dark_b)
+    except ZeroDivisionError:  # q1 = 0: no closed form
+        est = math.inf
+    if est < math.inf:
+        band_lo, band_hi = est * _TMIN_BAND[0], est * _TMIN_BAND[1]
+        t_lo, t_hi = bisection(lambda t: t > band_hi or (t >= band_lo and positive(t)))
+        if positive(t_hi) and not positive(t_lo):
+            return t_hi
+    return bisection(positive)[1]
 
 
 def scan_key_rate(

@@ -1010,9 +1010,37 @@ def traced_tmin(monkeypatch, spec, r, dark_b, lambda_max=1.0):
     return got, passes, optimized, scored
 
 
+def plain_bisection(positive):
+    """tmin_numerical's bisection of [1e-8, 1], deciding each midpoint by
+    positive(t): (its midpoints in order, t_lo, t_hi)."""
+    midpoints, t_lo, t_hi = [], 1e-8, 1.0
+    while t_hi / t_lo - 1.0 > analysis._TMIN_REL_TOL:
+        midpoints.append(t_mid := math.sqrt(t_lo * t_hi))
+        if positive(t_mid):
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
+    return midpoints, t_lo, t_hi
+
+
+def descent_probes(spec, r, dark_b, lambda_max=1.0):
+    """The T, in order, that tmin_numerical probes when its descent needs no
+    fallback: both ends, the midpoints of the full-search bisection inside
+    [est/1.6, 1.05 est] (est = tmin_heralded), then each end of the final
+    bracket not probed yet, the upper first."""
+    def positive(t):
+        return optimize_lambda(spec, r, ChannelParams(t, dark_b), lambda_max).key_rate > 0.0
+
+    est = tmin_heralded(spec, r, dark_b)
+    midpoints, t_lo, t_hi = plain_bisection(positive)
+    probes = [1.0, 1e-8] + [t for t in midpoints if est / 1.6 <= t <= 1.05 * est]
+    return probes + [t for t in (t_hi, t_lo) if t not in probes]
+
+
 class TestTminCertificate:
     """tmin_numerical's steps are sign-only optimize_lambda calls, which read
-    a positive sign off the first grid point whose key_rate is positive."""
+    a positive sign off the first grid point whose key_rate is positive; it
+    probes only the bisection midpoints near the closed-form estimate."""
 
     def test_equals_reference_bisection(self):
         pool = tmin_pool(seed=11, per_kind=11)
@@ -1074,10 +1102,13 @@ class TestTminCertificate:
         expected = reference_tmin(spec, r, 1e-5)
         got, passes, optimized, scored = traced_tmin(monkeypatch, spec, r, 1e-5)
         assert got == expected
-        # 2 endpoint tests and 15 bisection steps, one sign-only
-        # optimize_lambda each, which makes at most one array pass
+        # the descent's probes: 2 endpoint tests and the 10 of the 15
+        # bisection midpoints near the closed form, the final bracket's ends
+        # among them; one sign-only optimize_lambda each, which makes at most
+        # one array pass
         optimized_t = [t for t, _ in optimized]
-        assert len(optimized_t) == len(set(optimized_t)) == 17
+        assert optimized_t == descent_probes(spec, r, 1e-5)
+        assert len(optimized_t) == len(set(optimized_t)) == 12
         assert len(passes) == len(set(passes)) and set(passes) <= set(optimized_t)
         # a step whose closed-form grid point is positive makes no array pass
         # and one key_rate call, and returns that point
@@ -1087,7 +1118,7 @@ class TestTminCertificate:
             if t not in passes:
                 assert (res.evaluations, res.lambda_opt) == (1, lam)
                 assert res.key_rate > 0.0
-        assert 0 < len(passes) < 17
+        assert 0 < len(passes) < len(optimized_t)
         # each step scores a pump strength once, the closed-form point too
         assert len(set(scored)) == len(scored) == sum(
             res.evaluations for _, res in optimized)
@@ -1121,12 +1152,15 @@ class TestTminCertificate:
     @pytest.mark.parametrize("spec", [BB84, SARG04])
     def test_no_closed_form_point_without_multiphoton_heralds(self, spec, monkeypatch):
         # q2 = 0 has no closed-form pump strength: every step starts with its
-        # array pass
+        # array pass.  The closed-form T_min is the ideal-source floor, and
+        # the descent probes 2 endpoints and the 10 (BB84) or 11 (SARG04) of
+        # the 15 midpoints near it, the final bracket's ends among them
         r = HeraldResponse(q0=1e-3, q1=0.6, q2=0.0)
         got, passes, optimized, _ = traced_tmin(monkeypatch, spec, r, 1e-5)
         assert got == tmin_outcome(reference_tmin, spec, r, 1e-5)
         assert isinstance(got, float)
-        assert len(passes) == len(optimized) == 17
+        assert [t for t, _ in optimized] == descent_probes(spec, r, 1e-5)
+        assert len(passes) == len(optimized) == {BB84: 12, SARG04: 13}[spec]
 
     def test_array_rate_within_the_bound_is_not_certified(self, monkeypatch):
         # a synthetic rate, 0 below T = 0.01 and 1 from there, at p_exp = 1,
@@ -1146,6 +1180,66 @@ class TestTminCertificate:
         t_min = tmin_numerical(BB84, wcp_response(), 1e-5)
         assert t_min == reference_tmin(BB84, wcp_response(), 1e-5)
         assert 0.01 <= t_min < 0.01 * (1.0 + analysis._TMIN_REL_TOL)
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    @pytest.mark.parametrize("r", [
+        HeraldResponse(q0=1e-3, q1=0.0, q2=1.0),  # distance_factor raises
+        HeraldResponse(q0=1e-3, q1=0.6, q2=0.0),  # no multiphoton heralds
+        HeraldResponse(q0=1.0, q1=1e-9, q2=1.0),  # est ~ 1e7, far above the root
+    ], ids=["q1_zero", "q2_zero", "far_estimate"])
+    def test_equals_reference_at_degenerate_estimates(self, spec, r):
+        # the closed form raises (the plain bisection runs), is the ideal-source
+        # floor, or lies far outside [1e-8, 1] (the descent is contradicted)
+        got = tmin_outcome(tmin_numerical, spec, r, 1e-5)
+        assert got == tmin_outcome(reference_tmin, spec, r, 1e-5)
+        assert isinstance(got, float)  # the estimate was reached, not skipped
+        if r.q1 == 0.0:
+            with pytest.raises(ZeroDivisionError):
+                tmin_heralded(spec, r, 1e-5)
+        if r.q0 == 1.0:
+            assert tmin_heralded(spec, r, 1e-5) > 1e7
+            assert got > 0.5
+
+    def test_contradicted_descent_falls_back_to_the_plain_bisection(self, monkeypatch):
+        # a synthetic rate, positive on [1e-6, 1e-5) and from T = 0.02 up: its
+        # sign is not monotone outside the WCP estimate's band, about
+        # [0.0084, 0.0141], and its root near 0.02 lies above that band
+        def sign(t):
+            return 1e-6 <= t < 1e-5 or t >= 0.02
+
+        def fake_key_rate(spec, stats, r, ch):
+            k = 1.0 if sign(ch.transmission) else -1.0
+            return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
+
+        def fake_key_rate_array(spec, pairs, r, t, dark_b):
+            shape = np.broadcast_shapes(np.shape(t), pairs[1].shape)
+            k = np.where(np.vectorize(sign)(t), 1.0, -1.0)
+            return np.ones(shape), np.broadcast_to(k, shape)
+
+        probed = []
+
+        def counting_optimize(spec, r, ch, lambda_max, *, _sign_only=False):
+            probed.append(ch.transmission)
+            return optimize_lambda(spec, r, ch, lambda_max, _sign_only=_sign_only)
+
+        r = wcp_response()
+        est = tmin_heralded(BB84, r, 1e-5)
+        assert est / 1.6 < 0.01 < 1.05 * est < 0.02
+        monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
+        monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
+        monkeypatch.setattr(analysis, "optimize_lambda", counting_optimize)
+        t_min = tmin_numerical(BB84, r, 1e-5)
+        assert t_min == reference_tmin(BB84, r, 1e-5)
+        assert 0.02 <= t_min < 0.02 * (1.0 + analysis._TMIN_REL_TOL)
+        # the fallback probed every midpoint of the plain bisection, far
+        # below the band too, reusing the descent's probes: each T once
+        midpoints, t_lo, t_hi = plain_bisection(sign)
+        assert t_hi == t_min
+        assert len(probed) == len(set(probed)) > 2 + len(midpoints)
+        assert set(probed) >= {1.0, 1e-8, *midpoints}
+        assert min(midpoints) < est / 1.6  # a T the descent takes without probing
+        # the returned bracket's ends were both probed
+        assert {t_lo, t_hi} <= set(probed) and not sign(t_lo)
 
     def test_grid_scores_match_a_fresh_pass(self):
         r, ch = binary_response(), ChannelParams(0.01, 1e-5)
@@ -1197,7 +1291,7 @@ def rises_then_falls(values, tol=1e-15):
 
 class TestSignOnlySteps:
     """tmin_numerical's sign-only optimizations, which stop at the first
-    positive grid point or once _no_positive_rate proves the golden-section
+    positive grid point or once _margin_bound proves the golden-section
     bracket nonpositive."""
 
     @settings(max_examples=200, deadline=None)
@@ -1246,7 +1340,7 @@ class TestSignOnlySteps:
             for p, (p_lo, p_hi) in zip(dataclasses.astuple(poisson_pair_stats(lam)), ranges):
                 assert p_lo * (1.0 - 1e-15) <= p <= p_hi * (1.0 + 1e-15), lam
         ch = ChannelParams(t, dark_b)
-        if not analysis._no_positive_rate(spec, r, ch, a, b):
+        if not analysis._margin_bound(spec, r, ch, a, b) < analysis._PROVEN_NONPOSITIVE:
             return
         for lam in lams:
             k = key_rate(spec, poisson_pair_stats(lam), r, ch).key_rate
