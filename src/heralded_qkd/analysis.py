@@ -55,7 +55,7 @@ _LAMBDA_GRID_POINTS = 200  # size of the coarse logarithmic pump-strength grid
 _LAMBDA_REL_TOL = 1e-6  # relative tolerance of the golden-section refinement
 _TMIN_REL_TOL = 1e-3  # relative tolerance of tmin_numerical's bisection in T
 # tmin_numerical probes the bisection midpoints in [est/1.6, 1.05 est], est
-# = tmin_heralded, so the root is inside while est is 0.952-1.6 times it;
+# the closed-form T_min, so the root is inside while est is 0.952-1.6 times it;
 # measured on the 512 tmin_search pool configs: 0.9995-1.503
 _TMIN_BAND = (1.0 / 1.6, 1.05)
 # A golden-section step in lockstep costs one array pass however few T it
@@ -316,13 +316,13 @@ def optimize_lambda(
        -1e-9).  The full search's key_rate is the better of the best grid
        point and the rate at (a + b)/2, which lies in every later bracket,
        so it is <= 0 too; the result is the best point scored so far.
-       The bound is checked before the first golden step, and after a step
-       only when a check could succeed: a failed bound's excess over the
-       best margin K/(p_exp p_sift) scored by then is taken to shrink by
-       _INV_GOLDEN per step, and the next check waits for the first step
-       at which that extrapolation falls below -1e-9 (none while the best
-       margin is above it or the bound was inf; every step while no
-       scored point is model-valid).  A skipped check can only delay a
+       The bound is checked at the head of the golden loop: before the
+       first step, and after a step only when a check could succeed.  A
+       failed bound's excess over the best margin K/(p_exp p_sift) scored
+       by then is taken to shrink by _INV_GOLDEN per step, and the next
+       check waits for the first step at which that extrapolation falls
+       below -1e-9 (none while the best margin is above it or the bound
+       was inf; every step while no scored point is model-valid).  A skipped check can only delay a
        stop: a search never stopped returns the full search's result, so
        the sign is the same either way.
     A positive key_rate at grid index i proves the full search's result
@@ -353,11 +353,12 @@ def optimize_lambda(
             scored[i] = points[-1]
         return scored[i]
 
-    def stop(point=None) -> OptimizationResult:
-        """A sign-only result at point, by default the first best one so far."""
+    def result(point=None, converged=False) -> OptimizationResult:
+        """The result at point (score, lam, report), by default the first
+        best one scored so far."""
         _, lam, report = point or max(points, key=lambda p: p[0])
         return OptimizationResult(
-            lambda_opt=lam, report=report, converged=False, evaluations=len(points),
+            lambda_opt=lam, report=report, converged=converged, evaluations=len(points),
         )
 
     if _sign_only and r.q2 != 0.0:
@@ -366,21 +367,17 @@ def optimize_lambda(
         if i > 0 and hint / grid[i - 1] < grid[i] / hint:  # nearer on the log grid
             i -= 1
         if (point := grid_point(i))[0] > 0.0:
-            return stop(point)
+            return result(point)
 
-    if _plan is None:  # ((), None) is a plan: no grid point is model-valid
-        _plan = _grid_pass(spec, r, ch, lambda_max), None
-    candidates, bracket = _plan
+    # ((), None), the plan where no grid point is model-valid, is truthy
+    candidates, bracket = _plan or (_grid_pass(spec, r, ch, lambda_max), None)
     if not candidates:
-        return OptimizationResult(
-            lambda_opt=math.nan, report=None, converged=False, evaluations=len(points),
-        )
+        return result((-math.inf, math.nan, None))
     for i in candidates:
         if (point := grid_point(i))[0] > 0.0 and _sign_only:
-            return stop(point)
+            return result(point)
     # first maximum in grid order, as np.argmax; scores are never NaN
     best_idx = max(candidates, key=lambda i: scored[i][0])
-    best_score, _, best_report = scored[best_idx]
 
     if bracket is None:
         a = grid[max(best_idx - 1, 0)]
@@ -409,14 +406,16 @@ def optimize_lambda(
         excess = bound - floor if floor > -math.inf else 0.0
         return False
 
-    # golden-section refinement on the bracket; one the lockstep converged
-    # needs no more scores
-    if _sign_only and proven(a, b):
-        return stop()
-    if _searching(a, b):
-        fc = evaluate(c)
-        fd = evaluate(d)
-    while _searching(a, b):
+    # golden-section refinement on the bracket, checked for a sign-only
+    # proof before each step; one the lockstep converged needs no more scores
+    fc = None
+    while True:
+        if _sign_only and proven(a, b):
+            return result()
+        if not _searching(a, b):
+            break
+        if fc is None:
+            fc, fd = evaluate(c), evaluate(d)
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -425,50 +424,17 @@ def optimize_lambda(
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = evaluate(d)
-        if _sign_only and proven(a, b):
-            return stop()
 
-    lam_opt = 0.5 * (a + b)
-    final = evaluate(lam_opt)
-    report = points[-1][2]
+    final = evaluate(0.5 * (a + b))
     # keep the best of refinement and coarse grid (refinement can only help
     # inside the bracket, but guard against flat -inf plateaus at the edges)
-    if best_score > final:
-        lam_opt, report = grid[best_idx], best_report
-
+    point = scored[best_idx] if scored[best_idx][0] > final else points[-1]
     at_bound = (
         best_idx in (0, _LAMBDA_GRID_POINTS - 1)
-        and (lam_opt <= _LAMBDA_MIN * (1.0 + 1e-5)
-             or lam_opt >= lambda_max * (1.0 - 1e-5))
+        and (point[1] <= _LAMBDA_MIN * (1.0 + 1e-5)
+             or point[1] >= lambda_max * (1.0 - 1e-5))
     )
-    return OptimizationResult(
-        lambda_opt=lam_opt, report=report, converged=not (at_bound or _sign_only),
-        evaluations=len(points),
-    )
-
-
-def _scan_plan(
-    spec: ProtocolSpec, r: HeraldResponse, channels: list[ChannelParams], lambda_max: float
-) -> list[tuple]:
-    """optimize_lambda's _plan for each of channels, all at one d_B, in
-    order: each T's grid candidates, those _grid_pass gives, from (T x lambda)
-    array passes of at most _SCAN_BLOCK_ROWS rows, and its
-    _lockstep_brackets state."""
-    pairs = _lambda_grid(lambda_max)[1]
-    dark_b = channels[0].dark_b
-    ts = [ch.transmission for ch in channels]
-    candidates = []
-    for i in range(0, len(ts), _SCAN_BLOCK_ROWS):
-        block = np.array(ts[i:i + _SCAN_BLOCK_ROWS])[:, None]
-        p_exp, scores = _key_rate_array(spec, pairs, r, block, dark_b)
-        rows, top = np.arange(len(scores)), np.argmax(scores, axis=1)
-        best = scores[rows, top]
-        near = ~_beats(best[:, None], p_exp[rows, top][:, None], scores, p_exp)
-        # a row at -inf is model-invalid throughout: no candidate
-        candidates += [tuple(np.flatnonzero(row).tolist()) if row_best > -math.inf else ()
-                       for row, row_best in zip(near, best.tolist())]
-    return list(zip(candidates, _lockstep_brackets(spec, r, dark_b, ts, candidates,
-                                                    lambda_max)))
+    return result(point, converged=not (at_bound or _sign_only))
 
 
 def _lockstep_brackets(
@@ -669,15 +635,16 @@ def tmin_numerical(
     the rest of the search is nonpositive.
 
     After probing both ends, the bisection descends along its own midpoints
-    steered by the closed form est = tmin_heralded: it probes only those in
-    [est/1.6, 1.05 est], takes one above that band as positive and one
-    below it as negative, and at the end probes each end of its bracket
-    whose sign it took.  If either contradicts, or est is undefined or not
-    finite, the plain bisection probing every midpoint runs, reusing the
-    signs probed so far.  So the result is the plain bisection's wherever
-    the sign is monotone outside the band, and always the upper end of a
-    probed sign change at most 1e-3 wide; each probe's sign is the one a
-    full optimize_lambda gives.
+    steered by the closed form est = tmin_heralded, or, where
+    lambda_opt_heralded is above lambda_max, tmin_bound_heralded at
+    lambda_max: it probes only those in [est/1.6, 1.05 est], takes one
+    above that band as positive and one below it as negative, and at the
+    end probes each end of its bracket whose sign it took.  If either
+    contradicts, or est is undefined or not finite, the plain bisection
+    probing every midpoint runs, reusing the signs probed so far.  So the
+    result is the plain bisection's wherever the sign is monotone outside
+    the band, and always the upper end of a probed sign change at most
+    1e-3 wide; each probe's sign is the one a full optimize_lambda gives.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
@@ -706,6 +673,9 @@ def tmin_numerical(
         )
     try:
         est = tmin_heralded(spec, r, dark_b)
+        if r.q2 != 0.0 and lambda_opt_heralded(spec, r, dark_b) > lambda_max:
+            # the closed-form pump strength is out of reach: the bound at lambda_max
+            est = tmin_bound_heralded(spec, r, dark_b, lambda_max)
     except ZeroDivisionError:  # q1 = 0: no closed form
         est = math.inf
     if est < math.inf:
@@ -741,11 +711,21 @@ def scan_key_rate(
         if not 0.0 < t <= 1.0:
             raise ValueError(f"transmission must be in (0, 1], got {t}")
     channels = [ChannelParams(transmission=t, dark_b=dark_b) for t in t_grid]
-    distinct = list(dict.fromkeys(channels))  # a repeated T is planned once
-    plans = dict(zip(distinct, _scan_plan(spec, r, distinct, lambda_max)))
+    pairs = _lambda_grid(lambda_max)[1]
+    candidates = []  # each T's grid candidates, those _grid_pass gives
+    for i in range(0, len(t_grid), _SCAN_BLOCK_ROWS):
+        block = np.array(t_grid[i:i + _SCAN_BLOCK_ROWS])[:, None]
+        p_exp, scores = _key_rate_array(spec, pairs, r, block, dark_b)
+        rows, top = np.arange(len(scores)), np.argmax(scores, axis=1)
+        best = scores[rows, top]
+        near = ~_beats(best[:, None], p_exp[rows, top][:, None], scores, p_exp)
+        # a row at -inf is model-invalid throughout: no candidate
+        candidates += [tuple(np.flatnonzero(row).tolist()) if row_best > -math.inf else ()
+                       for row, row_best in zip(near, best.tolist())]
+    brackets = _lockstep_brackets(spec, r, dark_b, t_grid, candidates, lambda_max)
     return ScanSeries(points=[
-        (ch.transmission, optimize_lambda(spec, r, ch, lambda_max, _plan=plans[ch]))
-        for ch in channels])
+        (ch.transmission, optimize_lambda(spec, r, ch, lambda_max, _plan=plan))
+        for ch, plan in zip(channels, zip(candidates, brackets))])
 
 
 def fit_power_law(series: ScanSeries) -> tuple[float, float]:

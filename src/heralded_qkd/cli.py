@@ -182,7 +182,8 @@ _DETECTOR_FLAGS = ("stages", "eta-a", "dark-a", "eta-c")
 _CUSTOM_FLAGS = ("q0", "q1", "q2")
 _UNREAD_BY_SOURCE = {
     "wcp": _DETECTOR_FLAGS + _CUSTOM_FLAGS, "custom": _DETECTOR_FLAGS,
-    "binary": _CUSTOM_FLAGS, "multiplexed": _CUSTOM_FLAGS,
+    # a binary detector has no stages, so eta_a eta_c**0 never reads eta-c
+    "binary": _CUSTOM_FLAGS + ("eta-c",), "multiplexed": _CUSTOM_FLAGS,
 }
 
 
@@ -343,12 +344,13 @@ def cmd_tmin(args) -> tuple:
     tmin_c, lam_c = analysis.tmin_wcp(spec, args.dark_b)
     header = ["tmin_single_photon", "tmin_wcp", "lambda_opt_wcp",
               "tmin_heralded", "lambda_opt_heralded", "tmin_numerical"]
+    t_h = analysis.tmin_heralded(spec, r, args.dark_b) if r.q1 > 0 else math.nan
     lam_h = analysis.lambda_opt_heralded(spec, r, args.dark_b) if r.q2 > 0 else math.nan
     row = [
         analysis.tmin_single_photon(spec, args.dark_b),
         tmin_c,
         lam_c,
-        analysis.tmin_heralded(spec, r, args.dark_b),
+        t_h,
         lam_h,
         analysis.tmin_numerical(spec, r, args.dark_b, args.lambda_max),
     ]

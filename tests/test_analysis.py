@@ -1139,6 +1139,22 @@ class TestTminCertificate:
                    for _, res in optimized)
 
     @pytest.mark.parametrize("spec", [BB84, SARG04])
+    @pytest.mark.parametrize("lambda_max", [1e-2, 3e-3, 1e-3, 1e-4])
+    def test_estimate_honours_lambda_max(self, spec, lambda_max, monkeypatch):
+        # WCP's closed-form pump strength at d_B = 1e-5, 0.011 (BB84) or 0.016
+        # (SARG04), is above lambda_max, which moves the root above
+        # tmin_heralded's band, so steering by it would be contradicted and
+        # fall back to the plain bisection (21-25 probes); steered by the
+        # bound at lambda_max, the descent probes no more than at
+        # lambda_max = 1 (13)
+        r = wcp_response()
+        assert lambda_opt_heralded(spec, r, 1e-5) > lambda_max
+        got, _, optimized, _ = traced_tmin(monkeypatch, spec, r, 1e-5, lambda_max)
+        assert got == tmin_outcome(reference_tmin, spec, r, 1e-5, lambda_max)
+        assert isinstance(got, float)
+        assert len(optimized) <= 13
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
     def test_closed_form_point_without_vacuum_heralds(self, spec, monkeypatch):
         # q0 = 0 (no herald dark counts): the closed-form pump strength is 0,
         # and the point scored first is grid[0] = 1e-8

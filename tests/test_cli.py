@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from heralded_qkd import analysis, cli
 from heralded_qkd.cli import build_parser, main
 from heralded_qkd.protocol import BB84, SARG04
+from heralded_qkd.source_detector import HeraldResponse
 
 
 def run_cli(capsys, *argv):
@@ -213,7 +214,7 @@ class TestSourceFlags:
     DETECTOR = {"stages": "4", "eta-a": "0.3", "dark-a": "0.5", "eta-c": "0.9"}
     CUSTOM = {"q0": "0.2", "q1": "0.5", "q2": "0.1"}
     UNREAD = {"wcp": {**DETECTOR, **CUSTOM}, "custom": DETECTOR,
-              "binary": CUSTOM, "multiplexed": CUSTOM}
+              "binary": {**CUSTOM, "eta-c": "0.5"}, "multiplexed": CUSTOM}
 
     @pytest.mark.parametrize("source, flag", [
         (source, flag) for source, flags in UNREAD.items() for flag in flags
@@ -361,6 +362,24 @@ class TestTmin:
         numerical = float(row["tmin_numerical"])
         assert analytic == pytest.approx(numerical, rel=0.15)
         assert float(row["tmin_wcp"]) > analytic
+
+    def test_numerical_root_without_single_photon_heralds(self, capsys):
+        # q1 = 0 has no closed form (the distance factor divides by q1), yet
+        # the bisection finds a root: the closed form reads invalid, and every
+        # other column is kept
+        code, out, err = run_cli(
+            capsys, "tmin", "--source", "custom", "--q0", "1", "--q1", "0",
+            "--q2", "1", "--dark-b", "1e-5",
+        )
+        assert (code, err) == (0, "")
+        row = parse_csv(out)[0]
+        assert row["tmin_heralded"] == "invalid"
+        r = HeraldResponse(q0=1.0, q1=0.0, q2=1.0)
+        assert float(row["tmin_numerical"]) == pytest.approx(
+            analysis.tmin_numerical(BB84, r, 1e-5), rel=1e-11)
+        assert float(row["lambda_opt_heralded"]) == pytest.approx(
+            analysis.lambda_opt_heralded(BB84, r, 1e-5), rel=1e-11)
+        assert row["tmin_wcp"] != "invalid"
 
 
 @pytest.mark.parametrize("argv, message", [

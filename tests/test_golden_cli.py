@@ -52,6 +52,8 @@ CASES = {
     "tmin_multiplexed": ["tmin", "--protocol", "sarg04", *_MULTIPLEXED, "--dark-b", "1e-5"],
     "tmin_far_estimate": ["tmin", "--source", "custom", "--q0", "1", "--q1", "1e-9",
                           "--q2", "1", "--dark-b", "1e-5"],
+    "tmin_lambda_max": ["tmin", "--protocol", "bb84", "--source", "wcp",
+                        "--lambda-max", "1e-3", "--dark-b", "1e-5"],
     "contour_csv": ["contour", "--protocol", "sarg04", *_CONTOUR],
     "contour_json": ["contour", "--protocol", "sarg04", *_CONTOUR, "--format", "json"],
     "compare_stages_fit": ["compare-stages", "--eta-a-list", "0.4", "0.8",
