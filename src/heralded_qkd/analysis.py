@@ -112,9 +112,20 @@ def _log_grid(lo_exp: float, hi_exp: float, n: int) -> list[float]:
     return [10.0**x for x in _linear_grid(lo_exp, hi_exp, n)]
 
 
+def _libm(f):
+    """The math function f mapped over a 1-D float array: libm's results,
+    which unlike numpy's ufuncs (np.exp runs AVX-512 code where the CPU has
+    it) are the same on every CPU."""
+    return lambda x: np.fromiter(map(f, x.tolist()), float, len(x))
+
+
+_EXP, _EXPM1 = _libm(math.exp), _libm(math.expm1)
+
+
 def _pair_array(lams) -> np.ndarray:
-    """poisson_pair_stats's (p0, p1, p2) of each of lams, as a (3, n) array."""
-    return np.array(list(map(_pair_probabilities, lams))).T
+    """poisson_pair_stats's (p0, p1, p2) of each of lams, as a (3, n) array:
+    _pair_probabilities over the array, so each column is its float result."""
+    return np.array(_pair_probabilities(np.asarray(lams, dtype=float), _EXP, _EXPM1))
 
 
 @lru_cache(maxsize=8)
@@ -138,11 +149,17 @@ def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
 
 
 # each finite score of _key_rate_array is within this times its p_exp of
-# key_rate's at the same inputs, whatever the arrays' shapes: the two run the
-# same elementwise arithmetic and differ only in np.log2 against math.log2 in
-# the margin, whose terms are O(1), so by a few dozen ulp of 1 at most, and K
-# is p_exp * p_sift times the margin.  _beats is its one reader.
-_KEY_RATE_ARRAY_TOL = 1e-13
+# key_rate's at the same inputs, whatever the arrays' shapes.  The two run the
+# same elementwise arithmetic and differ only in np.log2 against math.log2,
+# taken to be at most k = 4 ulp apart on the margin's arguments in [0, 1]
+# (tested; numpy's own log2 validation data allows 1).  Each x log2 x-type
+# term, |x log2 x| <= 0.531 on [0, 1], then moves by at most
+# (k + 1) 2^-52 0.531; the margin adds at most five such terms, and its
+# about eight roundings of O(1) sums may each round the other way, so it
+# moves by at most (5 (k + 1) 0.531 + 8) 2^-52 = 4.7e-15, and
+# K = p_exp p_sift margin, p_sift <= 1/2, by 2.4e-15 p_exp: 1e-14 keeps a
+# margin of 4x.  _beats is its one reader.
+_KEY_RATE_ARRAY_TOL = 1e-14
 
 
 def _key_rate_array(
@@ -466,7 +483,7 @@ def _lockstep_brackets(
     t = np.array(ts)[rows]
 
     def score(lams, t):  # (p_exp, score) at one pump strength per row
-        return _key_rate_array(spec, _pair_array(lams.tolist()), r, t, dark_b)
+        return _key_rate_array(spec, _pair_array(lams), r, t, dark_b)
 
     # optimize_lambda's arithmetic, elementwise, so every bracket is its own
     a = grid[np.maximum(top - 1, 0)]

@@ -344,6 +344,9 @@ def cmd_tmin(args) -> tuple:
     tmin_c, lam_c = analysis.tmin_wcp(spec, args.dark_b)
     header = ["tmin_single_photon", "tmin_wcp", "lambda_opt_wcp",
               "tmin_heralded", "lambda_opt_heralded", "tmin_numerical"]
+    # the closed forms are the paper's, without the lambda_max constraint:
+    # only tmin_numerical searches [1e-8, lambda_max], so where lambda_max
+    # is below the closed-form pump strength its root lies above tmin_heralded
     t_h = analysis.tmin_heralded(spec, r, args.dark_b) if r.q1 > 0 else math.nan
     lam_h = analysis.lambda_opt_heralded(spec, r, args.dark_b) if r.q2 > 0 else math.nan
     row = [

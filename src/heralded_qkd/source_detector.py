@@ -106,13 +106,21 @@ def poisson_pair_stats(lam: float) -> PhotonStatistics:
     return PhotonStatistics(*_pair_probabilities(lam))
 
 
-def _pair_probabilities(lam: float) -> tuple[float, float, float]:
-    """(p0, p1, p2) of poisson_pair_stats, without its range check."""
-    p0 = math.exp(-lam)
+def _pair_probabilities(lam, exp=math.exp, expm1=math.expm1):
+    """(p0, p1, p2) of poisson_pair_stats, without its range check.
+
+    lam is a float, or a numpy array with exp and expm1 mapping math.exp and
+    math.expm1 over it: the arithmetic has no branch on the value of lam, so
+    each entry of the arrays equals the float result at that entry bit for bit.
+    """
+    p0 = exp(-lam)
     p1 = lam * p0
     # -expm1(-lam) avoids the catastrophic cancellation of 1 - p0 - p1 at
-    # tiny lam, which could otherwise round p2 negative
-    return p0, p1, max(-math.expm1(-lam) - p1, 0.0)
+    # tiny lam, but the difference of two rounded values may still round
+    # below 0; (d + |d|)/2 clamps it to 0, and is max(d, 0.0) bit for bit on
+    # floats and arrays alike, since d here is within [-1, 1] and never -0.0
+    d = -expm1(-lam) - p1
+    return p0, p1, (d + abs(d)) * 0.5
 
 
 def multiplexed_response(params: MultiplexedDetectorParams) -> HeraldResponse:

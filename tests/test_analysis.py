@@ -30,6 +30,7 @@ from heralded_qkd.protocol import BB84, SARG04, binary_entropy
 from heralded_qkd.source_detector import (
     HeraldResponse,
     MultiplexedDetectorParams,
+    _pair_probabilities,
     distance_factor,
     multiplexed_response,
     poisson_pair_stats,
@@ -335,6 +336,33 @@ class TestKeyRateArray:
             assert_array_agrees(spec, IDEAL_HERALD, ChannelParams(0.3, 0.0))
             assert_array_agrees(spec, HeraldResponse(0.0, 1e-6, 1.0),
                                 ChannelParams(1e-6, 1e-6), lambda_max=10.0)
+
+    def test_log2_within_derived_ulps(self):
+        # the premise of _KEY_RATE_ARRAY_TOL's derivation: np.log2 and
+        # math.log2 are at most 4 ulp apart over the kernel's arguments in
+        # [0, 1], sampled log-uniform down to 1e-300 and float by float
+        # around 1, 1/2 and 1/3, where the information functions' terms sit
+        centres = np.array([1.0, 0.5, 1.0 / 3.0]).view(np.int64)
+        near = (centres[:, None] + np.arange(-64, 65)).ravel().view(np.float64)
+        x = np.concatenate([
+            10.0 ** np.random.default_rng(0).uniform(-300.0, 0.0, 200_000), near])
+        x = x[x <= 1.0]
+        exact = np.fromiter(map(math.log2, x.tolist()), float, len(x))
+        # every log2 here is <= 0, so their bits as integers are 1 apart per
+        # ulp (a sign mismatch would read as a huge distance)
+        assert np.abs(np.log2(x).view(np.int64) - exact.view(np.int64)).max() <= 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(-8.0, 1.0).map(lambda e: 10.0**e),
+        # 0, the smallest float, and where -expm1(-lam) - p1 cancels
+        st.sampled_from([0.0, 5e-324, 1e-16, 1e-8, 1.0])), min_size=1, max_size=80))
+    def test_pair_array_is_pair_probabilities(self, lams):
+        pairs = analysis._pair_array(lams)
+        assert pairs.shape == (3, len(lams))
+        for column, lam in zip(pairs.T.tolist(), lams):
+            assert [x.hex() for x in column] == [
+                x.hex() for x in _pair_probabilities(lam)]
 
 
 def scalar_optimize_lambda(spec, r, ch, lambda_max=1.0):

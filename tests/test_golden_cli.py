@@ -46,6 +46,9 @@ CASES = {
     "scan_multiplexed_csv": ["scan", "--protocol", "sarg04", *_MULTIPLEXED, *_SCAN],
     "scan_multiplexed_json": ["scan", "--protocol", "sarg04", *_MULTIPLEXED, *_SCAN,
                               "--format", "json"],
+    # 50 points: enough T rows (_LOCKSTEP_MIN_ROWS) for the scan's lockstep
+    "scan_lockstep_csv": ["scan", "--protocol", "sarg04", *_MULTIPLEXED, "--dark-b", "1e-5",
+                          "--t-min", "1e-5", "--t-max", "1e-1", "--points", "50"],
     "tmin_bb84": ["tmin", "--protocol", "bb84", *_BINARY, "--dark-b", "1e-5"],
     "tmin_sarg04": ["tmin", "--protocol", "sarg04", *_BINARY, "--dark-b", "1e-5"],
     "tmin_wcp": ["tmin", "--protocol", "bb84", "--source", "wcp", "--dark-b", "1e-5"],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from heralded_qkd.source_detector import (
     HeraldResponse,
     MultiplexedDetectorParams,
+    _pair_probabilities,
     advantage_threshold,
     approx_distance_factor,
     brute_force_response,
@@ -46,6 +47,19 @@ class TestPoissonPairStats:
         for lam in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="pump strength"):
                 poisson_pair_stats(lam)
+
+    @given(st.one_of(st.floats(-8.0, 1.0).map(lambda e: 10.0**e),
+                     st.sampled_from([0.0, 5e-324, 1e-16, 1e-8, 1.0])))
+    def test_p2_clamp_is_max(self, lam):
+        # the clamp (d + |d|)/2, which works on arrays too, against max(d, 0.0)
+        p0, p1, p2 = _pair_probabilities(lam)
+        assert (p0, p1) == (math.exp(-lam), lam * math.exp(-lam))
+        assert p2.hex() == max(-math.expm1(-lam) - p1, 0.0).hex()
+
+    @given(st.floats(-1.0, 1.0).filter(lambda d: math.copysign(1.0, d) > 0.0 or d != 0.0))
+    def test_clamp_identity(self, d):
+        # on every float in [-1, 1] but -0.0, including those rounding below 0
+        assert ((d + abs(d)) * 0.5).hex() == max(d, 0.0).hex()
 
 
 class TestMultiplexedResponse:
