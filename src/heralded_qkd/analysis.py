@@ -178,7 +178,7 @@ def _key_rate_array(
     """
     # invalid entries hold NaN, inf or garbage until masked; numpy stays quiet
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p_exp, q, y = _detection(*pairs, r, t, dark_b)
+        p_exp, _, q, y = _detection(*pairs, r, t, dark_b)
         ratio = q / y
         valid = (p_exp != 0.0) & (y > 0.0) & (ratio <= spec.q_max)
         i_ab = 1.0 - _binary_entropy(q, np.log2)
@@ -244,8 +244,8 @@ def _margin_bound(
     is no bound.  A bound below _PROVEN_NONPOSITIVE proves key_rate <= 0 or
     NaN throughout the cell.
 
-    dark and p_exp rise in each of p0, p1, p2, so _detection's expressions
-    at the ends of their _pair_ranges bound them, and Q = dark/p_exp is in
+    dark and p_exp rise in each of p0, p1, p2, so _detection at the ends
+    of their _pair_ranges bounds them, and Q = dark/p_exp is in
     [dark_lo/p_exp_hi, dark_hi/p_exp_lo] and y = 1 - p2 q2/p_exp in
     [1 - p2_hi q2/p_exp_lo, 1 - p2_lo q2/p_exp_hi].  Where y <= 0 or
     Q/y > q_max key_rate is NaN, so the cell is invalid throughout when
@@ -274,15 +274,12 @@ def _margin_bound(
     optimize_lambda schedules its checks by that (see there).
     """
     (p0_lo, p0_hi), (p1_lo, p1_hi), (p2_lo, p2_hi) = _pair_ranges(a, b)
-    t, q0, q1, q2 = ch.transmission, r.q0, r.q1, r.q2
-    dark_lo = ch.dark_b * (p0_lo * q0 + p1_lo * q1 + p2_lo * q2)
-    dark_hi = ch.dark_b * (p0_hi * q0 + p1_hi * q1 + p2_hi * q2)
-    p_exp_lo = t * p1_lo * q1 + 2.0 * t * p2_lo * q2 + 2.0 * dark_lo
-    p_exp_hi = t * p1_hi * q1 + 2.0 * t * p2_hi * q2 + 2.0 * dark_hi
+    p_exp_lo, dark_lo = _detection(p0_lo, p1_lo, p2_lo, r, ch.transmission, ch.dark_b)[:2]
+    p_exp_hi, dark_hi = _detection(p0_hi, p1_hi, p2_hi, r, ch.transmission, ch.dark_b)[:2]
     if p_exp_lo == 0.0:  # key_rate may be valid where p_exp > 0: no bound
         return math.inf
     q_lo = dark_lo / p_exp_hi
-    y_lo, y_hi = 1.0 - p2_hi * q2 / p_exp_lo, 1.0 - p2_lo * q2 / p_exp_hi
+    y_lo, y_hi = 1.0 - p2_hi * r.q2 / p_exp_lo, 1.0 - p2_lo * r.q2 / p_exp_hi
     if y_hi <= 0.0 or (r_lo := q_lo / y_hi) > spec.q_max:
         return -math.inf
     bound = 1.0 - _binary_entropy(q_lo) - (1.0 - y_hi) * spec.i_ae_two
@@ -308,13 +305,15 @@ def optimize_lambda(
     1e-6 in the pump strength.  The grid is scored in one array pass
     (_grid_pass), and only the candidate points near its best are rescored
     with key_rate, so the bracket is the one a key_rate call at every grid
-    point would give.  Every score comes from one evaluator, so evaluations
-    counts only the scalar key_rate calls made by this call, each pump
-    strength evaluated once (0 when no grid point is model-valid); array
-    passes are not counted, so a call given a plan does not count the
-    search's total work.  converged is False when the optimum sits at a
-    bound, when no probed point was model-valid, and on every _sign_only
-    result.
+    point would give.  Every score goes into one table, {lam: (score,
+    report)}, and key_rate runs only for a pump strength not yet in it; the
+    result, the sign-only proof and evaluations all read the table.  So
+    evaluations counts the scalar key_rate calls made by this call, one per
+    pump strength scored: 0 when no grid point is model-valid, unless a
+    sign-only call scored the closed-form point first.  Array passes are
+    not counted, so a call given a plan does not count the search's total
+    work.  converged is False when the optimum sits at a bound, when no
+    probed point was model-valid, and on every _sign_only result.
 
     _plan, for scan_key_rate, is (candidates, bracket) already worked out
     for this call's inputs: the grid candidates _grid_pass gives, and None
@@ -332,16 +331,16 @@ def optimize_lambda(
        that its bracket [a, b] holds no positive rate (a bound below
        -1e-9).  The full search's key_rate is the better of the best grid
        point and the rate at (a + b)/2, which lies in every later bracket,
-       so it is <= 0 too; the result is the best point scored so far.
-       The bound is checked at the head of the golden loop: before the
-       first step, and after a step only when a check could succeed.  A
-       failed bound's excess over the best margin K/(p_exp p_sift) scored
-       by then is taken to shrink by _INV_GOLDEN per step, and the next
-       check waits for the first step at which that extrapolation falls
-       below -1e-9 (none while the best margin is above it or the bound
-       was inf; every step while no scored point is model-valid).  A skipped check can only delay a
-       stop: a search never stopped returns the full search's result, so
-       the sign is the same either way.
+       so it is <= 0 too; the result is the table's best entry.  The
+       bound is checked at the head of the golden loop: before the first
+       step, and after a step only when a check could succeed.  A failed
+       bound's excess over the best margin K/(p_exp p_sift) scored by then
+       is taken to shrink by _INV_GOLDEN per step, and the next check waits
+       for the first step at which that extrapolation falls below -1e-9
+       (none while the best margin is above it or the bound was inf; every
+       step while no scored point is model-valid).  A skipped check can
+       only delay a stop: a search never stopped returns the full search's
+       result, so the sign is the same either way.
     A positive key_rate at grid index i proves the full search's result
     positive: if i is a candidate, the full search's best grid score is at
     least key_rate at i; if not, the array maximum top _beats it, so
@@ -353,48 +352,42 @@ def optimize_lambda(
     positive grid point carries that point's report.
     """
     grid = _lambda_grid(lambda_max)[0]
-    points: list[tuple[float, float, KeyRateReport]] = []  # (score, lam, report)
-    scored: dict[int, tuple[float, float, KeyRateReport]] = {}  # grid index: point
+    table: dict[float, tuple[float, KeyRateReport]] = {}  # lam: (score, report)
 
-    def evaluate(lam: float) -> float:
-        """Key rate at lam as an optimization score; model-invalid is -inf."""
-        report = key_rate(spec, poisson_pair_stats(lam), r, ch)
-        score = -math.inf if math.isnan(report.key_rate) else report.key_rate
-        points.append((score, lam, report))
-        return score
+    def score(lam: float) -> float:
+        """Key rate at lam as an optimization score, model-invalid -inf;
+        key_rate runs only for a lam not yet in the table."""
+        if lam not in table:
+            report = key_rate(spec, poisson_pair_stats(lam), r, ch)
+            table[lam] = (-math.inf if math.isnan(report.key_rate) else report.key_rate,
+                          report)
+        return table[lam][0]
 
-    def grid_point(i: int) -> tuple[float, float, KeyRateReport]:
-        """The point of grid index i, evaluated on first use."""
-        if i not in scored:
-            evaluate(grid[i])
-            scored[i] = points[-1]
-        return scored[i]
-
-    def result(point=None, converged=False) -> OptimizationResult:
-        """The result at point (score, lam, report), by default the first
-        best one scored so far."""
-        _, lam, report = point or max(points, key=lambda p: p[0])
-        return OptimizationResult(
-            lambda_opt=lam, report=report, converged=converged, evaluations=len(points),
-        )
+    def result(lam=None, converged=False) -> OptimizationResult:
+        """The result at lam, by default the table's first best entry; NaN,
+        for no candidate, has no report."""
+        if lam is None:
+            lam = max(table, key=lambda x: table[x][0])
+        return OptimizationResult(lambda_opt=lam, report=table.get(lam, (0.0, None))[1],
+                                  converged=converged, evaluations=len(table))
 
     if _sign_only and r.q2 != 0.0:
         hint = lambda_opt_heralded(spec, r, ch.dark_b)
         i = min(bisect.bisect_left(grid, hint), _LAMBDA_GRID_POINTS - 1)
         if i > 0 and hint / grid[i - 1] < grid[i] / hint:  # nearer on the log grid
             i -= 1
-        if (point := grid_point(i))[0] > 0.0:
-            return result(point)
+        if score(grid[i]) > 0.0:
+            return result(grid[i])
 
     # ((), None), the plan where no grid point is model-valid, is truthy
     candidates, bracket = _plan or (_grid_pass(spec, r, ch, lambda_max), None)
     if not candidates:
-        return result((-math.inf, math.nan, None))
+        return result(math.nan)
     for i in candidates:
-        if (point := grid_point(i))[0] > 0.0 and _sign_only:
-            return result(point)
+        if score(grid[i]) > 0.0 and _sign_only:
+            return result(grid[i])
     # first maximum in grid order, as np.argmax; scores are never NaN
-    best_idx = max(candidates, key=lambda i: scored[i][0])
+    best_idx = max(candidates, key=lambda i: table[grid[i]][0])
 
     if bracket is None:
         a = grid[max(best_idx - 1, 0)]
@@ -404,54 +397,43 @@ def optimize_lambda(
     else:  # where the plan's lockstep left this T
         a, b, c, d = bracket
 
-    # the sign-only check schedule: floor is the best margin scored when the
-    # last check failed, excess that check's bound above it, shrunk by
-    # _INV_GOLDEN per golden step since
-    floor, excess = -math.inf, 0.0
-
-    def proven(a: float, b: float) -> bool:
-        """A check of the bracket [a, b] is due, and proves it nonpositive."""
-        nonlocal floor, excess
-        excess *= _INV_GOLDEN
-        if not floor + excess < _PROVEN_NONPOSITIVE:  # the check must fail
-            return False
-        if (bound := _margin_bound(spec, r, ch, a, b)) < _PROVEN_NONPOSITIVE:
-            return True
-        floor = max((score / (report.p_exp * spec.p_sift)
-                     for score, _, report in points if score > -math.inf),
-                    default=-math.inf)
-        excess = bound - floor if floor > -math.inf else 0.0
-        return False
-
-    # golden-section refinement on the bracket, checked for a sign-only
-    # proof before each step; one the lockstep converged needs no more scores
-    fc = None
+    # golden-section refinement on the bracket (one the lockstep converged
+    # needs no more scores), checked for a sign-only proof at its head on a
+    # schedule: floor is the best margin scored when the last check failed,
+    # excess that check's bound above it, shrunk by _INV_GOLDEN per step since
+    floor, excess, fc = -math.inf, 0.0, None
     while True:
-        if _sign_only and proven(a, b):
-            return result()
+        if _sign_only:
+            excess *= _INV_GOLDEN
+            if floor + excess < _PROVEN_NONPOSITIVE:  # else the check must fail
+                if (bound := _margin_bound(spec, r, ch, a, b)) < _PROVEN_NONPOSITIVE:
+                    return result()
+                floor = max((k / (report.p_exp * spec.p_sift)
+                             for k, report in table.values() if k > -math.inf),
+                            default=-math.inf)
+                excess = bound - floor if floor > -math.inf else 0.0
         if not _searching(a, b):
             break
         if fc is None:
-            fc, fd = evaluate(c), evaluate(d)
+            fc, fd = score(c), score(d)
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
-            fc = evaluate(c)
+            fc = score(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
-            fd = evaluate(d)
+            fd = score(d)
 
-    final = evaluate(0.5 * (a + b))
     # keep the best of refinement and coarse grid (refinement can only help
     # inside the bracket, but guard against flat -inf plateaus at the edges)
-    point = scored[best_idx] if scored[best_idx][0] > final else points[-1]
+    best, mid = grid[best_idx], 0.5 * (a + b)
+    lam = best if table[best][0] > score(mid) else mid
     at_bound = (
         best_idx in (0, _LAMBDA_GRID_POINTS - 1)
-        and (point[1] <= _LAMBDA_MIN * (1.0 + 1e-5)
-             or point[1] >= lambda_max * (1.0 - 1e-5))
+        and (lam <= _LAMBDA_MIN * (1.0 + 1e-5) or lam >= lambda_max * (1.0 - 1e-5))
     )
-    return result(point, converged=not (at_bound or _sign_only))
+    return result(lam, converged=not (at_bound or _sign_only))
 
 
 def _lockstep_brackets(

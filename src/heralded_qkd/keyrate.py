@@ -55,12 +55,13 @@ class KeyRateReport:
 
 
 def _detection(p0, p1, p2, r: HeraldResponse, t, dark_b: float):
-    """(p_exp, QBER, single-photon fraction y) from the pair probabilities
-    and the channel transmission t.
+    """(p_exp, dark, QBER, single-photon fraction y) from the pair
+    probabilities and the channel transmission t.
 
     p0, p1, p2 and t are floats or numpy arrays of any shapes that
-    broadcast.  p_exp is the detection probability per pulse; half of the
-    dark-count events (d_B per detector and heralded pulse) are errors.
+    broadcast.  p_exp is the detection probability per pulse, and dark the
+    dark-count probability per detector and pulse (d_B per heralded pulse);
+    half of the dark-count events are errors.
     Where nothing is detected (p_exp = 0) QBER and y are undefined: the
     values returned there stand in, and the caller replaces or masks them.
     """
@@ -68,7 +69,7 @@ def _detection(p0, p1, p2, r: HeraldResponse, t, dark_b: float):
     p_exp = t * p1 * r.q1 + 2.0 * t * p2 * r.q2 + 2.0 * dark
     # a zero p_exp divides by 1 in place of a branch; any other keeps its bits
     per_click = p_exp + (p_exp == 0.0)
-    return p_exp, dark / per_click, 1.0 - p2 * r.q2 / per_click
+    return p_exp, dark, dark / per_click, 1.0 - p2 * r.q2 / per_click
 
 
 def key_rate(
@@ -84,7 +85,7 @@ def key_rate(
     the single-photon information function, or nothing is detected, key_rate
     is NaN and secure is False.
     """
-    p_exp, q, y = _detection(stats.p0, stats.p1, stats.p2, r, ch.transmission, ch.dark_b)
+    p_exp, _, q, y = _detection(stats.p0, stats.p1, stats.p2, r, ch.transmission, ch.dark_b)
     if p_exp == 0.0:
         q = y = math.nan
     # the printed multiphoton fraction can exceed 1 at large pump strength

@@ -100,11 +100,29 @@ class TestOptimizeLambda:
         with pytest.raises(ValueError, match="bounds"):
             optimize_lambda(BB84, wcp_response(), ChannelParams(0.1, 0.0), lambda_max)
 
-    @pytest.mark.parametrize("spec, t", [(BB84, 1e-5), (SARG04, 1.0)])
-    def test_grid_optimum_scored_once(self, monkeypatch, spec, t):
-        # sub-threshold (lambda at the lower bound) and lambda at the upper
-        # bound: the optimum is a grid point, whose report is reused
-        r, ch = binary_response(), ChannelParams(t, 1e-5)
+    @pytest.mark.parametrize("spec, t, on_grid", [
+        pytest.param(BB84, 1e-5, True, id="spec0-1e-05"),
+        pytest.param(SARG04, 1.0, True, id="spec1-1.0"),
+        pytest.param(BB84, 9e-5, False, id="spec0-9e-05"),
+        pytest.param(SARG04, 0.0, False, id="spec1-0.0"),
+    ])
+    def test_grid_optimum_scored_once(self, monkeypatch, spec, t, on_grid):
+        # a lone, a sign-only and a planned call (the plan scan_key_rate
+        # gives this T in a 21-point scan, whose lockstep brackets it) score
+        # each pump strength once.  Sub-threshold (lambda at the lower bound)
+        # and lambda at the upper bound, the optimum is a grid point, whose
+        # report is reused.  Just below T_min the sign-only call's
+        # closed-form point is also its one grid candidate.  At T = 0 a WCP
+        # source has no model-valid grid point, and only the sign-only call
+        # scores a point: the closed-form one, before it finds no candidate.
+        r = binary_response() if t > 0.0 else wcp_response()
+        ch = ChannelParams(t, 1e-5)
+        calls = {"lone": {}, "sign-only": {"_sign_only": True}}
+        if t > 0.0:
+            plans, ts = recorded_plans(monkeypatch), analysis._log_grid(-5.0, 0.0, 20) + [t]
+            scan_key_rate(spec, r, ch.dark_b, ts)
+            calls["planned"] = {"_plan": plans[ts.index(t)]}
+            assert calls["planned"]["_plan"][1] is not None  # a lockstep bracket
         scored = []
 
         def recording_key_rate(spec, stats, r, ch):
@@ -112,10 +130,17 @@ class TestOptimizeLambda:
             return key_rate(spec, stats, r, ch)
 
         monkeypatch.setattr(analysis, "key_rate", recording_key_rate)
-        res = optimize_lambda(spec, r, ch)
-        assert res.lambda_opt in TestLambdaGrid.fresh_grid(1e-8, 1.0, 200)[0]
-        assert len(set(scored)) == len(scored) == res.evaluations
-        assert res.report == key_rate(spec, poisson_pair_stats(res.lambda_opt), r, ch)
+        for name, kwargs in calls.items():
+            scored.clear()
+            res = optimize_lambda(spec, r, ch, **kwargs)
+            # no pump strength reaches key_rate twice, and each call counts
+            assert len(set(scored)) == len(scored) == res.evaluations, name
+            if t == 0.0:
+                assert (res.report, res.evaluations) == (None, int("_sign_only" in kwargs))
+                continue
+            if on_grid:
+                assert res.lambda_opt in TestLambdaGrid.fresh_grid(1e-8, 1.0, 200)[0], name
+            assert res.report == key_rate(spec, poisson_pair_stats(res.lambda_opt), r, ch)
 
 
 class TestLambdaGrid:
