@@ -22,6 +22,7 @@ import numpy as np
 from .keyrate import ChannelParams, KeyRateReport, _detection, key_rate
 from .protocol import ProtocolSpec, _binary_entropy, _margin
 from .source_detector import (
+    _MAX_STAGES,
     HeraldResponse,
     MultiplexedDetectorParams,
     _pair_probabilities,
@@ -59,9 +60,10 @@ _TMIN_REL_TOL = 1e-3  # relative tolerance of tmin_numerical's bisection in T
 # measured on the 512 tmin_search pool configs: 0.9995-1.503
 _TMIN_BAND = (1.0 / 1.6, 1.05)
 # A golden-section step in lockstep costs one array pass however few T it
-# moves, so fewer searching T points than this finish in the scalar loop.
-# Measured: 8 made 12-point scans about 1.5x slower than 16, which runs them
-# scalar; 12 to 24 scored 50- and 200-point scans alike.
+# moves, so a scan with fewer single-candidate T than this runs none of them
+# in lockstep.  Measured on the scan_sweep pool: entering at 1 or 4 made its
+# 12-point scans 1.43x slower than 16, which runs them scalar; its 50- and
+# 200-point scans did not change.
 _LOCKSTEP_MIN_ROWS = 16
 # T rows per coarse-grid array pass of a scan: bounds the pass's temporaries
 # (measured on 200-point scans: peak memory +3.6 MB in one pass, +0.6 MB in
@@ -436,66 +438,6 @@ def optimize_lambda(
     return result(lam, converged=not (at_bound or _sign_only))
 
 
-def _lockstep_brackets(
-    spec: ProtocolSpec,
-    r: HeraldResponse,
-    dark_b: float,
-    ts: list[float],
-    candidates: list[tuple[int, ...]],
-    lambda_max: float,
-) -> list[tuple[float, float, float, float] | None]:
-    """Golden-section state (a, b, c, d) at which each T left the lockstep;
-    None for a T that never entered it.
-
-    The T points with exactly one grid candidate, whose bracket the grid
-    fixes, run optimize_lambda's golden-section steps together: each step
-    scores one new point per T in one _key_rate_array pass.  A step's
-    fc >= fd is taken from the array scores only where one _beats the other,
-    or both are -inf (the validity mask is key_rate's), so it is key_rate's
-    decision.  A T leaves when its bracket has converged, when its decision
-    is not proven, or when fewer than _LOCKSTEP_MIN_ROWS T points would go
-    on; optimize_lambda continues it.
-    """
-    brackets = [None] * len(ts)
-    rows = np.array([i for i, found in enumerate(candidates) if len(found) == 1])
-    if len(rows) < _LOCKSTEP_MIN_ROWS:
-        return brackets
-    grid = np.array(_lambda_grid(lambda_max)[0])
-    top = np.array([candidates[i][0] for i in rows])
-    t = np.array(ts)[rows]
-
-    def score(lams, t):  # (p_exp, score) at one pump strength per row
-        return _key_rate_array(spec, _pair_array(lams), r, t, dark_b)
-
-    # optimize_lambda's arithmetic, elementwise, so every bracket is its own
-    a = grid[np.maximum(top - 1, 0)]
-    b = grid[np.minimum(top + 1, _LAMBDA_GRID_POINTS - 1)]
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    (pc, fc), (pd, fd) = score(c, t), score(d, t)
-    while True:
-        proven = (_beats(fc, pc, fd, pd) | _beats(fd, pd, fc, pc)
-                  | ((fc == -np.inf) & (fd == -np.inf)))
-        stay = _searching(a, b) & proven
-        if np.count_nonzero(stay) < _LOCKSTEP_MIN_ROWS:
-            stay[:] = False
-        leave = ~stay
-        for i, state in zip(rows[leave].tolist(),
-                            zip(*(x[leave].tolist() for x in (a, b, c, d)))):
-            brackets[i] = state
-        if not stay.any():
-            return brackets
-        rows, t, a, b, c, d, fc, fd, pc, pd = (
-            x[stay] for x in (rows, t, a, b, c, d, fc, fd, pc, pd))
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        c, d = (np.where(left, b - _INV_GOLDEN * (b - a), d),
-                np.where(left, c, a + _INV_GOLDEN * (b - a)))
-        p_new, f_new = score(np.where(left, c, d), t)
-        pc, pd = np.where(left, p_new, pd), np.where(left, pc, p_new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-
-
 def _short_distance_penalty(spec: ProtocolSpec, t: float) -> float:
     """I_AE2 - 2T: the short-distance cost of a multiphoton event."""
     if not 0.0 < t <= 1.0:
@@ -696,11 +638,16 @@ def scan_key_rate(
 
     Each point is optimize_lambda's result at its transmission, bit for bit
     (evaluations aside).  The scan scores the coarse grids of all its
-    transmissions in (T x lambda) array passes, and runs their golden
-    sections in lockstep as array passes while enough T points search and
-    each step's decision is proven (_lockstep_brackets).  It then calls
-    optimize_lambda once per point with that T's plan, which rescores the
-    grid candidates and finishes the T's search with key_rate; a point's
+    transmissions in (T x lambda) array passes.  When at least
+    _LOCKSTEP_MIN_ROWS T have one grid candidate, whose bracket the grid
+    fixes, those T run optimize_lambda's golden-section steps in lockstep,
+    one _key_rate_array pass per step.  A step's fc >= fd is taken from the
+    array scores only where one _beats the other, or both are -inf (the
+    validity mask is key_rate's), so it is key_rate's decision.  A T leaves
+    when its bracket has converged or its step is undecided, so its plan
+    does not depend on the other T in the scan.  optimize_lambda then
+    finishes each T from its plan, its candidates and the bracket it left
+    the lockstep with (None if it never entered), with key_rate; a point's
     evaluations counts only those calls, not the array passes.
     """
     t_grid = list(t_grid)
@@ -710,7 +657,7 @@ def scan_key_rate(
         if not 0.0 < t <= 1.0:
             raise ValueError(f"transmission must be in (0, 1], got {t}")
     channels = [ChannelParams(transmission=t, dark_b=dark_b) for t in t_grid]
-    pairs = _lambda_grid(lambda_max)[1]
+    grid, pairs = _lambda_grid(lambda_max)
     candidates = []  # each T's grid candidates, those _grid_pass gives
     for i in range(0, len(t_grid), _SCAN_BLOCK_ROWS):
         block = np.array(t_grid[i:i + _SCAN_BLOCK_ROWS])[:, None]
@@ -721,7 +668,36 @@ def scan_key_rate(
         # a row at -inf is model-invalid throughout: no candidate
         candidates += [tuple(np.flatnonzero(row).tolist()) if row_best > -math.inf else ()
                        for row, row_best in zip(near, best.tolist())]
-    brackets = _lockstep_brackets(spec, r, dark_b, t_grid, candidates, lambda_max)
+    brackets = [None] * len(t_grid)
+    rows = np.array([i for i, found in enumerate(candidates) if len(found) == 1])
+    if len(rows) >= _LOCKSTEP_MIN_ROWS:
+        top, t = np.array([candidates[i][0] for i in rows]), np.array(t_grid)[rows]
+        # optimize_lambda's arithmetic, elementwise, so every bracket is its own
+        a = np.array(grid)[np.maximum(top - 1, 0)]
+        b = np.array(grid)[np.minimum(top + 1, _LAMBDA_GRID_POINTS - 1)]
+        c = b - _INV_GOLDEN * (b - a)
+        d = a + _INV_GOLDEN * (b - a)
+        (pc, fc), (pd, fd) = (_key_rate_array(spec, _pair_array(x), r, t, dark_b)
+                              for x in (c, d))
+        while True:
+            stay = _searching(a, b) & (_beats(fc, pc, fd, pd) | _beats(fd, pd, fc, pc)
+                                       | ((fc == -np.inf) & (fd == -np.inf)))
+            leave = ~stay
+            for i, state in zip(rows[leave].tolist(),
+                                zip(*(x[leave].tolist() for x in (a, b, c, d)))):
+                brackets[i] = state
+            if not stay.any():
+                break
+            rows, t, a, b, c, d, fc, fd, pc, pd = (
+                x[stay] for x in (rows, t, a, b, c, d, fc, fd, pc, pd))
+            left = fc >= fd
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            c, d = (np.where(left, b - _INV_GOLDEN * (b - a), d),
+                    np.where(left, c, a + _INV_GOLDEN * (b - a)))
+            p_new, f_new = _key_rate_array(spec, _pair_array(np.where(left, c, d)), r, t,
+                                           dark_b)
+            pc, pd = np.where(left, p_new, pd), np.where(left, pc, p_new)
+            fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     return ScanSeries(points=[
         (ch.transmission, optimize_lambda(spec, r, ch, lambda_max, _plan=plan))
         for ch, plan in zip(channels, zip(candidates, brackets))])
@@ -757,10 +733,11 @@ def optimal_stage_count(
 ) -> int:
     """Stage count maximizing the short-distance factor q1**2/q2.
 
-    Exhaustive argmax over 0..n_max; ties go to the smaller stage count.
+    Exhaustive argmax over 0..n_max, n_max at most the largest stage count
+    a detector takes; ties go to the smaller stage count.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if not 0 <= n_max <= _MAX_STAGES:  # checked before any detector is built
+        raise ValueError(f"n_max must be in [0, {_MAX_STAGES}], got {n_max}")
     best_n, best_factor = 0, -math.inf
     for n in range(n_max + 1):
         params = MultiplexedDetectorParams(

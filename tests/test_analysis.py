@@ -669,6 +669,22 @@ class TestScanLockstep:
                    for candidates, bracket in plans)
         assert all(res.key_rate == 1e-3 for _, res in series.points)
 
+    @pytest.mark.parametrize("spec, r, dark_b", [
+        # a scan_sweep pool config
+        (SARG04, multiplexed_response(MultiplexedDetectorParams(
+            stages=3, eta_a=0.633339, dark_a=1.31433e-07, eta_c=0.99946)), 1.34737e-06),
+        (BB84, THREE_STAGE, 1e-5),
+    ], ids=["sarg04-multiplexed", "bb84-three-stage"])
+    def test_plan_does_not_depend_on_the_other_t(self, monkeypatch, spec, r, dark_b):
+        # a T leaves the lockstep on its own bracket and its own step alone,
+        # so 150 more T in the scan leave each of the first 50 its plan
+        ts = analysis._log_grid(-5.0, 0.0, 50)
+        alone = recorded_plans(monkeypatch)
+        scan_key_rate(spec, r, dark_b, ts)
+        joined = recorded_plans(monkeypatch)
+        scan_key_rate(spec, r, dark_b, ts + analysis._log_grid(-4.99, -0.01, 150))
+        assert len(alone) == 50 and joined[:50] == alone
+
     def test_no_plan_outlives_a_scan(self, monkeypatch):
         r = THREE_STAGE
         t_grid = np.logspace(-4, -1, 40).tolist()
@@ -1560,3 +1576,7 @@ class TestOptimalStageCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             optimal_stage_count(0.5, 0.98, 1e-6, -1)
+
+    def test_above_largest_stage_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^n_max must be in \[0, 1023\], got 1024$"):
+            optimal_stage_count(0.5, 0.98, 1e-6, 1024)

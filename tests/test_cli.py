@@ -685,6 +685,12 @@ class TestIntegerFlags:
         exit_code("detector", "--eta-a", "0.6", "--dark-a", "1e-6",
                        "--stages", stages)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers())
+    def test_n_max(self, n_max):
+        exit_code("compare-stages", "--eta-a-list", "0.5", "--dark-a", "1e-6",
+                  "--n-max", n_max)
+
     # point counts above the cap are tested in test_point_cap
     @settings(max_examples=30, deadline=None)
     @given(st.integers(max_value=8))
@@ -713,9 +719,11 @@ class TestIntegerFlags:
          "--q-points x --y-points must be at most 1000000, got 1001 x 1000"),
         (["contour", "--q-points", "2", "--y-points", "500001"],
          "--q-points x --y-points must be at most 1000000, got 2 x 500001"),
+        (["compare-stages", "--eta-a-list", "0.5", "--dark-a", "1e-6", "--n-max", "2000"],
+         "n_max must be in [0, 1023], got 2000"),
     ])
     def test_point_cap(self, capsys, argv, message):
-        # a count above the cap is rejected before any grid is built
+        # a count above the cap is rejected before any grid or detector is built
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
