@@ -12,9 +12,11 @@ import numpy as np
 from heralded_qkd import (
     BB84,
     MultiplexedDetectorParams,
+    analysis,
     multiplexed_response,
     scan_key_rate,
     tmin_heralded,
+    tmin_numerical,
     tmin_single_photon,
     tmin_wcp,
     wcp_response,
@@ -37,11 +39,13 @@ scans = {
 }
 
 print(f"# ideal-source floor T_min1 = {tmin_single_photon(BB84, DARK_B):.4e}")
-print(f"# WCP minimum transmission  = {tmin_wcp(BB84, DARK_B)[0]:.4e}")
+# the closed form beside the certified floor, below which no pump strength
+# gives a positive rate, and the numerical root, always above the floor
+print("# minimum transmission: closed form, certified floor, numerical")
 for name, r in sources.items():
-    if name != "wcp":
-        print(f"# {name} minimum transmission = "
-              f"{tmin_heralded(BB84, r, DARK_B):.4e}")
+    closed = tmin_wcp(BB84, DARK_B)[0] if name == "wcp" else tmin_heralded(BB84, r, DARK_B)
+    print(f"# {name}: {closed:.4e}, {analysis._tmin_floor(BB84, r, DARK_B):.4e}, "
+          f"{tmin_numerical(BB84, r, DARK_B):.4e}")
 
 print("T," + ",".join(f"K_{name}" for name in sources))
 for i, t in enumerate(t_grid):

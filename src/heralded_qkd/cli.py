@@ -400,18 +400,10 @@ def cmd_compare_stages(args) -> tuple:
         header.append("fitted_ratio_vs_binary")
     rows = []
     for eta_a in args.eta_a_list:
-        best_n = analysis.optimal_stage_count(
-            eta_a, args.eta_c, args.dark_a, args.n_max
-        )
         # stage 0, the binary detector, is the base of every ratio
-        responses = [
-            multiplexed_response(
-                MultiplexedDetectorParams(stages=n, eta_a=eta_a,
-                                          dark_a=args.dark_a, eta_c=args.eta_c)
-            )
-            for n in range(args.n_max + 1)
-        ]
+        responses = analysis._stage_responses(eta_a, args.eta_c, args.dark_a, args.n_max)
         factors = [short_distance_factor(r) for r in responses]
+        best_n = analysis._best_stage(factors)  # optimal_stage_count's
         if args.fit:
             fitted = [_fitted_prefactor(spec, r, args.dark_b) for r in responses]
         for n in range(args.n_max + 1):

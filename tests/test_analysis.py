@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from heralded_qkd import analysis
+from heralded_qkd import analysis, protocol
 from heralded_qkd.analysis import (
     _KEY_RATE_ARRAY_TOL,
     _key_rate_array,
@@ -1096,14 +1096,21 @@ def descent_probes(spec, r, dark_b, lambda_max=1.0):
     """The T, in order, that tmin_numerical probes when its descent needs no
     fallback: both ends, the midpoints of the full-search bisection inside
     [est/1.6, 1.05 est] (est = tmin_heralded), then each end of the final
-    bracket not probed yet, the upper first."""
+    bracket not probed yet, the upper first.  As (settled, optimized): those
+    at or below _tmin_floor, which it takes as negative without an
+    optimize_lambda call, and the others.  Every settled T is certified: the
+    full search there is not positive."""
     def positive(t):
         return optimize_lambda(spec, r, ChannelParams(t, dark_b), lambda_max).key_rate > 0.0
 
     est = tmin_heralded(spec, r, dark_b)
     midpoints, t_lo, t_hi = plain_bisection(positive)
     probes = [1.0, 1e-8] + [t for t in midpoints if est / 1.6 <= t <= 1.05 * est]
-    return probes + [t for t in (t_hi, t_lo) if t not in probes]
+    probes += [t for t in (t_hi, t_lo) if t not in probes]
+    floor = analysis._tmin_floor(spec, r, dark_b)
+    settled = [t for t in probes if t <= floor]
+    assert not any(positive(t) for t in settled)
+    return settled, [t for t in probes if t > floor]
 
 
 class TestTminCertificate:
@@ -1173,11 +1180,15 @@ class TestTminCertificate:
         assert got == expected
         # the descent's probes: 2 endpoint tests and the 10 of the 15
         # bisection midpoints near the closed form, the final bracket's ends
-        # among them; one sign-only optimize_lambda each, which makes at most
-        # one array pass
+        # among them; those at or below the floor (1e-8, and for BB84 the
+        # lowest midpoint) are settled without a call, and the others take
+        # one sign-only optimize_lambda each, which makes at most one array
+        # pass
         optimized_t = [t for t, _ in optimized]
-        assert optimized_t == descent_probes(spec, r, 1e-5)
-        assert len(optimized_t) == len(set(optimized_t)) == 12
+        settled, probes = descent_probes(spec, r, 1e-5)
+        assert optimized_t == probes
+        assert len(optimized_t) == len(set(optimized_t)) == 12 - len(settled)
+        assert 1e-8 in settled and len(settled) == {BB84: 2, SARG04: 1}[spec]
         assert len(passes) == len(set(passes)) and set(passes) <= set(optimized_t)
         # a step whose closed-form grid point is positive makes no array pass
         # and one key_rate call, and returns that point
@@ -1239,13 +1250,17 @@ class TestTminCertificate:
         # q2 = 0 has no closed-form pump strength: every step starts with its
         # array pass.  The closed-form T_min is the ideal-source floor, and
         # the descent probes 2 endpoints and the 10 (BB84) or 11 (SARG04) of
-        # the 15 midpoints near it, the final bracket's ends among them
+        # the 15 midpoints near it, the final bracket's ends among them.
+        # BB84's floor is that T_min1 too (less its rounding margin), so the
+        # 5 midpoints below it are settled with 1e-8, unoptimized
         r = HeraldResponse(q0=1e-3, q1=0.6, q2=0.0)
         got, passes, optimized, _ = traced_tmin(monkeypatch, spec, r, 1e-5)
         assert got == tmin_outcome(reference_tmin, spec, r, 1e-5)
         assert isinstance(got, float)
-        assert [t for t, _ in optimized] == descent_probes(spec, r, 1e-5)
-        assert len(passes) == len(optimized) == {BB84: 12, SARG04: 13}[spec]
+        settled, probes = descent_probes(spec, r, 1e-5)
+        assert [t for t, _ in optimized] == probes
+        assert len(settled) + len(probes) == {BB84: 12, SARG04: 13}[spec]
+        assert len(passes) == len(optimized) == {BB84: 6, SARG04: 12}[spec]
 
     def test_array_rate_within_the_bound_is_not_certified(self, monkeypatch):
         # a synthetic rate, 0 below T = 0.01 and 1 from there, at p_exp = 1,
@@ -1262,6 +1277,9 @@ class TestTminCertificate:
 
         monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
         monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
+        # the floor is key_rate's physics, so it goes with it: a floor of 0
+        # settles no probe, and holds for any rate
+        monkeypatch.setattr(analysis, "_tmin_floor", lambda spec, r, dark_b: 0.0)
         t_min = tmin_numerical(BB84, wcp_response(), 1e-5)
         assert t_min == reference_tmin(BB84, wcp_response(), 1e-5)
         assert 0.01 <= t_min < 0.01 * (1.0 + analysis._TMIN_REL_TOL)
@@ -1313,6 +1331,7 @@ class TestTminCertificate:
         monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
         monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
         monkeypatch.setattr(analysis, "optimize_lambda", counting_optimize)
+        monkeypatch.setattr(analysis, "_tmin_floor", lambda spec, r, dark_b: 0.0)  # as above
         t_min = tmin_numerical(BB84, r, 1e-5)
         assert t_min == reference_tmin(BB84, r, 1e-5)
         assert 0.02 <= t_min < 0.02 * (1.0 + analysis._TMIN_REL_TOL)
@@ -1354,6 +1373,89 @@ class TestTminCertificate:
     def test_nonpositive_dark_counts(self, dark_b):
         with pytest.raises(ValueError, match="dark_b must be positive"):
             tmin_numerical(BB84, wcp_response(), dark_b)
+
+
+# tmin_numerical's floor, over both protocols; WCP, binary, multiplexed and
+# custom responses, q0, q1 and q2 = 0 among them; d_B over 1e-9 to 1e-2
+zero_or_unit = st.one_of(st.just(0.0), unit)
+floor_responses = st.one_of(
+    source_responses, st.builds(HeraldResponse, zero_or_unit, zero_or_unit, zero_or_unit))
+floor_dark_counts = st.floats(-9.0, -2.0).map(lambda e: 10.0**e)
+FLOOR_LAMBDAS = analysis._log_grid(-8.0, 0.0, 2000)
+
+
+def amgm_lambda(spec, r, dark_b, t):
+    """The pump strength at which the floor's AM-GM step is tight, in [1e-8, 1]:
+    the minimizer of T1 q0/lam + (1 + T1 - 2T) q2 lam/2."""
+    t1 = tmin_single_photon(spec, dark_b)
+    weight = (1.0 + t1 - 2.0 * t) * r.q2
+    lam = math.sqrt(2.0 * t1 * r.q0 / weight) if weight > 0.0 else 1.0
+    return min(max(lam, 1e-8), 1.0)
+
+
+class TestTminFloor:
+    """_tmin_floor: no pump strength gives a positive key_rate at or below it,
+    so tmin_numerical settles its probes there without optimizing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=floor_responses,
+           dark_b=floor_dark_counts)
+    @example(spec=BB84, r=HeraldResponse(0.0, 0.6, 0.3), dark_b=1e-5)  # q0 = 0: floor T1
+    @example(spec=BB84, r=HeraldResponse(1e-3, 0.0, 0.3), dark_b=1e-5)  # q1 = 0: floor 1/2
+    @example(spec=BB84, r=HeraldResponse(1e-3, 0.6, 0.0), dark_b=1e-5)  # q2 = 0: floor T1
+    @example(spec=BB84, r=HeraldResponse(0.0, 0.0, 0.0), dark_b=1e-9)  # nothing heralded
+    @example(spec=SARG04, r=HeraldResponse(0.0, 0.6, 0.0), dark_b=1e-2)
+    @example(spec=BB84, r=wcp_response(), dark_b=1e-9)
+    @example(spec=BB84, r=HeraldResponse(0.0, 2.757420143432862e-215, 0.0),
+             dark_b=1e-2)  # q1**2 underflows to 0
+    def test_no_positive_rate_at_or_below_the_floor(self, spec, r, dark_b):
+        floor = analysis._tmin_floor(spec, r, dark_b)
+        assert 0.0 < floor <= 0.5
+        for t in (floor, math.nextafter(floor, 0.0), floor * 1e-3):
+            ch = ChannelParams(t, dark_b)
+            lams = [amgm_lambda(spec, r, dark_b, t), *FLOOR_LAMBDAS]
+            assert not any(key_rate(spec, poisson_pair_stats(lam), r, ch).key_rate > 0.0
+                           for lam in lams)
+            assert not optimize_lambda(spec, r, ch).key_rate > 0.0
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    def test_premises_on_a_dense_grid(self, spec):
+        # bound 1: the margin's y-free bound g is nonpositive from Q* to 1/2
+        q_star = spec.q_ceiling
+        floor = min(spec.eve_info(spec.q_max), spec.i_ae_two)
+        qs = analysis._linear_grid(q_star + protocol._Q_TOL, 0.5, 100_001)
+        assert all(1.0 - binary_entropy(q) - min(spec.eve_info(min(q, spec.q_max)), floor)
+                   <= 0.0 for q in qs)
+        assert 0.1100 < q_star < 0.1101  # both built-in protocols
+        # bound 2, where I_AE2 >= 1: H + I1 >= 1 from q_th to q_max
+        if spec.i_ae_two >= 1.0:
+            qs = analysis._linear_grid(spec.q_threshold + protocol._Q_TOL, spec.q_max, 100_001)
+            assert all(binary_entropy(q) + spec.eve_info(q) >= 1.0 for q in qs)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4242])  # 4242 held out
+    def test_below_tmin_on_seeded_pools(self, seed):
+        for spec, r, dark_b in tmin_pool(seed, per_kind=8):
+            got = tmin_outcome(tmin_numerical, spec, r, dark_b)
+            if isinstance(got, float):
+                assert analysis._tmin_floor(spec, r, dark_b) <= got
+
+    def test_closed_form_within_sqrt_xi_of_the_floor(self):
+        # where I_AE2 >= 1 the floor is T1 + u, and the paper's closed form
+        # T1 + sqrt(c xi)/q1 sits sqrt(xi / (1 + T1 - 2 T_floor)) above it in
+        # the detector term, up to the floor's rounding margin: within
+        # sqrt(xi) = 1.12 of a certified floor
+        assert BB84.i_ae_two >= 1.0 and math.sqrt(BB84.xi) == pytest.approx(1.12, abs=5e-3)
+        for seed in (1, 4242):
+            for spec, r, dark_b in tmin_pool(seed, per_kind=8):
+                if spec.i_ae_two < 1.0:
+                    continue
+                t1 = tmin_single_photon(spec, dark_b)
+                floor = analysis._tmin_floor(spec, r, dark_b) / (1.0 - analysis._TMIN_FLOOR_MARGIN)
+                ratio = (tmin_heralded(spec, r, dark_b) - t1) / (floor - t1)
+                assert ratio == pytest.approx(
+                    math.sqrt(spec.xi / (1.0 + t1 - 2.0 * floor)), rel=1e-9)
+                # 1 <= 1/sqrt(1 + T1 - 2T) <= 1 + 2T wherever T1 <= T <= 0.3
+                assert math.sqrt(spec.xi) < ratio < math.sqrt(spec.xi) * (1.0 + 2.0 * floor)
 
 
 sign_test_transmissions = st.floats(-8.0, 0.0).map(lambda e: 10.0**e)

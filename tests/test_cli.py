@@ -531,6 +531,31 @@ class TestCompareStages:
         assert len(fits) == 2 * 3
 
 
+    def test_one_response_per_stage(self, capsys, monkeypatch):
+        # the rows and is_optimal read the same responses: one
+        # multiplexed_response per stage count and efficiency, wherever the
+        # package calls it from
+        built = []
+        build = cli.multiplexed_response
+
+        def counting_response(params):
+            built.append((params.eta_a, params.stages))
+            return build(params)
+
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "multiplexed_response", counting_response)
+        code, out, _ = run_cli(
+            capsys, "compare-stages", "--eta-a-list", "0.4", "0.8",
+            "--dark-a", "1e-6", "--n-max", "40",
+        )
+        assert code == 0
+        assert sorted(built) == [(eta_a, n) for eta_a in (0.4, 0.8) for n in range(41)]
+        best = [(row["eta_a"], row["stages"]) for row in parse_csv(out)
+                if row["is_optimal"] == "true"]
+        assert best == [("0.4", str(analysis.optimal_stage_count(0.4, 1.0, 1e-6, 40))),
+                        ("0.8", str(analysis.optimal_stage_count(0.8, 1.0, 1e-6, 40)))]
+
+
 class TestConfigFile:
     def test_nested_config_sections(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
