@@ -63,7 +63,8 @@ _TMIN_BAND = (1.0 / 1.6, 1.05)
 # moves, so a scan with fewer single-candidate T than this runs none of them
 # in lockstep.  Measured on the scan_sweep pool: entering at 1 or 4 made its
 # 12-point scans 1.43x slower than 16, which runs them scalar; its 50- and
-# 200-point scans did not change.
+# 200-point scans did not change.  Entering at 1 makes every point cost 2
+# key_rate calls, and still the whole pool 6% slower.
 _LOCKSTEP_MIN_ROWS = 16
 # T rows per coarse-grid array pass of a scan: bounds the pass's temporaries
 # (measured on 200-point scans: peak memory +3.6 MB in one pass, +0.6 MB in
@@ -124,6 +125,14 @@ def _libm(f):
 _EXP, _EXPM1 = _libm(math.exp), _libm(math.expm1)
 
 
+def _LOG2(x) -> np.ndarray:
+    """libm's log2 of |x|, x a 1-D float array: math.log2 bit for bit where
+    x > 0, as in every model-valid entry (the information functions map a 0
+    to 1); |x| spares math.log2 the negatives of entries the validity mask
+    discards."""
+    return _libm(math.log2)(np.abs(x))
+
+
 def _pair_array(lams) -> np.ndarray:
     """poisson_pair_stats's (p0, p1, p2) of each of lams, as a (3, n) array:
     _pair_probabilities over the array, so each column is its float result."""
@@ -150,12 +159,12 @@ def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
     return grid, pairs
 
 
-# each finite score of _key_rate_array is within this times its p_exp of
-# key_rate's at the same inputs, whatever the arrays' shapes.  The two run the
-# same elementwise arithmetic and differ only in np.log2 against math.log2,
-# taken to be at most k = 4 ulp apart on the margin's arguments in [0, 1]
-# (tested; numpy's own log2 validation data allows 1).  Each x log2 x-type
-# term, |x log2 x| <= 0.531 on [0, 1], then moves by at most
+# each finite score of _key_rate_array with np.log2 is within this times its
+# p_exp of key_rate's at the same inputs, whatever the arrays' shapes.  The
+# two run the same elementwise arithmetic and differ only in np.log2 against
+# math.log2, taken to be at most k = 4 ulp apart on the margin's arguments in
+# [0, 1] (tested; numpy's own log2 validation data allows 1).  Each
+# x log2 x-type term, |x log2 x| <= 0.531 on [0, 1], then moves by at most
 # (k + 1) 2^-52 0.531; the margin adds at most five such terms, and its
 # about eight roundings of O(1) sums may each round the other way, so it
 # moves by at most (5 (k + 1) 0.531 + 8) 2^-52 = 4.7e-15, and
@@ -165,7 +174,8 @@ _KEY_RATE_ARRAY_TOL = 1e-14
 
 
 def _key_rate_array(
-    spec: ProtocolSpec, pairs: np.ndarray, r: HeraldResponse, t, dark_b: float
+    spec: ProtocolSpec, pairs: np.ndarray, r: HeraldResponse, t, dark_b: float,
+    log2=np.log2,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(p_exp, score) of key_rate over pair statistics pairs = (p0, p1, p2)
     and transmissions t, broadcast together elementwise.
@@ -175,16 +185,19 @@ def _key_rate_array(
     runs the same _detection and margin as key_rate at its own (p0, p1, p2,
     t, dark_b), so p_exp, QBER, y and Q/y equal the scalar ones bit for bit.
     A score is -inf exactly where key_rate is NaN (model-invalid), the
-    optimizer's score for it; any other is within _KEY_RATE_ARRAY_TOL times
-    its own p_exp of key_rate's.  Compare scores only through _beats.
+    optimizer's score for it.  log2 is the one difference from key_rate:
+    with np.log2, the default, whose SIMD code follows the CPU, any other
+    score is within _KEY_RATE_ARRAY_TOL times its own p_exp of key_rate's,
+    and scores are compared only through _beats; with _LOG2, for 1-D
+    arrays, every score is key_rate's bit for bit.
     """
     # invalid entries hold NaN, inf or garbage until masked; numpy stays quiet
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p_exp, _, q, y = _detection(*pairs, r, t, dark_b)
         ratio = q / y
         valid = (p_exp != 0.0) & (y > 0.0) & (ratio <= spec.q_max)
-        i_ab = 1.0 - _binary_entropy(q, np.log2)
-        margin = _margin(spec, i_ab, y, spec.eve_info(ratio, np.log2))
+        i_ab = 1.0 - _binary_entropy(q, log2)
+        margin = _margin(spec, i_ab, y, spec.eve_info(ratio, log2))
         return p_exp, np.where(valid, p_exp * spec.p_sift * margin, -np.inf)
 
 
@@ -320,7 +333,9 @@ def optimize_lambda(
     _plan, for scan_key_rate, is (candidates, bracket) already worked out
     for this call's inputs: the grid candidates _grid_pass gives, and None
     or the golden-section state (a, b, c, d) to continue from; the result
-    equals the one computed without it.
+    equals the one computed without it.  The scan's lockstep hands over
+    only converged brackets, so such a call scores its one candidate and
+    the bracket's midpoint, and runs no golden step.
 
     _sign_only, for tmin_numerical, which reads only the sign of key_rate,
     returns as soon as that sign is known, in three stages:
@@ -695,14 +710,16 @@ def scan_key_rate(
     transmissions in (T x lambda) array passes.  When at least
     _LOCKSTEP_MIN_ROWS T have one grid candidate, whose bracket the grid
     fixes, those T run optimize_lambda's golden-section steps in lockstep,
-    one _key_rate_array pass per step.  A step's fc >= fd is taken from the
-    array scores only where one _beats the other, or both are -inf (the
-    validity mask is key_rate's), so it is key_rate's decision.  A T leaves
-    when its bracket has converged or its step is undecided, so its plan
-    does not depend on the other T in the scan.  optimize_lambda then
-    finishes each T from its plan, its candidates and the bracket it left
-    the lockstep with (None if it never entered), with key_rate; a point's
-    evaluations counts only those calls, not the array passes.
+    one _key_rate_array pass per step.  The lockstep scores through _LOG2,
+    so each score is key_rate's optimizer score bit for bit, and each step
+    decides fc >= fd exactly as the scalar loop does, -inf ties included:
+    no step is undecided.  A T leaves only when its bracket has converged,
+    so its plan does not depend on the other T in the scan.  optimize_lambda
+    then finishes each T from its plan, its candidates and the bracket it
+    left the lockstep with (None if it never entered), with key_rate: a T
+    that ran the lockstep costs two calls, its candidate and the bracket's
+    midpoint.  A point's evaluations counts only those calls, not the array
+    passes.
     """
     t_grid = list(t_grid)
     if not t_grid:
@@ -726,31 +743,29 @@ def scan_key_rate(
     rows = np.array([i for i, found in enumerate(candidates) if len(found) == 1])
     if len(rows) >= _LOCKSTEP_MIN_ROWS:
         top, t = np.array([candidates[i][0] for i in rows]), np.array(t_grid)[rows]
-        # optimize_lambda's arithmetic, elementwise, so every bracket is its own
+        # optimize_lambda's arithmetic, elementwise, so every bracket is its
+        # own, and its scores, through _LOG2, so every step is its own
         a = np.array(grid)[np.maximum(top - 1, 0)]
         b = np.array(grid)[np.minimum(top + 1, _LAMBDA_GRID_POINTS - 1)]
         c = b - _INV_GOLDEN * (b - a)
         d = a + _INV_GOLDEN * (b - a)
-        (pc, fc), (pd, fd) = (_key_rate_array(spec, _pair_array(x), r, t, dark_b)
-                              for x in (c, d))
+        fc, fd = (_key_rate_array(spec, _pair_array(x), r, t, dark_b, _LOG2)[1]
+                  for x in (c, d))
         while True:
-            stay = _searching(a, b) & (_beats(fc, pc, fd, pd) | _beats(fd, pd, fc, pc)
-                                       | ((fc == -np.inf) & (fd == -np.inf)))
+            stay = _searching(a, b)
             leave = ~stay
             for i, state in zip(rows[leave].tolist(),
                                 zip(*(x[leave].tolist() for x in (a, b, c, d)))):
                 brackets[i] = state
             if not stay.any():
                 break
-            rows, t, a, b, c, d, fc, fd, pc, pd = (
-                x[stay] for x in (rows, t, a, b, c, d, fc, fd, pc, pd))
+            rows, t, a, b, c, d, fc, fd = (x[stay] for x in (rows, t, a, b, c, d, fc, fd))
             left = fc >= fd
             a, b = np.where(left, a, c), np.where(left, d, b)
             c, d = (np.where(left, b - _INV_GOLDEN * (b - a), d),
                     np.where(left, c, a + _INV_GOLDEN * (b - a)))
-            p_new, f_new = _key_rate_array(spec, _pair_array(np.where(left, c, d)), r, t,
-                                           dark_b)
-            pc, pd = np.where(left, p_new, pd), np.where(left, pc, p_new)
+            f_new = _key_rate_array(spec, _pair_array(np.where(left, c, d)), r, t, dark_b,
+                                    _LOG2)[1]
             fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     return ScanSeries(points=[
         (ch.transmission, optimize_lambda(spec, r, ch, lambda_max, _plan=plan))
@@ -776,10 +791,14 @@ def fit_power_law(series: ScanSeries) -> tuple[float, float]:
     if (distinct := len({t for t, _ in selected})) < 3:  # too few T for a line
         raise ValueError(f"need at least 3 distinct secure transmissions in window "
                          f"({t_max / 10.0}, {t_max}), got {distinct}")
-    log_t = np.log10([t for t, _ in selected])
-    log_k = np.log10([k for _, k in selected])
-    exponent, intercept = np.polyfit(log_t, log_k, 1)
-    return float(exponent), float(10.0**intercept)
+    # the least-squares line through (log10 T, log10 K), about the means,
+    # with libm's log10 and fsum's exactly rounded sums
+    log_t = [math.log10(t) for t, _ in selected]
+    log_k = [math.log10(k) for _, k in selected]
+    mean_t, mean_k = math.fsum(log_t) / len(log_t), math.fsum(log_k) / len(log_k)
+    exponent = (math.fsum((x - mean_t) * (y - mean_k) for x, y in zip(log_t, log_k))
+                / math.fsum((x - mean_t) ** 2 for x in log_t))
+    return exponent, 10.0 ** (mean_k - exponent * mean_t)
 
 
 def _stage_responses(

@@ -264,15 +264,6 @@ def exact_log2(x):
     return np.vectorize(one, otypes=[float])(x)
 
 
-class NumpyWithExactLog2:
-    """numpy, save that log2 is exact_log2."""
-
-    log2 = staticmethod(exact_log2)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
 def sarg04_edge_transmission(stats, r, dark_b):
     """Smallest float T in (0, 1] at which key_rate is SARG04-valid, or None.
 
@@ -325,18 +316,45 @@ class TestKeyRateArray:
     @given(spec=st.sampled_from([BB84, SARG04]), r=responses, t=transmissions,
            dark_b=dark_counts, lambda_max=lambda_maxes)
     def test_equals_key_rate_with_exact_log2(self, spec, r, t, dark_b, lambda_max):
-        # the premise of _KEY_RATE_ARRAY_TOL: np.log2 is the kernels' only
-        # difference, so with math.log2 every score is key_rate's optimizer
+        # the premise of _KEY_RATE_ARRAY_TOL and of the scan's lockstep: log2
+        # is the kernels' only difference, so with math.log2, as exact_log2
+        # or as the lockstep's _LOG2, every score is key_rate's optimizer
         # score bit for bit
         ch = ChannelParams(t, dark_b)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "np", NumpyWithExactLog2())
-            p_exp, scores = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1],
-                                            r, t, dark_b)
         reports = [key_rate(spec, s, r, ch) for s in grid_stats(lambda_max)]
+        for log2 in (exact_log2, analysis._LOG2):
+            p_exp, scores = _key_rate_array(spec, analysis._lambda_grid(lambda_max)[1],
+                                            r, t, dark_b, log2)
+            assert p_exp.tolist() == [rep.p_exp for rep in reports]
+            assert [x.hex() for x in scores.tolist()] == [
+                optimizer_score(rep.key_rate).hex() for rep in reports]
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=responses, dark_b=dark_counts,
+           points=st.lists(st.tuples(transmissions, st.floats(-8.0, 1.0).map(
+               lambda e: 10.0**e)), min_size=1, max_size=40))
+    def test_lockstep_shapes_equal_key_rate(self, spec, r, dark_b, points):
+        # a lockstep pass: a vector of T against as many off-grid lambda,
+        # scored through _LOG2, is key_rate at each (T, lambda) bit for bit
+        t, lams = (list(x) for x in zip(*points))
+        p_exp, scores = _key_rate_array(spec, analysis._pair_array(lams), r,
+                                        np.array(t), dark_b, analysis._LOG2)
+        reports = [key_rate(spec, poisson_pair_stats(lam), r, ChannelParams(ti, dark_b))
+                   for ti, lam in points]
         assert p_exp.tolist() == [rep.p_exp for rep in reports]
         assert [x.hex() for x in scores.tolist()] == [
             optimizer_score(rep.key_rate).hex() for rep in reports]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                    min_size=1, max_size=60))
+    def test_log2_is_libm_log2(self, xs):
+        # bit for bit on positive floats, subnormals included; a negative x
+        # (only in entries the validity mask discards) takes log2 |x|
+        expected = [math.log2(x).hex() for x in xs]
+        assert [y.hex() for y in analysis._LOG2(np.array(xs)).tolist()] == expected
+        assert [y.hex() for y in analysis._LOG2(-np.array(xs)).tolist()] == expected
+        assert math.isnan(analysis._LOG2(np.array([math.nan]))[0])
 
     @settings(max_examples=150, deadline=None)
     @given(spec=st.sampled_from([BB84, SARG04]), r=source_responses,
@@ -465,14 +483,16 @@ def plateau_key_rate(spec, stats, r, ch):
     return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
 
 
-def plateau_key_rate_array(spec, pairs, r, t, dark_b):
-    """plateau_key_rate's array form, off by 0.9 of the array bound: down
-    everywhere but up at the last entry of each row (the grid's top point,
-    or a lockstep pass's last T)."""
+def plateau_key_rate_array(spec, pairs, r, t, dark_b, log2=np.log2):
+    """plateau_key_rate's array form, as the kernel's contract allows:
+    through _LOG2 exact, and through np.log2 off by 0.9 of the array bound,
+    down everywhere but up at the last entry of each row (the grid's top
+    point)."""
     shape = np.broadcast_shapes(np.shape(t), pairs[1].shape)
     error = np.full(shape, -0.9 * _KEY_RATE_ARRAY_TOL)
     error[..., -1] = 0.9 * _KEY_RATE_ARRAY_TOL
-    return np.ones(shape), np.minimum(pairs[1], 0.2) + error
+    return np.ones(shape), np.minimum(pairs[1], 0.2) + (0.0 if log2 is analysis._LOG2
+                                                         else error)
 
 
 class TestArgmaxOracle:
@@ -616,12 +636,12 @@ class TestScanLockstep:
                 dataclasses.replace(cold, evaluations=0))
             assert plan is not None and plan[0] == analysis._grid_pass(spec, r, ch, 1.0)
 
-    def test_undecided_steps_drop_out_to_the_scalar_loop(self, monkeypatch):
+    def test_plateau_ties_are_decided_in_the_lockstep(self, monkeypatch):
         # plateau_key_rate with lambda_max = 0.26: only the top grid point
         # reaches the plateau, so every T has one candidate and enters the
         # lockstep; once c and d both sit on the plateau their rates tie
-        # exactly, the array scores differ by at most 1.8 of the bound, and
-        # no step may be decided from them
+        # exactly, and the lockstep, whose scores are key_rate's, takes the
+        # tie as fc >= fd, as the scalar loop does, until the bracket converges
         monkeypatch.setattr(analysis, "key_rate", plateau_key_rate)
         monkeypatch.setattr(analysis, "_key_rate_array", plateau_key_rate_array)
         plans = recorded_plans(monkeypatch)
@@ -632,10 +652,36 @@ class TestScanLockstep:
         for (t, res), (candidates, bracket) in zip(series.points, plans):
             assert candidates == (199,)
             a, b, _, _ = bracket
-            # left mid-way: narrower than the grid's bracket, not converged
-            assert grid[198] <= a < b <= grid[199] and (a, b) != (grid[198], grid[199])
-            assert analysis._searching(a, b)
+            assert grid[198] <= a < b <= grid[199] and not analysis._searching(a, b)
+            assert res.evaluations == 2  # the candidate and the bracket's midpoint
             assert res.converged and 0.259 < res.lambda_opt < 0.26  # p1 = 0.2 at 0.2592
+
+    @pytest.mark.parametrize("points", [50, 200])
+    @pytest.mark.parametrize("source", ["wcp", "binary", "multiplexed"])
+    @pytest.mark.parametrize("spec", [BB84, SARG04], ids=["bb84", "sarg04"])
+    def test_every_lockstep_bracket_is_converged(self, monkeypatch, spec, source, points):
+        # seeded configs over the benchmark pool's ranges and T grid: every T
+        # that ran the lockstep reaches optimize_lambda with a converged
+        # bracket, and costs two key_rate calls, its candidate and the
+        # bracket's midpoint
+        rng = random.Random(f"{spec.name}-{source}-{points}")
+        eta_a, dark_a = rng.uniform(0.3, 0.9), 10.0 ** rng.uniform(-7.0, -5.0)
+        r = {
+            "wcp": wcp_response,
+            "binary": lambda: binary_response(eta_a, dark_a),
+            "multiplexed": lambda: multiplexed_response(MultiplexedDetectorParams(
+                rng.randint(1, 5), eta_a, dark_a, rng.uniform(0.95, 1.0))),
+        }[source]()
+        dark_b = 10.0 ** rng.uniform(-6.0, -4.0)
+        t_grid = analysis._log_grid(-6.0, math.log10(0.5), points)
+        plans = recorded_plans(monkeypatch)
+        series = scan_key_rate(spec, r, dark_b, t_grid)
+        locked = [(res, bracket) for (_, res), (_, bracket) in zip(series.points, plans)
+                  if bracket is not None]
+        assert len(locked) >= analysis._LOCKSTEP_MIN_ROWS
+        for res, (a, b, _, _) in locked:
+            assert not analysis._searching(a, b)
+            assert res.evaluations == 2
 
     def test_steps_between_invalid_points(self, monkeypatch):
         # a synthetic rate at p_exp = 1, model-valid only in two windows of
@@ -655,7 +701,7 @@ class TestScanLockstep:
             k = float(window_rate(stats.p1, math.nan))
             return KeyRateReport(1.0, 0.0, 1.0, k, True, False)
 
-        def window_key_rate_array(spec, pairs, r, t, dark_b):
+        def window_key_rate_array(spec, pairs, r, t, dark_b, log2=np.log2):
             # the kernel's scores: -inf where key_rate is NaN
             scores = window_rate(pairs[1] + np.zeros(np.shape(t)), -np.inf)
             return np.ones(scores.shape), scores
@@ -1627,6 +1673,27 @@ class TestScanAndFit:
         exponent, prefactor = fit_power_law(series)
         assert exponent == pytest.approx(2.0, abs=1e-9)
         assert prefactor == pytest.approx(c, rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.sets(st.integers(0, 19), min_size=3, max_size=12),
+           t_max=st.floats(1e-4, 1.0), c=st.floats(1e-3, 1e3), power=st.floats(1.0, 3.0),
+           noise=st.lists(st.floats(-0.3, 0.3), min_size=12, max_size=12))
+    def test_fit_is_polyfit_on_the_window(self, steps, t_max, c, power, noise):
+        # the fsum least-squares line is np.polyfit's over the top decade, to
+        # rounding: T at t_max 10**(-k/20), all inside the decade, noisy
+        # power-law K
+        points = []
+        for k, e in zip(sorted(steps), noise):
+            t = t_max * 10.0 ** (-k / 20.0)
+            rep = KeyRateReport(1.0, 0.0, 1.0, c * t**power * (1.0 + e), True, True)
+            points.append((t, analysis.OptimizationResult(t, rep, True, 1)))
+        exponent, prefactor = fit_power_law(analysis.ScanSeries(points))
+        assert type(exponent) is float and type(prefactor) is float
+        window = [(t, res.report.key_rate) for t, res in points]
+        ref_exponent, ref_intercept = np.polyfit(np.log10([t for t, _ in window]),
+                                                 np.log10([k for _, k in window]), 1)
+        assert exponent == pytest.approx(ref_exponent, rel=1e-12, abs=1e-12)
+        assert prefactor == pytest.approx(10.0**ref_intercept, rel=1e-12)
 
     def test_fit_binary_scan_quadratic(self):
         series = scan_key_rate(BB84, binary_response(), 1e-6,

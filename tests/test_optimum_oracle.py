@@ -10,20 +10,26 @@ The optimizer's K must reach that supremum to within TOL_REL of its
 magnitude, a tolerance fixed before any run: the golden section stops at a
 relative width of 1e-6 in the pump strength, where K is flat to about 1e-12.
 
-Only the positive side is here: that no scanned pump strength beats the
-optimizer.  For BB84 it holds as a property.  For SARG04 it does not yet:
-K is bimodal in the pump strength, with a second rise up to the NaN edge,
-and the known misses are pinned as strict xfails until the SARG04 edge item
-of ROADMAP.md makes the optimizer score the edge.
+The positive side is that no scanned pump strength beats the optimizer.
+The negative side is checked where tmin_numerical relies on it: at t_lo,
+the lower end of the returned T_min's bisection bracket, whose sign is only
+the optimizer's word, every pump strength must be proven nonpositive by
+analysis._margin_bound over a cover of log-lambda cells, unless a sign
+change just above t_lo leaves its margin too close to 0 for any cover.
+For BB84 both hold as properties.  For SARG04 they do not yet: K is bimodal in the pump
+strength, with a second rise up to the NaN edge, and the known misses are
+pinned as strict xfails until the SARG04 edge item of ROADMAP.md makes the
+optimizer score the edge.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heralded_qkd.analysis import optimize_lambda
+from heralded_qkd import analysis
+from heralded_qkd.analysis import optimize_lambda, tmin_numerical
 from heralded_qkd.keyrate import ChannelParams, key_rate
 from heralded_qkd.protocol import BB84, SARG04
 from heralded_qkd.source_detector import (
@@ -132,3 +138,110 @@ def test_sarg04_optimum_reaches_dense_supremum(t, params, dark_b):
     r, ch = detector(*params), ChannelParams(t, dark_b)
     supremum, _ = dense_supremum(SARG04, r, ch, 1.0)
     assert reaches(optimize_lambda(SARG04, r, ch).key_rate, supremum)
+
+
+# bound evaluations a certificate may take: a guard on the search's time,
+# not on what it proves, since a cover that completes is a proof whatever
+# its size.  The cover's size is heavy-tailed and grows as t_lo nears the
+# sign change above it: on the benchmark's 242 BB84 T_min pool configs the
+# largest takes 12,971, but among 3,600 random draws of the property below
+# 24 take more than 20,000 and the largest, 1.6 s at 389,385, lies 4.8e-8
+# below the sign change
+CERTIFICATE_CELLS = 1_000_000
+# relative distance above t_lo within which a sign change leaves t_lo's
+# margin too close to 0 for a cover within CERTIFICATE_CELLS: 1% of the
+# bisection's tolerance, 200 times the distance of that largest cover
+NEAR_SIGN_CHANGE = 1e-5
+
+
+def certifies(spec, r, ch, lambda_max):
+    """Whether key_rate is proven <= 0 or NaN at every pump strength in
+    [1e-8, lambda_max]: a cover of log-lambda cells, each halved at
+    sqrt(a b) until analysis._margin_bound over it falls below
+    _PROVEN_NONPOSITIVE, within CERTIFICATE_CELLS bound evaluations.  A
+    cell whose bound stays above that when it can no longer be halved in
+    floats holds a margin within the bound's rounding of 0 or above it,
+    which no cover proves."""
+    cells, evaluated = [(LAMBDA_MIN, lambda_max)], 0
+    while cells:
+        if evaluated == CERTIFICATE_CELLS:
+            return False
+        a, b = cells.pop()
+        evaluated += 1
+        if not analysis._margin_bound(spec, r, ch, a, b) < analysis._PROVEN_NONPOSITIVE:
+            if (mid := math.sqrt(a * b)) in (a, b):
+                return False
+            cells += [(a, mid), (mid, b)]
+    return True
+
+
+def bisection_lower_end(t_min):
+    """t_lo of the plain bisection of [1e-8, 1] that ends at t_min: its
+    sqrt(lo hi) midpoints replayed with the sign t >= t_min."""
+    lo, hi = 1e-8, 1.0
+    while hi / lo - 1.0 > analysis._TMIN_REL_TOL:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if mid >= t_min else (mid, hi)
+    assert hi == t_min  # tmin_numerical returns a node of that bisection
+    return lo
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=sources, dark_b=log_uniform(1e-7, 1e-3), lambda_max=log_uniform(1e-2, 1.0))
+def test_bb84_tmin_lower_end_certifies(r, dark_b, lambda_max):
+    try:
+        t_min = tmin_numerical(BB84, r, dark_b, lambda_max)
+    except RuntimeError:  # no sign change on [1e-8, 1]
+        assume(False)
+    t_lo = bisection_lower_end(t_min)
+    if not certifies(BB84, r, ChannelParams(t_lo, dark_b), lambda_max):
+        # only a sign change just above t_lo leaves its margin within reach
+        # of 0; then no scanned pump strength is positive at t_lo, and the
+        # optimizer's positive key_rate just above it is an evaluated witness
+        above = ChannelParams(t_lo * (1.0 + NEAR_SIGN_CHANGE), dark_b)
+        assert dense_supremum(BB84, r, ChannelParams(t_lo, dark_b), lambda_max)[0] <= 0.0
+        assert optimize_lambda(BB84, r, above, lambda_max).key_rate > 0.0
+
+
+def test_certificate_fails_where_the_rate_is_positive():
+    # at T_min itself some grid point has a positive key_rate, so no cover
+    # can prove the cell that holds it
+    r, dark_b = detector(3, 0.6, 1e-6, 0.98), 1e-5
+    t_min = tmin_numerical(BB84, r, dark_b)
+    assert certifies(BB84, r, ChannelParams(bisection_lower_end(t_min), dark_b), 1.0)
+    assert not certifies(BB84, r, ChannelParams(t_min, dark_b), 1.0)
+
+
+# SARG04 T_min pool configs (detector (stages, eta_a, dark_a, eta_c), None for
+# WCP, and d_B) at whose t_lo the key rate at the NaN edge is positive: the
+# maximized rate changes sign below the returned T_min, and no budget can
+# certify t_lo.  On the pool 73 of 270 SARG04 configs certify (40 within
+# 4,000 cells), and every one of the other 197 is positive at the edge
+SARG04_UNCERTIFIED = [
+    pytest.param(None, 1.83948e-05, id="wcp"),
+    pytest.param((0, 0.343207, 4.04004e-06, 0.956233), 1.93281e-05, id="binary"),
+    pytest.param((5, 0.310526, 1.45615e-07, 0.973249), 1.80269e-06, id="multiplexed"),
+]
+
+
+def sarg04_lower_end(params, dark_b):
+    """(response, channel at t_lo) of a SARG04 config's returned T_min."""
+    r = wcp_response() if params is None else detector(*params)
+    t_min = tmin_numerical(SARG04, r, dark_b)
+    return r, ChannelParams(bisection_lower_end(t_min), dark_b)
+
+
+@pytest.mark.parametrize("params, dark_b", SARG04_UNCERTIFIED)
+def test_sarg04_lower_end_is_positive_at_the_edge(params, dark_b):
+    # what the xfails below fail on
+    r, ch = sarg04_lower_end(params, dark_b)
+    assert score(SARG04, r, ch, lambda_edge(SARG04, r, ch, 1.0)) > 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 2 of ROADMAP.md, the SARG04 edge: tmin_numerical "
+                          "inherits optimize_lambda's miss at the NaN edge")
+@pytest.mark.parametrize("params, dark_b", SARG04_UNCERTIFIED)
+def test_sarg04_tmin_lower_end_certifies(params, dark_b):
+    r, ch = sarg04_lower_end(params, dark_b)
+    assert certifies(SARG04, r, ch, 1.0)

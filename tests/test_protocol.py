@@ -25,6 +25,9 @@ SARG_I1_04 = 0.9509775004326937
 HOLEVO_SARG = 0.600876036692856
 QTH_BB84 = 0.11002786443835955
 QTH_SARG = 0.09689248938745229
+# xi from the contour's implicit derivative at y = 1 (mpmath, 40 digits)
+XI_BB84 = 1.2533931197151409
+XI_SARG = 0.63424225617930853
 
 
 class TestBinaryEntropy:
@@ -225,6 +228,24 @@ class TestXi:
             q_exact = _contour_q(spec, y, spec.q_threshold)
             q_lin = spec.q_threshold * (1.0 - spec.xi * (1.0 - y))
             assert q_lin == pytest.approx(q_exact, rel=rel)
+
+    @pytest.mark.parametrize("spec, slope, exact", [
+        (BB84, lambda q: math.log2((1.0 - q) / q), XI_BB84),
+        (SARG04, lambda q: math.log2(2.0 * (1.0 - 2.0 * q) ** 2 / (q * (1.0 - q))),
+         XI_SARG),
+    ], ids=["bb84", "sarg04"])
+    def test_matches_the_contour_derivative(self, spec, slope, exact):
+        # on the contour 1 - H(Q) - y I1(Q/y) - (1 - y) I_AE2 = 0, dQ/dy at
+        # y = 1 is q_th xi, so xi = (I_AE2 - I1(q) + q I1'(q)) / (q (H'(q) +
+        # I1'(q))) at q = q_th; I1' is H' = log2((1 - q)/q) for BB84 and the
+        # slope analysis._margin_bound derives for SARG04.  In floats it is
+        # within 4e-12 of the 40-digit value.  The Richardson-extrapolated xi
+        # was measured 2.35e-8 (BB84) and 1.24e-7 (SARG04) off it, relative
+        q = spec.q_threshold
+        h_slope = math.log2((1.0 - q) / q)
+        xi = (spec.i_ae_two - spec.eve_info(q) + q * slope(q)) / (q * (h_slope + slope(q)))
+        assert xi == pytest.approx(exact, rel=0.0, abs=4e-12)
+        assert spec.xi == pytest.approx(xi, rel=2e-7)
 
     def test_bound_at_y_one_is_threshold(self):
         # at y=1 the linearized bound reduces to Q < Q_th regardless of xi
