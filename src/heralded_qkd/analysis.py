@@ -133,12 +133,6 @@ def _LOG2(x) -> np.ndarray:
     return _libm(math.log2)(np.abs(x))
 
 
-def _pair_array(lams) -> np.ndarray:
-    """poisson_pair_stats's (p0, p1, p2) of each of lams, as a (3, n) array:
-    _pair_probabilities over the array, so each column is its float result."""
-    return np.array(_pair_probabilities(np.asarray(lams, dtype=float), _EXP, _EXPM1))
-
-
 @lru_cache(maxsize=8)
 def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
     """Coarse logarithmic pump-strength grid, and its pair statistics as a
@@ -146,6 +140,7 @@ def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
 
     Depends only on lambda_max, so one build serves every optimization that
     shares it; the array is read-only because every caller gets the same one.
+    Each column is _pair_probabilities's float result at its grid point.
     """
     if not _LAMBDA_MIN < lambda_max < math.inf:  # a NaN is rejected too
         raise ValueError(f"bounds need finite lambda_max > {_LAMBDA_MIN}, got {lambda_max}")
@@ -154,7 +149,7 @@ def _lambda_grid(lambda_max: float) -> tuple[tuple[float, ...], np.ndarray]:
             math.log10(_LAMBDA_MIN), math.log10(lambda_max), _LAMBDA_GRID_POINTS))
     except OverflowError:  # lambda_max within rounding of the largest float
         raise ValueError(f"bounds need a finite lambda grid, got {lambda_max}") from None
-    pairs = _pair_array(grid)
+    pairs = np.array(_pair_probabilities(np.array(grid), _EXP, _EXPM1))
     pairs.flags.writeable = False
     return grid, pairs
 
@@ -174,11 +169,11 @@ _KEY_RATE_ARRAY_TOL = 1e-14
 
 
 def _key_rate_array(
-    spec: ProtocolSpec, pairs: np.ndarray, r: HeraldResponse, t, dark_b: float,
-    log2=np.log2,
+    spec: ProtocolSpec, pairs, r: HeraldResponse, t, dark_b: float, log2=np.log2,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(p_exp, score) of key_rate over pair statistics pairs = (p0, p1, p2)
-    and transmissions t, broadcast together elementwise.
+    """(p_exp, score) of key_rate over pair statistics pairs = (p0, p1, p2),
+    three arrays or one of shape (3, ...), and transmissions t, broadcast
+    together elementwise.
 
     pairs[i] and t may have any shapes that broadcast (a (rows, 1) column of
     transmissions against one grid scores a (rows, grid) block).  Each entry
@@ -330,12 +325,12 @@ def optimize_lambda(
     work.  converged is False when the optimum sits at a bound, when no
     probed point was model-valid, and on every _sign_only result.
 
-    _plan, for scan_key_rate, is (candidates, bracket) already worked out
+    _plan, for scan_key_rate, is (candidates, interval) already worked out
     for this call's inputs: the grid candidates _grid_pass gives, and None
-    or the golden-section state (a, b, c, d) to continue from; the result
-    equals the one computed without it.  The scan's lockstep hands over
-    only converged brackets, so such a call scores its one candidate and
-    the bracket's midpoint, and runs no golden step.
+    or the converged golden-section interval (a, b) that the scan's
+    lockstep reached from them; the result equals the one computed without
+    it.  A call given an interval scores its one candidate and the
+    interval's midpoint, and runs no golden step.
 
     _sign_only, for tmin_numerical, which reads only the sign of key_rate,
     returns as soon as that sign is known, in three stages:
@@ -397,7 +392,7 @@ def optimize_lambda(
             return result(grid[i])
 
     # ((), None), the plan where no grid point is model-valid, is truthy
-    candidates, bracket = _plan or (_grid_pass(spec, r, ch, lambda_max), None)
+    candidates, interval = _plan or (_grid_pass(spec, r, ch, lambda_max), None)
     if not candidates:
         return result(math.nan)
     for i in candidates:
@@ -406,16 +401,13 @@ def optimize_lambda(
     # first maximum in grid order, as np.argmax; scores are never NaN
     best_idx = max(candidates, key=lambda i: table[grid[i]][0])
 
-    if bracket is None:
-        a = grid[max(best_idx - 1, 0)]
-        b = grid[min(best_idx + 1, _LAMBDA_GRID_POINTS - 1)]
-        c = b - _INV_GOLDEN * (b - a)
-        d = a + _INV_GOLDEN * (b - a)
-    else:  # where the plan's lockstep left this T
-        a, b, c, d = bracket
+    # the plan's converged interval, or the best grid point's neighbours
+    a, b = interval or (grid[max(best_idx - 1, 0)],
+                        grid[min(best_idx + 1, _LAMBDA_GRID_POINTS - 1)])
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
 
-    # golden-section refinement on the bracket (one the lockstep converged
-    # needs no more scores), checked for a sign-only proof at its head on a
+    # golden-section refinement on the bracket (a converged one needs no
+    # more scores), checked for a sign-only proof at its head on a
     # schedule: floor is the best margin scored when the last check failed,
     # excess that check's bound above it, shrunk by _INV_GOLDEN per step since
     floor, excess, fc = -math.inf, 0.0, None
@@ -715,11 +707,11 @@ def scan_key_rate(
     decides fc >= fd exactly as the scalar loop does, -inf ties included:
     no step is undecided.  A T leaves only when its bracket has converged,
     so its plan does not depend on the other T in the scan.  optimize_lambda
-    then finishes each T from its plan, its candidates and the bracket it
-    left the lockstep with (None if it never entered), with key_rate: a T
-    that ran the lockstep costs two calls, its candidate and the bracket's
-    midpoint.  A point's evaluations counts only those calls, not the array
-    passes.
+    then finishes each T from its plan, its candidates and the converged
+    interval (a, b) it left the lockstep with (None if it never entered),
+    with key_rate: a T that ran the lockstep costs two calls, its candidate
+    and the interval's midpoint.  A point's evaluations counts only those
+    calls, not the array passes.
     """
     t_grid = list(t_grid)
     if not t_grid:
@@ -739,7 +731,7 @@ def scan_key_rate(
         # a row at -inf is model-invalid throughout: no candidate
         candidates += [tuple(np.flatnonzero(row).tolist()) if row_best > -math.inf else ()
                        for row, row_best in zip(near, best.tolist())]
-    brackets = [None] * len(t_grid)
+    intervals = [None] * len(t_grid)
     rows = np.array([i for i, found in enumerate(candidates) if len(found) == 1])
     if len(rows) >= _LOCKSTEP_MIN_ROWS:
         top, t = np.array([candidates[i][0] for i in rows]), np.array(t_grid)[rows]
@@ -747,16 +739,17 @@ def scan_key_rate(
         # own, and its scores, through _LOG2, so every step is its own
         a = np.array(grid)[np.maximum(top - 1, 0)]
         b = np.array(grid)[np.minimum(top + 1, _LAMBDA_GRID_POINTS - 1)]
-        c = b - _INV_GOLDEN * (b - a)
-        d = a + _INV_GOLDEN * (b - a)
-        fc, fd = (_key_rate_array(spec, _pair_array(x), r, t, dark_b, _LOG2)[1]
-                  for x in (c, d))
+        c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+
+        def lockstep_scores(lams, t):
+            pairs = _pair_probabilities(lams, _EXP, _EXPM1)
+            return _key_rate_array(spec, pairs, r, t, dark_b, _LOG2)[1]
+
+        fc, fd = lockstep_scores(c, t), lockstep_scores(d, t)
         while True:
             stay = _searching(a, b)
-            leave = ~stay
-            for i, state in zip(rows[leave].tolist(),
-                                zip(*(x[leave].tolist() for x in (a, b, c, d)))):
-                brackets[i] = state
+            for i, a_i, b_i in zip(*(x[~stay].tolist() for x in (rows, a, b))):
+                intervals[i] = (a_i, b_i)
             if not stay.any():
                 break
             rows, t, a, b, c, d, fc, fd = (x[stay] for x in (rows, t, a, b, c, d, fc, fd))
@@ -764,12 +757,11 @@ def scan_key_rate(
             a, b = np.where(left, a, c), np.where(left, d, b)
             c, d = (np.where(left, b - _INV_GOLDEN * (b - a), d),
                     np.where(left, c, a + _INV_GOLDEN * (b - a)))
-            f_new = _key_rate_array(spec, _pair_array(np.where(left, c, d)), r, t, dark_b,
-                                    _LOG2)[1]
+            f_new = lockstep_scores(np.where(left, c, d), t)
             fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     return ScanSeries(points=[
         (ch.transmission, optimize_lambda(spec, r, ch, lambda_max, _plan=plan))
-        for ch, plan in zip(channels, zip(candidates, brackets))])
+        for ch, plan in zip(channels, zip(candidates, intervals))])
 
 
 def fit_power_law(series: ScanSeries) -> tuple[float, float]:

@@ -337,8 +337,8 @@ class TestKeyRateArray:
         # a lockstep pass: a vector of T against as many off-grid lambda,
         # scored through _LOG2, is key_rate at each (T, lambda) bit for bit
         t, lams = (list(x) for x in zip(*points))
-        p_exp, scores = _key_rate_array(spec, analysis._pair_array(lams), r,
-                                        np.array(t), dark_b, analysis._LOG2)
+        pairs = _pair_probabilities(np.array(lams), analysis._EXP, analysis._EXPM1)
+        p_exp, scores = _key_rate_array(spec, pairs, r, np.array(t), dark_b, analysis._LOG2)
         reports = [key_rate(spec, poisson_pair_stats(lam), r, ChannelParams(ti, dark_b))
                    for ti, lam in points]
         assert p_exp.tolist() == [rep.p_exp for rep in reports]
@@ -400,10 +400,20 @@ class TestKeyRateArray:
         st.floats(-8.0, 1.0).map(lambda e: 10.0**e),
         # 0, the smallest float, and where -expm1(-lam) - p1 cancels
         st.sampled_from([0.0, 5e-324, 1e-16, 1e-8, 1.0])), min_size=1, max_size=80))
-    def test_pair_array_is_pair_probabilities(self, lams):
-        pairs = analysis._pair_array(lams)
-        assert pairs.shape == (3, len(lams))
-        for column, lam in zip(pairs.T.tolist(), lams):
+    def test_pair_probabilities_over_an_array(self, lams):
+        # each entry of the arrays is the float result at its lam, bit for bit
+        pairs = _pair_probabilities(np.array(lams), analysis._EXP, analysis._EXPM1)
+        for column, lam in zip(zip(*(x.tolist() for x in pairs)), lams):
+            assert [x.hex() for x in column] == [
+                x.hex() for x in _pair_probabilities(lam)]
+
+    @pytest.mark.parametrize("lambda_max", [1e-6, 0.26, 1.0, 10.0])
+    def test_lambda_grid_pairs_are_pair_probabilities(self, lambda_max):
+        # _lambda_grid's read-only (3, n) array holds each grid point's float
+        # (p0, p1, p2) in its column
+        grid, pairs = analysis._lambda_grid(lambda_max)
+        assert pairs.shape == (3, len(grid)) and not pairs.flags.writeable
+        for column, lam in zip(pairs.T.tolist(), grid):
             assert [x.hex() for x in column] == [
                 x.hex() for x in _pair_probabilities(lam)]
 
@@ -651,7 +661,7 @@ class TestScanLockstep:
         grid = analysis._lambda_grid(0.26)[0]
         for (t, res), (candidates, bracket) in zip(series.points, plans):
             assert candidates == (199,)
-            a, b, _, _ = bracket
+            a, b = bracket
             assert grid[198] <= a < b <= grid[199] and not analysis._searching(a, b)
             assert res.evaluations == 2  # the candidate and the bracket's midpoint
             assert res.converged and 0.259 < res.lambda_opt < 0.26  # p1 = 0.2 at 0.2592
@@ -679,7 +689,7 @@ class TestScanLockstep:
         locked = [(res, bracket) for (_, res), (_, bracket) in zip(series.points, plans)
                   if bracket is not None]
         assert len(locked) >= analysis._LOCKSTEP_MIN_ROWS
-        for res, (a, b, _, _) in locked:
+        for res, (a, b) in locked:
             assert not analysis._searching(a, b)
             assert res.evaluations == 2
 
@@ -739,7 +749,7 @@ class TestScanLockstep:
         # every T was planned, and left the lockstep with its bracket
         # narrowed from the grid's (about 20% of lambda) to below 1e-4
         assert len(plans) == 40
-        assert all(b - a < 1e-4 * b for _, (a, b, _, _) in plans)
+        assert all(b - a < 1e-4 * b for _, (a, b) in plans)
 
         def failing_optimize(spec, r, ch, lambda_max, *, _plan=None):
             if ch.transmission == t_grid[3]:

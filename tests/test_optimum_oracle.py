@@ -29,7 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heralded_qkd import analysis
-from heralded_qkd.analysis import optimize_lambda, tmin_numerical
+from heralded_qkd.analysis import optimize_lambda, tmin_heralded, tmin_numerical
 from heralded_qkd.keyrate import ChannelParams, key_rate
 from heralded_qkd.protocol import BB84, SARG04
 from heralded_qkd.source_detector import (
@@ -109,13 +109,13 @@ def test_bb84_optimum_reaches_dense_supremum(r, t, dark_b, lambda_max):
 
 # (T, multiplexed detector (stages, eta_a, dark_a, eta_c), d_B) at which
 # SARG04's optimum is at the NaN edge and optimize_lambda stops on the
-# interior peak below it
+# interior peak below it.  At SIGN_FLIP, K = -4.2e-11 at lambda 1e-8, and
+# the edge 1.822e-4 gives +1.13e-10: the sign flips
+SIGN_FLIP = (1e-4, (4, 0.566601, 1.62464e-6, 0.952191), 6.27743e-6)
 SARG04_EDGE_MISSES = [
     # K = 1.871e-8 at lambda 1.118e-3, converged; the edge 3.671e-3 gives 4.565e-8
     pytest.param(1e-3, (4, 0.845793, 5.0032e-6, 0.970667), 7.54658e-5, id="above-peak"),
-    # K = -4.2e-11 at lambda 1e-8; the edge 1.822e-4 gives +1.13e-10: the
-    # sign flips
-    pytest.param(1e-4, (4, 0.566601, 1.62464e-6, 0.952191), 6.27743e-6, id="sign-flip"),
+    pytest.param(*SIGN_FLIP, id="sign-flip"),
 ]
 
 
@@ -245,3 +245,81 @@ def test_sarg04_lower_end_is_positive_at_the_edge(params, dark_b):
 def test_sarg04_tmin_lower_end_certifies(params, dark_b):
     r, ch = sarg04_lower_end(params, dark_b)
     assert certifies(SARG04, r, ch, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=sources, dark_b=log_uniform(1e-7, 1e-3), lambda_max=log_uniform(1e-2, 1.0),
+       # T itself, or its relative distance delta below tmin_heralded
+       draw=st.one_of(st.tuples(st.just("T"), log_uniform(1e-6, 0.5)),
+                      st.tuples(st.just("delta"), log_uniform(1e-7, 0.5))))
+def test_bb84_nonpositive_optimum_certifies(r, dark_b, lambda_max, draw):
+    # the oracle's negative side at any T: where optimize_lambda's K is <= 0
+    # (-inf included), no pump strength gives a positive key_rate
+    kind, x = draw
+    t = x if kind == "T" else (1.0 - x) * tmin_heralded(BB84, r, dark_b)
+    assume(t <= 0.5)
+    ch = ChannelParams(t, dark_b)
+    assume(optimize_lambda(BB84, r, ch, lambda_max).key_rate <= 0.0)
+    if not certifies(BB84, r, ch, lambda_max):
+        # as at t_lo above: only a sign change just above T escapes a cover
+        above = ChannelParams(t * (1.0 + NEAR_SIGN_CHANGE), dark_b)
+        assert dense_supremum(BB84, r, ch, lambda_max)[0] <= 0.0
+        assert optimize_lambda(BB84, r, above, lambda_max).key_rate > 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 2 of ROADMAP.md, the SARG04 edge: the nonpositive "
+                          "optimum misses the positive rate at the NaN edge")
+def test_sarg04_nonpositive_optimum_certifies():
+    t, params, dark_b = SIGN_FLIP
+    r, ch = detector(*params), ChannelParams(t, dark_b)
+    assert optimize_lambda(SARG04, r, ch).key_rate > 0.0 or certifies(SARG04, r, ch, 1.0)
+
+
+# a SARG04 scan_sweep pool config, lone: its converged bracket's midpoint
+# lies past the NaN edge, so optimize_lambda falls back on the best grid
+# point, below the best rate its golden section scored
+BELOW_BEST = ((2, 0.578264, 8.94815e-06, 0.961248), 7.259190017171386e-05, 3.08045e-06)
+
+
+def scored_lone_call(monkeypatch, params, t, dark_b):
+    """(result, [(lam, report)] in scoring order) of a lone SARG04 call."""
+    r, ch, scored = detector(*params), ChannelParams(t, dark_b), []
+
+    def recording_key_rate(spec, stats, r, ch):
+        scored.append((lams.pop(), key_rate(spec, stats, r, ch)))
+        return scored[-1][1]
+
+    def recording_pair_stats(lam):
+        lams.append(lam)
+        return poisson_pair_stats(lam)
+
+    lams = []
+    monkeypatch.setattr(analysis, "key_rate", recording_key_rate)
+    monkeypatch.setattr(analysis, "poisson_pair_stats", recording_pair_stats)
+    return optimize_lambda(SARG04, r, ch), scored
+
+
+def test_returns_the_grid_point_when_the_midpoint_is_past_the_edge(monkeypatch):
+    res, scored = scored_lone_call(monkeypatch, *BELOW_BEST)
+    grid = analysis._lambda_grid(1.0)[0]
+    assert res.lambda_opt == grid[102] == pytest.approx(1.2604e-4, rel=1e-4)
+    assert res.key_rate == pytest.approx(1.320e-11, rel=1e-3) and res.converged
+    best = max(report.key_rate for _, report in scored if not math.isnan(report.key_rate))
+    assert best == pytest.approx(1.466e-10, rel=1e-3)
+    assert (best - res.key_rate) / res.report.p_exp == pytest.approx(0.024, rel=0.02)
+    # the last score is the bracket's midpoint, NaN past the edge
+    r, ch = detector(*BELOW_BEST[0]), ChannelParams(*BELOW_BEST[1:])
+    edge = lambda_edge(SARG04, r, ch, 1.0)
+    assert edge == pytest.approx(1.36345e-4, rel=1e-5)
+    mid, report = scored[-1]
+    assert mid > edge and math.isnan(report.key_rate)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 2 of ROADMAP.md, the SARG04 edge: optimize_lambda "
+                          "returns below the best rate it scored")
+def test_returns_the_best_rate_it_scored(monkeypatch):
+    res, scored = scored_lone_call(monkeypatch, *BELOW_BEST)
+    assert res.key_rate == max(
+        report.key_rate for _, report in scored if not math.isnan(report.key_rate))
