@@ -191,8 +191,7 @@ def _key_rate_array(
         p_exp, _, q, y = _detection(*pairs, r, t, dark_b)
         ratio = q / y
         valid = (p_exp != 0.0) & (y > 0.0) & (ratio <= spec.q_max)
-        i_ab = 1.0 - _binary_entropy(q, log2)
-        margin = _margin(spec, i_ab, y, spec.eve_info(ratio, log2))
+        margin = _margin(spec, q, y, spec.eve_info(ratio, log2), log2)
         return p_exp, np.where(valid, p_exp * spec.p_sift * margin, -np.inf)
 
 
@@ -633,7 +632,7 @@ def tmin_numerical(
     where no pump strength gives a positive key_rate, is negative without
     a call: the T = 1e-8 end wherever the floor is above it, and the lowest
     midpoints.  On the benchmark's 512 T_min pool configs that settles 933
-    of 6,240 probes, and a solve makes 10.37 sign-only calls, not 12.19.
+    of 6,240 probes, and a solve makes 10.37 sign-only calls.
 
     After probing both ends, the bisection descends along its own midpoints
     steered by the closed form est = tmin_heralded, or, where

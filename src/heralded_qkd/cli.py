@@ -161,6 +161,8 @@ def _require(args, *names):
 
 def _detector_params(args) -> MultiplexedDetectorParams:
     _require(args, "eta_a", "dark_a")
+    if args.stages == 0:  # eta_a eta_c**0 = eta_a
+        _reject_unread(args, "a detector with no stages", ("eta-c",))
     return MultiplexedDetectorParams(
         stages=args.stages, eta_a=args.eta_a, dark_a=args.dark_a, eta_c=args.eta_c
     )

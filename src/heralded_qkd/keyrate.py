@@ -81,16 +81,13 @@ def key_rate(
     """Secure key rate in bits per pulse, with all intermediate quantities.
 
     K = p_exp * p_sift * [I_AB(Q) - y*I_AE^(1)(Q/y) - (1-y)*I_AE^(2)].
-    Negative rates are reported, not clamped.  When Q/y leaves the domain of
-    the single-photon information function, or nothing is detected, key_rate
-    is NaN and secure is False.
+    Negative rates are reported, not clamped.  Where nothing is detected,
+    y <= 0 or Q/y is outside eve_info's domain, key_rate is NaN and not secure.
     """
     p_exp, _, q, y = _detection(stats.p0, stats.p1, stats.p2, r, ch.transmission, ch.dark_b)
     if p_exp == 0.0:
         q = y = math.nan
-    # the printed multiphoton fraction can exceed 1 at large pump strength
-    # and low transmission, driving y <= 0; the model does not apply there
-    margin, valid = (math.nan, False) if y <= 0.0 else _security_terms(spec, q, y)
+    margin, valid = _security_terms(spec, q, y)
     k = p_exp * spec.p_sift * margin
     return KeyRateReport(
         p_exp=p_exp, qber=q, y=y, key_rate=k, pns_valid=valid,

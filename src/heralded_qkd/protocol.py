@@ -201,25 +201,26 @@ def _contour_q(spec: ProtocolSpec, y: float, q_hi: float) -> float:
     return _bisect(lambda q: positivity_margin(spec, q, y), _Q_TOL, q_hi, _Q_TOL)
 
 
-def _margin(spec: ProtocolSpec, i_ab, y, i_ae_one):
-    """I_AB - y*I_AE^(1) - (1-y)*I_AE^(2) from I_AB(Q) and I_AE^(1)(Q/y).
+def _margin(spec: ProtocolSpec, q, y, i_ae_one, log2=math.log2):
+    """I_AB(Q) - y*I_AE^(1) - (1-y)*I_AE^(2) from Q, y and I_AE^(1)(Q/y).
 
-    Takes floats or numpy arrays; checks no domain.
+    Takes floats, or numpy arrays with np.log2 as log2; checks no domain.
     """
-    return i_ab - y * i_ae_one - (1.0 - y) * spec.i_ae_two
+    return 1.0 - _binary_entropy(q, log2) - y * i_ae_one - (1.0 - y) * spec.i_ae_two
 
 
 def _security_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:
     """(positivity margin, PNS model applies) at QBER q, single-photon fraction y.
 
-    The one evaluation of I_AE^(1)(Q/y).  Outside its domain [0, q_max] the
-    margin is NaN and the model does not apply.
+    The one evaluation of I_AE^(1)(Q/y).  Unless y > 0 and Q/y is in its
+    domain [0, q_max], the margin is NaN and the model does not apply.
     """
-    ratio = q / y
-    if not ratio <= spec.q_max:  # a NaN ratio is outside too
+    # the printed multiphoton fraction can exceed 1 at large pump strength
+    # and low transmission, driving y <= 0; a NaN y or Q/y fails the test too
+    if not (y > 0.0 and (ratio := q / y) <= spec.q_max):
         return math.nan, False
-    i_ae_one = spec.eve_info(ratio)
-    return _margin(spec, mutual_info_ab(q), y, i_ae_one), i_ae_one <= spec.i_ae_two
+    i_ae_one = eve_info_single(spec, ratio)  # public, so traced; Q >= 0 passes its check
+    return _margin(spec, q, y, i_ae_one), i_ae_one <= spec.i_ae_two
 
 
 def _checked_terms(spec: ProtocolSpec, q: float, y: float) -> tuple[float, bool]:

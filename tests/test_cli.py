@@ -103,6 +103,13 @@ class TestDetector:
         for col in ("delta_q0", "delta_q1", "delta_q2"):
             assert float(row[col]) < 1e-12
 
+    def test_no_stages_rejects_eta_c(self, capsys, tmp_path):
+        argv = ["detector", "--stages", "0", "--eta-a", "0.6", "--dark-a", "1e-6"]
+        plain = assert_unread_rejected(capsys, tmp_path, argv, {"eta-c": "0.9"},
+                                       "a detector with no stages does not read --eta-c")
+        assert run_cli(capsys, *argv, "--eta-c", "1") == (0, plain, "")
+        assert "eta_c=1" in plain
+
     def test_validation_error_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "detector", "--stages", "0", "--eta-a", "2", "--dark-a", "0"
@@ -244,6 +251,18 @@ class TestSourceFlags:
         assert (code, out) == (1, "")
         assert err == ("error: a wcp source does not read --stages, --eta-a, "
                        "--dark-a, --q0\n")
+
+    @pytest.mark.parametrize("command", ["keyrate", "scan", "tmin"])
+    def test_no_stages_rejects_eta_c(self, capsys, tmp_path, command):
+        # eta_a eta_c**0 = eta_a: a multiplexed detector with no stages does
+        # not read --eta-c, as a binary one does not
+        argv = [command, "--source", "multiplexed", "--stages", "0", "--eta-a", "0.6",
+                "--dark-a", "1e-6", "--dark-b", "1e-5"]
+        if command != "tmin":
+            argv += ["--t", "0.01"]
+        plain = assert_unread_rejected(capsys, tmp_path, argv, {"eta-c": "0.9"},
+                                       "a detector with no stages does not read --eta-c")
+        assert run_cli(capsys, *argv, "--eta-c", "1") == (0, plain, "")
 
     def test_unset_values_accepted(self, capsys):
         _, plain, _ = run_cli(capsys, *self.PLAIN)

@@ -1,9 +1,10 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heralded_qkd.keyrate import (
@@ -25,6 +26,10 @@ Y_REF = 0.5323097112091798
 K_REF_BB84 = 0.0025531189525985873
 
 IDEAL_HERALD = HeraldResponse(q0=0.0, q1=1.0, q2=0.0)
+
+
+# zero, the subnormals and the smallest normal float
+SUBNORMAL = st.floats(0.0, sys.float_info.min)
 
 
 def reference_setup():
@@ -65,17 +70,25 @@ class TestQber:
         rep = key_rate(BB84, stats, wcp_response(), ChannelParams(0.0, 0.0))
         assert rep.p_exp == 0.0 and math.isnan(rep.qber)
 
-    def test_never_exceeds_half(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            stats = poisson_pair_stats(rng.uniform(1e-6, 1.0))
-            r = HeraldResponse(rng.random(), rng.random(), rng.random())
-            ch = ChannelParams(rng.uniform(0.0, 1.0), rng.uniform(1e-8, 1e-2))
-            try:
-                q = key_rate(BB84, stats, r, ch).qber
-            except ZeroDivisionError:
-                continue
-            assert 0.0 <= q <= 0.5
+    @given(
+        lam=st.floats(0.0, 1.0),
+        q=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 3),
+        t=st.floats(0.0, 1.0) | SUBNORMAL,
+        dark_b=st.floats(0.0, 1.0, exclude_max=True) | SUBNORMAL,
+    )
+    @example(lam=0.1, q=(1.0, 1.0, 1.0), t=5e-324, dark_b=5e-324)
+    @example(lam=1.0, q=(0.0, 1.0, 1.0), t=1.0, dark_b=5e-324)
+    @example(lam=5e-324, q=(1.0, 0.0, 0.0), t=0.0, dark_b=5e-324)
+    @example(lam=0.1, q=(0.0, 0.0, 0.0), t=1.0, dark_b=0.5)
+    def test_never_exceeds_half(self, lam, q, t, dark_b):
+        # p_exp >= 2 dark in floats, so Q = dark/p_exp <= 1/2; p2 q2 >= 0,
+        # so y <= 1; with nothing detected both are NaN
+        rep = key_rate(BB84, poisson_pair_stats(lam), HeraldResponse(*q),
+                       ChannelParams(t, dark_b))
+        if rep.p_exp == 0.0:
+            assert math.isnan(rep.qber) and math.isnan(rep.y)
+        else:
+            assert 0.0 <= rep.qber <= 0.5 and rep.y <= 1.0
 
 
 class TestSinglePhotonFraction:

@@ -9,6 +9,7 @@ from heralded_qkd.keyrate import renormalized_key_rate
 from heralded_qkd.protocol import (
     BB84,
     SARG04,
+    _security_terms,
     _xlog2x,
     binary_entropy,
     eve_info_single,
@@ -313,6 +314,29 @@ class TestPositivityMargin:
             assert positivity_margin(spec, spec.q_threshold, 1.0) == pytest.approx(
                 0.0, abs=1e-11
             )
+
+
+class TestSecurityTerms:
+    """The private kernel states the whole validity rule, y > 0 and
+    Q/y <= q_max: outside it the result is (NaN, False), with no error."""
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    @pytest.mark.parametrize("q, y", [
+        (0.1, 0.0), (0.0, 0.0), (0.1, -0.0), (0.1, -0.5), (0.1, math.nan),
+    ])
+    def test_y_not_positive(self, spec, q, y):
+        margin, valid = _security_terms(spec, q, y)
+        assert math.isnan(margin) and valid is False
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    def test_one_ulp_above_q_max(self, spec):
+        y = 0.5  # halving is exact, so Q/y is the ratio below bit for bit
+        above = math.nextafter(spec.q_max, 1.0)
+        assert (above * y) / y == above
+        margin, valid = _security_terms(spec, above * y, y)
+        assert math.isnan(margin) and valid is False
+        margin, _ = _security_terms(spec, spec.q_max * y, y)
+        assert math.isfinite(margin)
 
 
 class TestProtocolSpec:
