@@ -159,10 +159,14 @@ def _require(args, *names):
             raise CliError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _reject_eta_c_without_stages(args, stages: int) -> None:
+    if stages == 0:  # eta_a eta_c**0 = eta_a
+        _reject_unread(args, "a detector with no stages", ("eta-c",))
+
+
 def _detector_params(args) -> MultiplexedDetectorParams:
     _require(args, "eta_a", "dark_a")
-    if args.stages == 0:  # eta_a eta_c**0 = eta_a
-        _reject_unread(args, "a detector with no stages", ("eta-c",))
+    _reject_eta_c_without_stages(args, args.stages)
     return MultiplexedDetectorParams(
         stages=args.stages, eta_a=args.eta_a, dark_a=args.dark_a, eta_c=args.eta_c
     )
@@ -179,13 +183,12 @@ def _reject_unread(args, branch: str, flags) -> None:
         raise CliError(f"{branch} does not read {', '.join(unread)}")
 
 
-# per source kind, the source flags it does not read
-_DETECTOR_FLAGS = ("stages", "eta-a", "dark-a", "eta-c")
+# the source flags, and per source kind those it does not read
+_DETECTOR_FLAGS = ("stages", "eta-a", "eta-c", "dark-a")
 _CUSTOM_FLAGS = ("q0", "q1", "q2")
 _UNREAD_BY_SOURCE = {
     "wcp": _DETECTOR_FLAGS + _CUSTOM_FLAGS, "custom": _DETECTOR_FLAGS,
-    # a binary detector has no stages, so eta_a eta_c**0 never reads eta-c
-    "binary": _CUSTOM_FLAGS + ("eta-c",), "multiplexed": _CUSTOM_FLAGS,
+    "binary": _CUSTOM_FLAGS + ("stages",), "multiplexed": _CUSTOM_FLAGS,
 }
 
 
@@ -196,11 +199,6 @@ def _build_response(args) -> HeraldResponse:
     if args.source == "custom":
         _require(args, "q0", "q1", "q2")
         return HeraldResponse(q0=args.q0, q1=args.q1, q2=args.q2)
-    if args.source == "binary" and args.stages != 0:
-        raise CliError(
-            f"a binary source has no stages, got {args.stages} "
-            f"(use --source multiplexed)"
-        )
     return multiplexed_response(_detector_params(args))
 
 
@@ -393,6 +391,7 @@ def cmd_contour(args) -> tuple:
 def cmd_compare_stages(args) -> tuple:
     spec = get_protocol(args.protocol)
     _require(args, "eta_a_list", "dark_a")
+    _reject_eta_c_without_stages(args, args.n_max)
     if args.fit:
         _require(args, "dark_b")  # only --fit reads dark_b
     if args.dark_b is not None:
@@ -465,14 +464,13 @@ _FLAGS = {
     "config": {"help": "JSON config file; flags override it"},
 }
 
-_SOURCE = ("source", "stages", "eta-a", "eta-c", "dark-a", "q0", "q1", "q2")
+_SOURCE = ("source", *_DETECTOR_FLAGS, *_CUSTOM_FLAGS)
 _IO = ("format", "output", "config")
 
 # subcommand -> (handler, exactly the flags it reads)
 _COMMANDS = {
     "threshold": (cmd_threshold, ("protocol", *_IO)),
-    "detector": (cmd_detector,
-                 ("stages", "eta-a", "eta-c", "dark-a", "oracle", *_IO)),
+    "detector": (cmd_detector, (*_DETECTOR_FLAGS, "oracle", *_IO)),
     "keyrate": (cmd_keyrate,
                 ("protocol", *_SOURCE, "dark-b", "t", "lam", "lambda-max", *_IO)),
     "scan": (cmd_scan,

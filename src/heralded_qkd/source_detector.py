@@ -197,7 +197,7 @@ def short_distance_factor(r: HeraldResponse) -> float:
     """
     if r.q2 == 0.0:
         return math.inf if r.q1 > 0.0 else math.nan
-    return r.q1**2 / r.q2
+    return r.q1 * (r.q1 / r.q2)
 
 
 def distance_factor(r: HeraldResponse) -> float:

@@ -201,17 +201,9 @@ class TestKeyrate:
     def test_binary_source_has_no_stages(self, capsys, tmp_path):
         argv = ["keyrate", "--source", "binary", "--eta-a", "0.6",
                 "--dark-a", "1e-6", "--t", "0.01", "--dark-b", "1e-5"]
-        _, plain, _ = run_cli(capsys, *argv)
-        code, out, _ = run_cli(capsys, *argv, "--stages", "0")
-        assert (code, out) == (0, plain)
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"stages": 4}))
-        for extra in (["--stages", "4"], ["--config", str(cfg)]):
-            code, out, err = run_cli(capsys, *argv, *extra)
-            assert code == 1
-            assert out == ""
-            assert err == ("error: a binary source has no stages, got 4 "
-                           "(use --source multiplexed)\n")
+        plain = assert_unread_rejected(capsys, tmp_path, argv, {"stages": "4"},
+                                       "a binary source does not read --stages")
+        assert run_cli(capsys, *argv, "--stages", "0") == (0, plain, "")
 
 
 class TestSourceFlags:
@@ -221,7 +213,7 @@ class TestSourceFlags:
     DETECTOR = {"stages": "4", "eta-a": "0.3", "dark-a": "0.5", "eta-c": "0.9"}
     CUSTOM = {"q0": "0.2", "q1": "0.5", "q2": "0.1"}
     UNREAD = {"wcp": {**DETECTOR, **CUSTOM}, "custom": DETECTOR,
-              "binary": {**CUSTOM, "eta-c": "0.5"}, "multiplexed": CUSTOM}
+              "binary": {**CUSTOM, "stages": "4"}, "multiplexed": CUSTOM}
 
     @pytest.mark.parametrize("source, flag", [
         (source, flag) for source, flags in UNREAD.items() for flag in flags
@@ -254,15 +246,17 @@ class TestSourceFlags:
 
     @pytest.mark.parametrize("command", ["keyrate", "scan", "tmin"])
     def test_no_stages_rejects_eta_c(self, capsys, tmp_path, command):
-        # eta_a eta_c**0 = eta_a: a multiplexed detector with no stages does
-        # not read --eta-c, as a binary one does not
-        argv = [command, "--source", "multiplexed", "--stages", "0", "--eta-a", "0.6",
-                "--dark-a", "1e-6", "--dark-b", "1e-5"]
-        if command != "tmin":
-            argv += ["--t", "0.01"]
-        plain = assert_unread_rejected(capsys, tmp_path, argv, {"eta-c": "0.9"},
-                                       "a detector with no stages does not read --eta-c")
-        assert run_cli(capsys, *argv, "--eta-c", "1") == (0, plain, "")
+        # eta_a eta_c**0 = eta_a: a detector with no stages, binary or
+        # multiplexed, does not read --eta-c
+        for source in ("binary", "multiplexed"):
+            argv = [command, "--source", source, "--stages", "0", "--eta-a", "0.6",
+                    "--dark-a", "1e-6", "--dark-b", "1e-5"]
+            if command != "tmin":
+                argv += ["--t", "0.01"]
+            plain = assert_unread_rejected(
+                capsys, tmp_path, argv, {"eta-c": "0.9"},
+                "a detector with no stages does not read --eta-c")
+            assert run_cli(capsys, *argv, "--eta-c", "1") == (0, plain, "")
 
     def test_unset_values_accepted(self, capsys):
         _, plain, _ = run_cli(capsys, *self.PLAIN)
@@ -455,6 +449,8 @@ class TestContour:
             capsys, "contour", "--q-min", "0", "--q-max", "0.4"
         )
         assert code == 1
+        assert run_cli(capsys, "contour", "--y-min", "0") == (
+            1, "", "error: y grid must lie within (0, 1]\n")
 
     @pytest.mark.parametrize("flag", ["--q-points", "--y-points"])
     @pytest.mark.parametrize("points", ["1", "0"])
@@ -517,6 +513,24 @@ class TestCompareStages:
         code, out, err = run_cli(capsys, *flags)
         assert (code, err) == (0, "")
         assert run_cli(capsys, *flags, "--dark-b", "1e-5") == (0, out, "")
+
+    def test_no_stages_rejects_eta_c(self, capsys, tmp_path):
+        # at --n-max 0 the one detector swept is binary, which never reads eta_c
+        argv = ["compare-stages", "--eta-a-list", "0.6", "--dark-a", "1e-6",
+                "--n-max", "0"]
+        plain = assert_unread_rejected(capsys, tmp_path, argv, {"eta-c": "0.9"},
+                                       "a detector with no stages does not read --eta-c")
+        assert run_cli(capsys, *argv, "--eta-c", "1") == (0, plain, "")
+        assert run_cli(capsys, *argv, "--dark-b", "1e-5") == (0, plain, "")
+        assert plain.splitlines()[-1] == "0.6,0,1,true"
+
+    def test_tiny_efficiency_ratio_is_one(self, capsys):
+        # q1**2 would underflow to 0 at q1 ~ 1e-200
+        code, out, err = run_cli(capsys, "compare-stages", "--eta-a-list", "1e-200",
+                                 "--dark-a", "0", "--n-max", "2")
+        assert (code, err) == (0, "")
+        assert [(row["stages"], row["ratio_vs_binary"]) for row in parse_csv(out)] == [
+            ("0", "1"), ("1", "1"), ("2", "1")]
 
     def test_dark_b_required_with_fit(self, capsys):
         code, out, err = run_cli(
