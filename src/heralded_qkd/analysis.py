@@ -382,8 +382,7 @@ def optimize_lambda(
         return OptimizationResult(lambda_opt=lam, report=table.get(lam, (0.0, None))[1],
                                   converged=converged, evaluations=len(table))
 
-    if _sign_only and r.q2 != 0.0:
-        hint = lambda_opt_heralded(spec, r, ch.dark_b)
+    if _sign_only and not math.isnan(hint := lambda_opt_heralded(spec, r, ch.dark_b)):
         i = min(bisect.bisect_left(grid, hint), _LAMBDA_GRID_POINTS - 1)
         if i > 0 and hint / grid[i - 1] < grid[i] / hint:  # nearer on the log grid
             i -= 1
@@ -490,10 +489,11 @@ def short_distance_approx_rate(
 
     (q1**2/q2) * p_sift * T**2 / (2 (I_AE2 - 2T)), defined for I_AE2 > 2T.
     Dividing by the WCP counterpart recovers the q1**2/q2 enhancement factor.
+    NaN at q2 = 0, where lambda_opt = 1 and the small-lambda expansion fails.
     """
-    if r.q2 == 0.0:
-        raise ZeroDivisionError("approximation undefined for q2 = 0")
     penalty = _regime_penalty(spec, t)
+    if r.q2 == 0.0:
+        return math.nan
     return short_distance_factor(r) * spec.p_sift * t**2 / (2.0 * penalty)
 
 
@@ -523,15 +523,11 @@ def lambda_opt_heralded(
     """Pump strength minimizing the heralded-source transmission bound.
 
     sqrt(2 T_min1 q0 / (xi q2)).  Returns 0 at q0 = 0 (vacuum
-    heralds absent, drive the pump down); singular at q2 = 0, where multipair
+    heralds absent, drive the pump down); NaN at q2 = 0, where multipair
     events are perfectly sifted out and the bound decreases monotonically.
     """
-    if r.q2 == 0.0:
-        raise ZeroDivisionError(
-            "optimal pump strength unbounded for q2 = 0 (perfect sifting)"
-        )
     t1 = tmin_single_photon(spec, dark_b)
-    return math.sqrt(2.0 * t1 * r.q0 / (spec.xi * r.q2))
+    return math.sqrt(2.0 * t1 * r.q0 / (spec.xi * r.q2)) if r.q2 else math.nan
 
 
 def tmin_bound_heralded(
@@ -540,13 +536,13 @@ def tmin_bound_heralded(
     """Transmission lower bound for a heralded source at pump strength lam.
 
     (q2/2q1) xi lam + T_min1 (1 + (q0/q1)/lam); its minimum over lam is the
-    heralded minimum transmission.
+    heralded minimum transmission.  NaN at q1 = 0.
     """
-    if r.q1 == 0.0:
-        raise ZeroDivisionError("bound undefined for q1 = 0")
     if not lam > 0.0:  # a NaN is rejected too
         raise ValueError(f"pump strength must be positive, got {lam}")
     t1 = tmin_single_photon(spec, dark_b)
+    if r.q1 == 0.0:
+        return math.nan
     return (
         r.q2 / (2.0 * r.q1) * spec.xi * lam
         + t1
@@ -558,7 +554,7 @@ def tmin_heralded(spec: ProtocolSpec, r: HeraldResponse, dark_b: float) -> float
     """Closed-form minimum transmission for a heralded source.
 
     T_min1 + sqrt(q0 q2)/q1 * T_minC: the ideal-source floor plus the WCP
-    bound scaled by the detector's distance factor.
+    bound scaled by the detector's distance factor; NaN at q1 = 0.
     """
     t_min_c, _ = tmin_wcp(spec, dark_b)
     return tmin_single_photon(spec, dark_b) + distance_factor(r) * t_min_c
@@ -672,14 +668,11 @@ def tmin_numerical(
         raise RuntimeError(
             "no sign change of the optimized key rate on [1e-8, 1]"
         )
-    try:
-        est = tmin_heralded(spec, r, dark_b)
-        if r.q2 != 0.0 and lambda_opt_heralded(spec, r, dark_b) > lambda_max:
-            # the closed-form pump strength is out of reach: the bound at lambda_max
-            est = tmin_bound_heralded(spec, r, dark_b, lambda_max)
-    except ZeroDivisionError:  # q1 = 0: no closed form
-        est = math.inf
-    if est < math.inf:
+    est = tmin_heralded(spec, r, dark_b)
+    if lambda_opt_heralded(spec, r, dark_b) > lambda_max:
+        # the closed-form pump strength is out of reach: the bound at lambda_max
+        est = tmin_bound_heralded(spec, r, dark_b, lambda_max)
+    if est < math.inf:  # a NaN est, at q1 = 0, is no estimate
         band_lo, band_hi = est * _TMIN_BAND[0], est * _TMIN_BAND[1]
         t_lo, t_hi = bisection(lambda t: t > band_hi or (t >= band_lo and positive(t)))
         if positive(t_hi) and not positive(t_lo):
@@ -803,10 +796,10 @@ def _stage_responses(
         stages=n, eta_a=eta_a, dark_a=dark_a, eta_c=eta_c)) for n in range(n_max + 1)]
 
 
-def _best_stage(factors) -> int:
+def _best_stage(factors) -> int | None:
     """Index of the first largest of the factors: ties go to the smaller
-    stage count, and a NaN factor never wins."""
-    best_n, best_factor = 0, -math.inf
+    stage count, and a NaN factor never wins, so None if every one is NaN."""
+    best_n, best_factor = None, -math.inf
     for n, factor in enumerate(factors):
         if factor > best_factor:
             best_n, best_factor = n, factor
@@ -819,7 +812,11 @@ def optimal_stage_count(
     """Stage count maximizing the short-distance factor q1**2/q2.
 
     Exhaustive argmax over 0..n_max, n_max at most the largest stage count
-    a detector takes; ties go to the smaller stage count.
+    a detector takes; ties go to the smaller stage count.  A ValueError if
+    no stage count has a factor (a detector that never heralds a pair).
     """
-    return _best_stage(
+    best_n = _best_stage(
         [short_distance_factor(r) for r in _stage_responses(eta_a, eta_c, dark_a, n_max)])
+    if best_n is None:
+        raise ValueError("no stage count has a short-distance factor: q1 = q2 = 0")
+    return best_n

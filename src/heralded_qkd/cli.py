@@ -261,9 +261,8 @@ def cmd_detector(args) -> tuple:
         "q0", "q1", "q2", "short_distance_factor", "distance_factor",
         "advantage_threshold",
     ]
-    dist = distance_factor(r) if r.q1 > 0.0 else math.nan
     row = [
-        r.q0, r.q1, r.q2, short_distance_factor(r), dist,
+        r.q0, r.q1, r.q2, short_distance_factor(r), distance_factor(r),
         advantage_threshold(args.stages),
     ]
     comments = [
@@ -347,14 +346,12 @@ def cmd_tmin(args) -> tuple:
     # the closed forms are the paper's, without the lambda_max constraint:
     # only tmin_numerical searches [1e-8, lambda_max], so where lambda_max
     # is below the closed-form pump strength its root lies above tmin_heralded
-    t_h = analysis.tmin_heralded(spec, r, args.dark_b) if r.q1 > 0 else math.nan
-    lam_h = analysis.lambda_opt_heralded(spec, r, args.dark_b) if r.q2 > 0 else math.nan
     row = [
         analysis.tmin_single_photon(spec, args.dark_b),
         tmin_c,
         lam_c,
-        t_h,
-        lam_h,
+        analysis.tmin_heralded(spec, r, args.dark_b),
+        analysis.lambda_opt_heralded(spec, r, args.dark_b),
         analysis.tmin_numerical(spec, r, args.dark_b, args.lambda_max),
     ]
     return header, [row], [f"protocol={spec.name} dark_b={_fmt(args.dark_b)}"]

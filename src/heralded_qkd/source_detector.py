@@ -201,10 +201,8 @@ def short_distance_factor(r: HeraldResponse) -> float:
 
 
 def distance_factor(r: HeraldResponse) -> float:
-    """Maximum-distance figure of merit sqrt(q0*q2)/q1; lower is better."""
-    if r.q1 == 0.0:
-        raise ZeroDivisionError("distance factor undefined for q1 = 0")
-    return math.sqrt(r.q0 * r.q2) / r.q1
+    """Maximum-distance figure of merit sqrt(q0*q2)/q1, NaN at q1 = 0; lower is better."""
+    return math.sqrt(r.q0 * r.q2) / r.q1 if r.q1 else math.nan
 
 
 def approx_distance_factor(params: MultiplexedDetectorParams) -> float:

@@ -880,8 +880,8 @@ class TestShortDistanceApproxRate:
         assert r2 / r1 == pytest.approx(4.0, rel=1e-4)
 
     def test_singularities(self):
-        with pytest.raises(ZeroDivisionError):
-            short_distance_approx_rate(BB84, IDEAL_HERALD, 0.01)
+        # q2 = 0: lambda_opt = 1, outside the small-lambda expansion
+        assert math.isnan(short_distance_approx_rate(BB84, IDEAL_HERALD, 0.01))
         with pytest.raises(ValueError, match="needs I_AE2 > 2T"):
             short_distance_approx_rate(BB84, wcp_response(), 0.5)
 
@@ -936,8 +936,7 @@ class TestMinimumTransmissions:
         assert lambda_opt_heralded(BB84, wcp_response(), 1e-5) == pytest.approx(
             lam_c, abs=1e-12
         )
-        with pytest.raises(ZeroDivisionError):
-            lambda_opt_heralded(BB84, IDEAL_HERALD, 1e-5)
+        assert math.isnan(lambda_opt_heralded(BB84, IDEAL_HERALD, 1e-5))
 
     def test_lambda_opt_rejects_negative_dark_counts(self):
         # the check of tmin_single_photon, not a math domain error
@@ -945,22 +944,51 @@ class TestMinimumTransmissions:
             lambda_opt_heralded(BB84, binary_response(), -1e-5)
 
     @pytest.mark.parametrize("closed_form", [
-        lambda d_b: tmin_single_photon(BB84, d_b),
-        lambda d_b: tmin_wcp(BB84, d_b),
-        lambda d_b: tmin_heralded(BB84, binary_response(), d_b),
-        lambda d_b: lambda_opt_heralded(BB84, binary_response(), d_b),
-        lambda d_b: tmin_bound_heralded(BB84, binary_response(), d_b, 0.01),
+        lambda r, d_b: tmin_single_photon(BB84, d_b),
+        lambda r, d_b: tmin_wcp(BB84, d_b),
+        lambda r, d_b: tmin_heralded(BB84, r, d_b),
+        lambda r, d_b: lambda_opt_heralded(BB84, r, d_b),
+        lambda r, d_b: tmin_bound_heralded(BB84, r, d_b, 0.01),
     ], ids=["tmin_single_photon", "tmin_wcp", "tmin_heralded",
             "lambda_opt_heralded", "tmin_bound_heralded"])
     def test_closed_forms_reject_nan_dark_counts(self, closed_form):
-        # ChannelParams's range: the numerical paths reject the same d_B
-        for dark_b in (math.nan, 1.0, 5.0, math.inf):
-            with pytest.raises(ValueError, match=r"dark_b must be in \[0, 1\)"):
-                closed_form(dark_b)
+        # ChannelParams's range: the numerical paths reject the same d_B, and
+        # so do the closed forms at q1 = 0 and q2 = 0, where they are NaN
+        for r in (binary_response(), HeraldResponse(1e-3, 0.0, 1.0),
+                  HeraldResponse(1e-3, 0.6, 0.0)):
+            for dark_b in (math.nan, 1.0, 5.0, math.inf):
+                with pytest.raises(ValueError, match=r"dark_b must be in \[0, 1\)"):
+                    closed_form(r, dark_b)
 
     def test_bound_undefined_without_single_photon_heralds(self):
-        with pytest.raises(ZeroDivisionError, match="bound undefined for q1 = 0"):
-            tmin_bound_heralded(BB84, HeraldResponse(0.1, 0.0, 0.3), 1e-5, 0.01)
+        assert math.isnan(
+            tmin_bound_heralded(BB84, HeraldResponse(0.1, 0.0, 0.3), 1e-5, 0.01))
+        # the pump strength is still checked there
+        with pytest.raises(ValueError, match="pump strength must be positive"):
+            tmin_bound_heralded(BB84, HeraldResponse(0.1, 0.0, 0.3), 1e-5, 0.0)
+
+    @settings(deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]),
+           r=st.one_of(st.builds(HeraldResponse, unit, st.just(0.0), unit),
+                       st.builds(HeraldResponse, unit, unit, st.just(0.0))),
+           dark_b=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           lam=st.floats(0.0, exclude_min=True),
+           regime=st.floats(1e-12, 0.99))
+    @example(spec=BB84, r=HeraldResponse(0.0, 0.0, 0.0), dark_b=0.0, lam=1.0,
+             regime=0.5)
+    def test_closed_forms_nan_where_the_detector_leaves_them_undefined(
+            self, spec, r, dark_b, lam, regime):
+        # q1 = 0: the distance factor and the T_min forms built on it; q2 = 0:
+        # the optimal pump strength and the short-distance rate
+        undefined = []
+        if r.q1 == 0.0:
+            undefined += [distance_factor(r), tmin_heralded(spec, r, dark_b),
+                          tmin_bound_heralded(spec, r, dark_b, lam)]
+        if r.q2 == 0.0:
+            t = regime * spec.i_ae_two / 2.0  # inside I_AE2 > 2T
+            undefined += [lambda_opt_heralded(spec, r, dark_b),
+                          short_distance_approx_rate(spec, r, t)]
+        assert undefined and all(math.isnan(x) for x in undefined)
 
     @pytest.mark.parametrize("lam", [0.0, -0.01, math.nan])
     def test_bound_rejects_nonpositive_pump_strength(self, lam):
@@ -1342,19 +1370,18 @@ class TestTminCertificate:
 
     @pytest.mark.parametrize("spec", [BB84, SARG04])
     @pytest.mark.parametrize("r", [
-        HeraldResponse(q0=1e-3, q1=0.0, q2=1.0),  # distance_factor raises
+        HeraldResponse(q0=1e-3, q1=0.0, q2=1.0),  # distance_factor is NaN
         HeraldResponse(q0=1e-3, q1=0.6, q2=0.0),  # no multiphoton heralds
         HeraldResponse(q0=1.0, q1=1e-9, q2=1.0),  # est ~ 1e7, far above the root
     ], ids=["q1_zero", "q2_zero", "far_estimate"])
     def test_equals_reference_at_degenerate_estimates(self, spec, r):
-        # the closed form raises (the plain bisection runs), is the ideal-source
+        # the closed form is NaN (the plain bisection runs), is the ideal-source
         # floor, or lies far outside [1e-8, 1] (the descent is contradicted)
         got = tmin_outcome(tmin_numerical, spec, r, 1e-5)
         assert got == tmin_outcome(reference_tmin, spec, r, 1e-5)
         assert isinstance(got, float)  # the estimate was reached, not skipped
         if r.q1 == 0.0:
-            with pytest.raises(ZeroDivisionError):
-                tmin_heralded(spec, r, 1e-5)
+            assert math.isnan(tmin_heralded(spec, r, 1e-5))
         if r.q0 == 1.0:
             assert tmin_heralded(spec, r, 1e-5) > 1e7
             assert got > 0.5
@@ -1751,6 +1778,15 @@ class TestOptimalStageCount:
 
     def test_lossless_ideal_prefers_max(self):
         assert optimal_stage_count(1.0, 1.0, 0.0, 6) == 6
+
+    def test_no_stage_count_heralds(self):
+        # eta_a = dark_a = 0: q1 = q2 = 0 at every stage count, so every
+        # short-distance factor is NaN and none is optimal
+        for n_max in (0, 2):
+            with pytest.raises(ValueError, match="^no stage count has a short-distance"):
+                optimal_stage_count(0.0, 1.0, 0.0, n_max)
+        # at dark_a = 1 only the binary detector heralds
+        assert optimal_stage_count(0.5, 1.0, 1.0, 2) == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -487,6 +487,14 @@ class TestCompareStages:
         assert code == 0
         rows = [(row["ratio_vs_binary"], row["is_optimal"]) for row in parse_csv(out)]
         assert rows == [("1", "true"), ("invalid", "false"), ("invalid", "false")]
+        # eta_a = dark_a = 0: no stage count heralds, so none is optimal
+        code, out, _ = run_cli(
+            capsys, "compare-stages", "--eta-a-list", "0", "--dark-a", "0",
+            "--n-max", "2",
+        )
+        assert code == 0
+        rows = [(row["ratio_vs_binary"], row["is_optimal"]) for row in parse_csv(out)]
+        assert rows == [("invalid", "false")] * 3
 
     def test_fitted_ratio_close_to_analytic(self, capsys):
         code, out, _ = run_cli(

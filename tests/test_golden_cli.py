@@ -38,6 +38,7 @@ CASES = {
     "threshold_sarg04_json": ["threshold", "--protocol", "sarg04", "--format", "json"],
     "detector_oracle": ["detector", "--stages", "3", "--eta-a", "0.6",
                         "--dark-a", "1e-6", "--eta-c", "0.98", "--oracle"],
+    "detector_never_heralds": ["detector", "--eta-a", "0", "--dark-a", "0"],
     "keyrate_lam": ["keyrate", *_BINARY, "--t", "0.01", "--dark-b", "1e-5",
                     "--lam", "0.05"],
     "keyrate_opt": ["keyrate", *_BINARY, "--t", "0.01", "--dark-b", "1e-5"],
@@ -57,6 +58,11 @@ CASES = {
                           "--q2", "1", "--dark-b", "1e-5"],
     "tmin_lambda_max": ["tmin", "--protocol", "bb84", "--source", "wcp",
                         "--lambda-max", "1e-3", "--dark-b", "1e-5"],
+    # the closed forms the detector leaves undefined print as "invalid"
+    "tmin_q1_zero": ["tmin", "--source", "custom", "--q0", "1e-3", "--q1", "0",
+                     "--q2", "1", "--dark-b", "1e-5"],
+    "tmin_q2_zero": ["tmin", "--source", "custom", "--q0", "1e-3", "--q1", "0.6",
+                     "--q2", "0", "--dark-b", "1e-5"],
     "contour_csv": ["contour", "--protocol", "sarg04", *_CONTOUR],
     "contour_json": ["contour", "--protocol", "sarg04", *_CONTOUR, "--format", "json"],
     "compare_stages_fit": ["compare-stages", "--eta-a-list", "0.4", "0.8",

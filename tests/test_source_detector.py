@@ -229,9 +229,9 @@ class TestDistanceFactor:
     def test_vacuum_rejection(self):
         assert distance_factor(HeraldResponse(0.0, 0.7, 0.3)) == 0.0
 
-    def test_q1_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            distance_factor(HeraldResponse(0.5, 0.0, 0.5))
+    def test_q1_zero_is_nan(self):
+        assert math.isnan(distance_factor(HeraldResponse(0.5, 0.0, 0.5)))
+        assert math.isnan(distance_factor(HeraldResponse(0.0, 0.0, 0.0)))
 
     def test_approximation_agreement(self):
         params = MultiplexedDetectorParams(
