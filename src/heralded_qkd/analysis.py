@@ -450,14 +450,6 @@ def _short_distance_penalty(spec: ProtocolSpec, t: float) -> float:
     return spec.i_ae_two - 2.0 * t
 
 
-def _regime_penalty(spec: ProtocolSpec, t: float) -> float:
-    """I_AE2 - 2T, required positive: only there does the short-distance
-    expansion have an interior optimum in the pump strength."""
-    if not (penalty := _short_distance_penalty(spec, t)) > 0.0:
-        raise ValueError(f"short-distance approximation needs I_AE2 > 2T, got T = {t}")
-    return penalty
-
-
 def short_distance_key_rate(
     spec: ProtocolSpec, r: HeraldResponse, t: float, lam: float
 ) -> float:
@@ -474,12 +466,16 @@ def short_distance_key_rate(
 def short_distance_lambda(spec: ProtocolSpec, r: HeraldResponse, t: float) -> float:
     """Pump strength maximizing the dark-count-free key rate.
 
-    T q1 / (T q1 + (I_AE2 - 2T) q2), defined for I_AE2 > 2T.
+    T q1 / (T q1 + (I_AE2 - 2T) q2): 1 at q2 = 0 < q1 and 0 at q1 = 0 < q2.
+    NaN where I_AE2 <= 2T, where the rate has no interior optimum in the
+    pump strength, and at q1 = q2 = 0, where it is 0 at every pump strength.
     """
-    if r.q1 == 0.0 and r.q2 == 0.0:
-        raise ValueError("degenerate response: q1 = q2 = 0")
-    penalty = _regime_penalty(spec, t)
-    return t * r.q1 / (t * r.q1 + penalty * r.q2)
+    penalty = _short_distance_penalty(spec, t)
+    if not (penalty > 0.0 and (top := max(r.q1, r.q2)) > 0.0):
+        return math.nan
+    # q1 and q2 over the larger one, so that the two terms never both underflow
+    gain = t * (r.q1 / top)
+    return gain / (gain + penalty * (r.q2 / top))
 
 
 def short_distance_approx_rate(
@@ -487,12 +483,12 @@ def short_distance_approx_rate(
 ) -> float:
     """Leading-order key rate at the optimal pump strength, quadratic in T.
 
-    (q1**2/q2) * p_sift * T**2 / (2 (I_AE2 - 2T)), defined for I_AE2 > 2T.
-    Dividing by the WCP counterpart recovers the q1**2/q2 enhancement factor.
-    NaN at q2 = 0, where lambda_opt = 1 and the small-lambda expansion fails.
+    (q1**2/q2) * p_sift * T**2 / (2 (I_AE2 - 2T)).  Dividing by the WCP
+    counterpart recovers the q1**2/q2 enhancement factor.  NaN where
+    I_AE2 <= 2T, where the rate has no interior optimum in the pump strength,
+    and at q2 = 0, where lambda_opt = 1 and the small-lambda expansion fails.
     """
-    penalty = _regime_penalty(spec, t)
-    if r.q2 == 0.0:
+    if not (penalty := _short_distance_penalty(spec, t)) > 0.0 or r.q2 == 0.0:
         return math.nan
     return short_distance_factor(r) * spec.p_sift * t**2 / (2.0 * penalty)
 
@@ -536,10 +532,10 @@ def tmin_bound_heralded(
     """Transmission lower bound for a heralded source at pump strength lam.
 
     (q2/2q1) xi lam + T_min1 (1 + (q0/q1)/lam); its minimum over lam is the
-    heralded minimum transmission.  NaN at q1 = 0.
+    heralded minimum transmission.  NaN at q1 = 0; lam must be finite.
     """
-    if not lam > 0.0:  # a NaN is rejected too
-        raise ValueError(f"pump strength must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:  # a NaN is rejected too
+        raise ValueError(f"pump strength must be positive and finite, got {lam}")
     t1 = tmin_single_photon(spec, dark_b)
     if r.q1 == 0.0:
         return math.nan
@@ -788,12 +784,14 @@ def fit_power_law(series: ScanSeries) -> tuple[float, float]:
 def _stage_responses(
     eta_a: float, eta_c: float, dark_a: float, n_max: int
 ) -> list[HeraldResponse]:
-    """multiplexed_response at each stage count 0..n_max, n_max at most the
-    largest stage count a detector takes (checked before any is built)."""
+    """multiplexed_response at each stage count 0..n_max, n_max an integer (2.0
+    is 2) at most the largest stage count a detector takes, checked first."""
     if not 0 <= n_max <= _MAX_STAGES:
         raise ValueError(f"n_max must be in [0, {_MAX_STAGES}], got {n_max}")
+    if n_max != int(n_max):
+        raise ValueError(f"n_max must be an integer, got {n_max}")
     return [multiplexed_response(MultiplexedDetectorParams(
-        stages=n, eta_a=eta_a, dark_a=dark_a, eta_c=eta_c)) for n in range(n_max + 1)]
+        stages=n, eta_a=eta_a, dark_a=dark_a, eta_c=eta_c)) for n in range(int(n_max) + 1)]
 
 
 def _best_stage(factors) -> int | None:

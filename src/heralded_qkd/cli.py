@@ -316,21 +316,18 @@ def cmd_scan(args) -> tuple:
         f"protocol={spec.name} source={args.source} "
         f"dark_b={_fmt(args.dark_b)} q0={_fmt(r.q0)} q1={_fmt(r.q1)} q2={_fmt(r.q2)}",
     ]
-    if r.q1 > 0.0:
-        comments.append(
-            f"tmin_heralded={_fmt(analysis.tmin_heralded(spec, r, args.dark_b))}"
-        )
+    if not math.isnan(tmin_h := analysis.tmin_heralded(spec, r, args.dark_b)):
+        comments.append(f"tmin_heralded={_fmt(tmin_h)}")
     tmin_c, _ = analysis.tmin_wcp(spec, args.dark_b)
     comments.append(
         f"tmin_single_photon={_fmt(analysis.tmin_single_photon(spec, args.dark_b))}"
         f" tmin_wcp={_fmt(tmin_c)}"
     )
-    if r.q2 > 0.0:
-        approx = ",".join(
-            f"{_fmt(t)}:{_fmt(analysis.short_distance_approx_rate(spec, r, t))}"
-            for t in grid
-            if analysis._short_distance_penalty(spec, t) > 0.0
-        )
+    approx = ",".join(
+        f"{_fmt(t)}:{_fmt(k)}" for t in grid
+        if not math.isnan(k := analysis.short_distance_approx_rate(spec, r, t))
+    )
+    if approx:
         comments.append(f"short_distance_approx T:K = {approx}")
     rows = [_scan_row(t, res.lambda_opt, res.report) for t, res in series.points]
     return _SCAN_HEADER, rows, comments

@@ -208,11 +208,12 @@ def distance_factor(r: HeraldResponse) -> float:
 def approx_distance_factor(params: MultiplexedDetectorParams) -> float:
     """Small-dark-count approximation of the distance factor.
 
-    Valid when dark_a << eta/(1 - eta) with eta the effective efficiency.
+    Valid when dark_a << eta/(1 - eta) with eta the effective efficiency;
+    NaN at eta = 0 (eta_a = 0, or eta_c**stages underflowing to 0).
     """
     eta = params.effective_efficiency
     if eta == 0.0:
-        raise ValueError("effective efficiency must be positive")
+        return math.nan
     # sqrt(1 + 2**(N+1) (1 - eta)/eta) without forming 2**(N+1), which
     # overflows a float at the largest stage count
     return math.sqrt(params.dark_a) * math.hypot(

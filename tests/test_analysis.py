@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from heralded_qkd.source_detector import (
     HeraldResponse,
     MultiplexedDetectorParams,
     _pair_probabilities,
+    approx_distance_factor,
     distance_factor,
     multiplexed_response,
     poisson_pair_stats,
@@ -221,6 +223,7 @@ class TestLambdaGrid:
 # protocols; WCP, binary, multiplexed and custom responses; T including 0
 # and 1, and d_B including 0.
 unit = st.floats(0.0, 1.0)
+tiny = st.floats(0.0, sys.float_info.min)  # 0, the subnormals and the least normal
 log_small = st.floats(-10.0, 0.0).map(lambda e: 10.0**e)
 source_responses = st.one_of(
     st.just(wcp_response()),
@@ -837,21 +840,37 @@ class TestShortDistanceLambda:
         )
 
     def test_regime_warning(self):
-        with pytest.raises(ValueError, match="needs I_AE2 > 2T"):
-            short_distance_lambda(SARG04, wcp_response(), 0.4)
+        assert math.isnan(short_distance_lambda(SARG04, wcp_response(), 0.4))
 
     @pytest.mark.parametrize("spec, r, t", [
         (BB84, HeraldResponse(0.0, 0.1, 1.0), 0.9),
         (SARG04, IDEAL_THREE_STAGE, 0.5),
     ])
     def test_outside_regime_rejected(self, spec, r, t):
-        # I_AE2 <= 2T: the formula gives no pump strength (below 0 or above 1)
-        with pytest.raises(ValueError, match="needs I_AE2 > 2T"):
-            short_distance_lambda(spec, r, t)
+        # I_AE2 <= 2T: the formula gives no pump strength (below 0 or above
+        # 1), so the form has no value there
+        assert math.isnan(short_distance_lambda(spec, r, t))
 
     def test_degenerate_response_rejected(self):
-        with pytest.raises(ValueError, match="degenerate response: q1 = q2 = 0"):
-            short_distance_lambda(BB84, HeraldResponse(0.5, 0.0, 0.0), 0.01)
+        # q1 = q2 = 0: the rate is 0 at every pump strength
+        assert math.isnan(short_distance_lambda(BB84, HeraldResponse(0.5, 0.0, 0.0), 0.01))
+
+    @settings(deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]),
+           q1=st.one_of(unit, tiny), q2=st.one_of(unit, tiny),
+           t=st.floats(0.0, 1.0, exclude_min=True))
+    @example(spec=BB84, q1=1e-300, q2=0.0, t=1e-30)  # T q1 underflows to 0
+    @example(spec=BB84, q1=0.0, q2=5e-324, t=0.3)  # so does the penalty's term
+    def test_never_raises_inside_the_unit_interval(self, spec, q1, q2, t):
+        lam = short_distance_lambda(spec, HeraldResponse(0.5, q1, q2), t)
+        if not spec.i_ae_two > 2.0 * t or q1 == q2 == 0.0:
+            assert math.isnan(lam)
+        elif q2 == 0.0:
+            assert lam == 1.0
+        elif q1 == 0.0:
+            assert lam == 0.0
+        else:
+            assert 0.0 <= lam <= 1.0
 
 
 class TestShortDistanceApproxRate:
@@ -882,17 +901,17 @@ class TestShortDistanceApproxRate:
     def test_singularities(self):
         # q2 = 0: lambda_opt = 1, outside the small-lambda expansion
         assert math.isnan(short_distance_approx_rate(BB84, IDEAL_HERALD, 0.01))
-        with pytest.raises(ValueError, match="needs I_AE2 > 2T"):
-            short_distance_approx_rate(BB84, wcp_response(), 0.5)
+        # I_AE2 = 2T: the rate's penalty term vanishes
+        assert math.isnan(short_distance_approx_rate(BB84, wcp_response(), 0.5))
 
     @pytest.mark.parametrize("spec, r, t", [
         (BB84, IDEAL_THREE_STAGE, 0.9),
         (SARG04, wcp_response(), 0.4),
     ])
     def test_outside_regime_rejected(self, spec, r, t):
-        # I_AE2 < 2T: the formula gives a negative rate
-        with pytest.raises(ValueError, match="needs I_AE2 > 2T"):
-            short_distance_approx_rate(spec, r, t)
+        # I_AE2 < 2T: the formula gives a negative rate, so the form has no
+        # value there
+        assert math.isnan(short_distance_approx_rate(spec, r, t))
 
 
 class TestMinimumTransmissions:
@@ -970,27 +989,41 @@ class TestMinimumTransmissions:
     @settings(deadline=None)
     @given(spec=st.sampled_from([BB84, SARG04]),
            r=st.one_of(st.builds(HeraldResponse, unit, st.just(0.0), unit),
-                       st.builds(HeraldResponse, unit, unit, st.just(0.0))),
+                       st.builds(HeraldResponse, unit, unit, st.just(0.0)),
+                       st.builds(HeraldResponse, unit, st.just(0.0), st.just(0.0))),
            dark_b=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
-           lam=st.floats(0.0, exclude_min=True),
-           regime=st.floats(1e-12, 0.99))
+           lam=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           regime=st.floats(1e-12, 1.99),
+           eta_a=st.one_of(st.just(0.0), unit), stages=st.integers(0, 1023),
+           eta_c=unit)
     @example(spec=BB84, r=HeraldResponse(0.0, 0.0, 0.0), dark_b=0.0, lam=1.0,
-             regime=0.5)
+             regime=0.5, eta_a=0.0, stages=1, eta_c=1.0)
+    @example(spec=BB84, r=HeraldResponse(1e-6, 0.0, 0.5), dark_b=0.0, lam=1.0,
+             regime=1.0, eta_a=0.6, stages=400, eta_c=0.1)  # I_AE2 = 2T
     def test_closed_forms_nan_where_the_detector_leaves_them_undefined(
-            self, spec, r, dark_b, lam, regime):
+            self, spec, r, dark_b, lam, regime, eta_a, stages, eta_c):
         # q1 = 0: the distance factor and the T_min forms built on it; q2 = 0:
-        # the optimal pump strength and the short-distance rate
+        # the optimal pump strength and the short-distance rate; q1 = q2 = 0:
+        # the short-distance pump strength; I_AE2 <= 2T: both short-distance
+        # forms; effective efficiency 0: the approximate distance factor
+        t = min(regime * spec.i_ae_two / 2.0, 1.0)
+        outside = not spec.i_ae_two > 2.0 * t
+        params = MultiplexedDetectorParams(stages, eta_a, r.q0, eta_c)
         undefined = []
+        if params.effective_efficiency == 0.0:  # eta_a = 0, or eta_c**stages underflows
+            undefined.append(approx_distance_factor(params))
         if r.q1 == 0.0:
             undefined += [distance_factor(r), tmin_heralded(spec, r, dark_b),
                           tmin_bound_heralded(spec, r, dark_b, lam)]
         if r.q2 == 0.0:
-            t = regime * spec.i_ae_two / 2.0  # inside I_AE2 > 2T
-            undefined += [lambda_opt_heralded(spec, r, dark_b),
-                          short_distance_approx_rate(spec, r, t)]
+            undefined.append(lambda_opt_heralded(spec, r, dark_b))
+        if r.q2 == 0.0 or outside:
+            undefined.append(short_distance_approx_rate(spec, r, t))
+        if r.q1 == r.q2 == 0.0 or outside:
+            undefined.append(short_distance_lambda(spec, r, t))
         assert undefined and all(math.isnan(x) for x in undefined)
 
-    @pytest.mark.parametrize("lam", [0.0, -0.01, math.nan])
+    @pytest.mark.parametrize("lam", [0.0, -0.01, math.nan, math.inf])
     def test_bound_rejects_nonpositive_pump_strength(self, lam):
         with pytest.raises(ValueError, match="pump strength must be positive"):
             tmin_bound_heralded(BB84, binary_response(), 1e-5, lam)
@@ -1791,6 +1824,13 @@ class TestOptimalStageCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             optimal_stage_count(0.5, 0.98, 1e-6, -1)
+
+    def test_integer_rule_of_a_detector_stage_count(self):
+        # as MultiplexedDetectorParams's stages: 2.0 is 2, and 2.5 is no count
+        assert optimal_stage_count(0.6, 1.0, 1e-6, 2.0) == optimal_stage_count(
+            0.6, 1.0, 1e-6, 2)
+        with pytest.raises(ValueError, match=r"^n_max must be an integer, got 2.5$"):
+            optimal_stage_count(0.6, 1.0, 1e-6, 2.5)
 
     def test_above_largest_stage_count_rejected(self):
         with pytest.raises(ValueError, match=r"^n_max must be in \[0, 1023\], got 1024$"):

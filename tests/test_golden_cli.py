@@ -63,6 +63,16 @@ CASES = {
                      "--q2", "1", "--dark-b", "1e-5"],
     "tmin_q2_zero": ["tmin", "--source", "custom", "--q0", "1e-3", "--q1", "0.6",
                      "--q2", "0", "--dark-b", "1e-5"],
+    # and a scan leaves out the comments whose closed form is undefined
+    "scan_q1_zero": ["scan", "--source", "custom", "--q0", "1e-3", "--q1", "0",
+                     "--q2", "1", "--dark-b", "1e-5", "--t-min", "1e-3",
+                     "--t-max", "0.1", "--points", "4"],
+    "scan_q2_zero": ["scan", "--source", "custom", "--q0", "1e-3", "--q1", "0.6",
+                     "--q2", "0", "--dark-b", "1e-5", "--t-min", "1e-3",
+                     "--t-max", "0.1", "--points", "4"],
+    # every T at or above I_AE2/2, where the short-distance rate is undefined
+    "scan_outside_regime": ["scan", "--dark-b", "1e-5", "--t-min", "0.5",
+                            "--t-max", "0.9", "--points", "2"],
     "contour_csv": ["contour", "--protocol", "sarg04", *_CONTOUR],
     "contour_json": ["contour", "--protocol", "sarg04", *_CONTOUR, "--format", "json"],
     "compare_stages_fit": ["compare-stages", "--eta-a-list", "0.4", "0.8",

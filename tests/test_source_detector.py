@@ -252,10 +252,14 @@ class TestApproxDistanceFactor:
         assert approx_distance_factor(params) == 0.0
 
     def test_zero_efficiency_rejected(self):
-        with pytest.raises(ValueError):
-            approx_distance_factor(
-                MultiplexedDetectorParams(stages=1, eta_a=0.0, dark_a=1e-6)
-            )
+        # no dark count rate is small against eta/(1 - eta) = 0, so the
+        # approximation has no value: at eta_a = 0, and where eta_c**stages
+        # underflows to 0
+        for params in (MultiplexedDetectorParams(stages=1, eta_a=0.0, dark_a=1e-6),
+                       MultiplexedDetectorParams(stages=400, eta_a=0.6, dark_a=1e-6,
+                                                 eta_c=0.1)):
+            assert params.effective_efficiency == 0.0
+            assert math.isnan(approx_distance_factor(params))
 
     @pytest.mark.parametrize("stages, eta_a", [(1023, 0.5), (1023, 1e-3), (1022, 0.05)])
     def test_large_stage_counts(self, stages, eta_a):
