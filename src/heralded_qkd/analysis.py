@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .keyrate import ChannelParams, KeyRateReport, _detection, key_rate
-from .protocol import ProtocolSpec, _binary_entropy, _margin
+from .protocol import ProtocolSpec, _binary_entropy, _edge_info, _margin, _security_terms
 from .source_detector import (
     _MAX_STAGES,
     HeraldResponse,
@@ -55,10 +55,20 @@ _LAMBDA_MIN = 1e-8  # lower end of every pump-strength search
 _LAMBDA_GRID_POINTS = 200  # size of the coarse logarithmic pump-strength grid
 _LAMBDA_REL_TOL = 1e-6  # relative tolerance of the golden-section refinement
 _TMIN_REL_TOL = 1e-3  # relative tolerance of tmin_numerical's bisection in T
-# tmin_numerical probes the bisection midpoints in [est/1.6, 1.05 est], est
-# the closed-form T_min, so the root is inside while est is 0.952-1.6 times it;
-# measured on the 512 tmin_search pool configs: 0.9995-1.503
+# Where tmin_numerical has no tangency root T* (SARG04, and the fallbacks: no
+# Newton start, or no convergence), it probes the bisection midpoints in
+# [est/1.6, 1.05 est], est the closed-form T_min, so the root is inside while
+# est is 0.952-1.6 times it; measured on the 512 tmin_search pool configs:
+# 0.9995-1.503.  It goes once SARG04 has a root of its own.
 _TMIN_BAND = (1.0 / 1.6, 1.05)
+# _tangency_root's Newton: the difference step in log T and log lam, the
+# largest move of either per step, the step in log T that ends it, and the
+# most steps it takes (on the 242 BB84 tmin_search pool configs it ends on
+# every one, in 3-4)
+_TANGENCY_H = 1e-4
+_TANGENCY_MAX_STEP = 0.5
+_TANGENCY_TOL = 1e-9
+_TANGENCY_STEPS = 30
 # A golden-section step in lockstep costs one array pass however few T it
 # moves, so a scan with fewer single-candidate T than this runs none of them
 # in lockstep.  Measured on the scan_sweep pool: entering at 1 or 4 made its
@@ -490,7 +500,11 @@ def short_distance_approx_rate(
     """
     if not (penalty := _short_distance_penalty(spec, t)) > 0.0 or r.q2 == 0.0:
         return math.nan
-    return short_distance_factor(r) * spec.p_sift * t**2 / (2.0 * penalty)
+    if (factor := short_distance_factor(r)) == math.inf:
+        # q1**2/q2 overflows at a subnormal q2: (q1 T/sqrt(q2))**2 overflows
+        # only where the rate does, and T**2 no longer underflows against it
+        return (r.q1 * t / math.sqrt(r.q2)) ** 2 * spec.p_sift / (2.0 * penalty)
+    return factor * spec.p_sift * t**2 / (2.0 * penalty)
 
 
 def tmin_single_photon(spec: ProtocolSpec, dark_b: float) -> float:
@@ -553,7 +567,12 @@ def tmin_heralded(spec: ProtocolSpec, r: HeraldResponse, dark_b: float) -> float
     bound scaled by the detector's distance factor; NaN at q1 = 0.
     """
     t_min_c, _ = tmin_wcp(spec, dark_b)
-    return tmin_single_photon(spec, dark_b) + distance_factor(r) * t_min_c
+    t1 = tmin_single_photon(spec, dark_b)
+    if (factor := distance_factor(r)) == math.inf:
+        # sqrt(q0 q2)/q1 overflows at a subnormal q1: the product in the other
+        # order, which is finite where T_minH is, and 0 at d_B = 0
+        return t1 + math.sqrt(r.q0 * r.q2) * t_min_c / r.q1
+    return t1 + factor * t_min_c
 
 
 # _tmin_floor's relative rounding margin.  Its bounds hold for the exact
@@ -605,6 +624,74 @@ def _tmin_floor(spec: ProtocolSpec, r: HeraldResponse, dark_b: float) -> float:
     return floor * (1.0 - _TMIN_FLOOR_MARGIN)
 
 
+def _tangency_root(
+    spec: ProtocolSpec, r: HeraldResponse, dark_b: float, lambda_max: float
+) -> float:
+    """T*, where the margin m = K/(p_exp p_sift) maximized over lam touches 0
+    at an interior pump strength; NaN where there is no estimate.
+
+    (T*, lam*) solves m = 0 and dm/dlog lam = 0, the tangency system whose
+    leading-order root is (tmin_heralded, lambda_opt_heralded).  From there
+    a damped Newton in (log T, log lam) refines it, with the Jacobian from
+    differences of m at step _TANGENCY_H: central ones, and a forward one in
+    log T for the mixed derivative.  Each step moves either coordinate by at
+    most _TANGENCY_MAX_STEP, and keeps T in (0, 1] and lam in [1e-8,
+    lambda_max]; the Newton ends when a step moves log T by less than
+    _TANGENCY_TOL.  m is key_rate's margin, formed by its own _detection
+    and _security_terms, with no key_rate call.  NaN where the Newton has no
+    start (q0, q1 or q2 = 0, or lambda_opt_heralded above lambda_max), meets
+    a value that is not finite, ends with lam held at a bound (a root of
+    m = 0 alone), or has not ended after _TANGENCY_STEPS steps.
+    """
+    t, lam = tmin_heralded(spec, r, dark_b), lambda_opt_heralded(spec, r, dark_b)
+    if not (0.0 < t < math.inf and 0.0 < lam <= lambda_max):  # a NaN fails too
+        return math.nan
+
+    def margin(u: float, v: float) -> float:
+        # key_rate's margin at T = e^u, lam = e^v, NaN where nothing is detected
+        p_exp, _, q, y = _detection(*_pair_probabilities(math.exp(v)), r, math.exp(u), dark_b)
+        return _security_terms(spec, q, y)[0] if p_exp > 0.0 else math.nan
+
+    h, v_lo, v_hi = _TANGENCY_H, math.log(_LAMBDA_MIN), math.log(lambda_max)
+    u, v = math.log(min(t, 1.0)), max(math.log(lam), v_lo)
+    try:
+        for _ in range(_TANGENCY_STEPS):
+            m, m_vp, m_vm, m_up, m_um, m_up_vp, m_up_vm = (margin(u + du, v + dv) for du, dv in (
+                (0.0, 0.0), (0.0, h), (0.0, -h), (h, 0.0), (-h, 0.0), (h, h), (h, -h)))
+            # F = (m, g), g = dm/dv, and its Jacobian [[m_u, g], [g_u, g_v]]
+            g, m_u = (m_vp - m_vm) / (2.0 * h), (m_up - m_um) / (2.0 * h)
+            g_v = (m_vp - 2.0 * m + m_vm) / (h * h)
+            g_u = ((m_up_vp - m_up_vm) / (2.0 * h) - g) / h
+            det = m_u * g_v - g * g_u
+            du, dv = (g * g - m * g_v) / det, (m * g_u - m_u * g) / det
+            if not (math.isfinite(du) and math.isfinite(dv)):
+                return math.nan
+            du = min(max(du, -_TANGENCY_MAX_STEP), _TANGENCY_MAX_STEP)
+            dv = min(max(dv, -_TANGENCY_MAX_STEP), _TANGENCY_MAX_STEP)
+            u, v = min(u + du, 0.0), min(max(v + dv, v_lo), v_hi)
+            if abs(du) < _TANGENCY_TOL:
+                return math.exp(u) if v_lo < v < v_hi else math.nan
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return math.nan
+
+
+def _descent_band(
+    spec: ProtocolSpec, r: HeraldResponse, dark_b: float, lambda_max: float
+) -> tuple[float, float] | None:
+    """The T band whose bisection midpoints tmin_numerical's descent probes
+    (see there): (T*, T*) from _tangency_root where _edge_info is at least
+    1, else the closed-form band; None where neither has an estimate."""
+    if _edge_info(spec) >= 1.0 and (t := _tangency_root(spec, r, dark_b, lambda_max)) == t:
+        return t, t
+    est = tmin_heralded(spec, r, dark_b)
+    if lambda_opt_heralded(spec, r, dark_b) > lambda_max:
+        # the closed-form pump strength is out of reach: the bound at lambda_max
+        est = tmin_bound_heralded(spec, r, dark_b, lambda_max)
+    # a NaN est, at q1 = 0, is no estimate
+    return (est * _TMIN_BAND[0], est * _TMIN_BAND[1]) if est < math.inf else None
+
+
 def tmin_numerical(
     spec: ProtocolSpec,
     r: HeraldResponse,
@@ -623,20 +710,32 @@ def tmin_numerical(
     the rest of the search is nonpositive.  A probe at or below _tmin_floor,
     where no pump strength gives a positive key_rate, is negative without
     a call: the T = 1e-8 end wherever the floor is above it, and the lowest
-    midpoints.  On the benchmark's 512 T_min pool configs that settles 933
-    of 6,240 probes, and a solve makes 10.37 sign-only calls.
+    midpoints of a closed-form band.
 
     After probing both ends, the bisection descends along its own midpoints
-    steered by the closed form est = tmin_heralded, or, where
+    through the band that _descent_band gives, probing only those inside
+    it, taking one above it as positive and one below it as negative, and
+    at the end probing each end of its bracket whose sign it took.  Where
+    _edge_info = min(I_AE^(1)(q_max), I_AE^(2)) is at least 1 (BB84), the
+    band is the single T* of _tangency_root: at the validity edge Q/y =
+    q_max the margin is at most 1 - H(Q) - _edge_info <= 0, so a positive
+    maximum over lambda is never there.  It is interior, where T_min has
+    m = K/(p_exp p_sift) and dm/dlog lambda both 0, or at a bound, where
+    a wrong T* fails a bracket check.  The descent then costs no call, and
+    a solve probes 1.0 and the final bracket's two ends.  SARG04's maximum
+    at T_min can sit at the edge, so it keeps the closed-form band: there,
+    and where the Newton has no start or does not converge, the band is
+    [est/1.6, 1.05 est], est the closed form tmin_heralded, or, where
     lambda_opt_heralded is above lambda_max, tmin_bound_heralded at
-    lambda_max: it probes only those in [est/1.6, 1.05 est], takes one
-    above that band as positive and one below it as negative, and at the
-    end probes each end of its bracket whose sign it took.  If either
-    contradicts, or est is undefined or not finite, the plain bisection
-    probing every midpoint runs, reusing the signs probed so far.  So the
-    result is the plain bisection's wherever the sign is monotone outside
-    the band, and always the upper end of a probed sign change at most
-    1e-3 wide; each probe's sign is the one a full optimize_lambda gives.
+    lambda_max.  If either end's probe contradicts, or there is no band,
+    the plain bisection probing every midpoint runs, reusing the signs
+    probed so far.  So the result is the plain bisection's wherever the
+    sign is monotone outside the band, and always the upper end of a
+    probed sign change at most 1e-3 wide; each probe's sign is the one a
+    full optimize_lambda gives.  On the
+    benchmark's 512 T_min pool configs a BB84 solve makes 3 sign-only
+    calls and a SARG04 solve 11.22, 7.34 on average; the floor settles 512
+    of the 4,268 probes.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
@@ -664,12 +763,8 @@ def tmin_numerical(
         raise RuntimeError(
             "no sign change of the optimized key rate on [1e-8, 1]"
         )
-    est = tmin_heralded(spec, r, dark_b)
-    if lambda_opt_heralded(spec, r, dark_b) > lambda_max:
-        # the closed-form pump strength is out of reach: the bound at lambda_max
-        est = tmin_bound_heralded(spec, r, dark_b, lambda_max)
-    if est < math.inf:  # a NaN est, at q1 = 0, is no estimate
-        band_lo, band_hi = est * _TMIN_BAND[0], est * _TMIN_BAND[1]
+    if band := _descent_band(spec, r, dark_b, lambda_max):
+        band_lo, band_hi = band
         t_lo, t_hi = bisection(lambda t: t > band_hi or (t >= band_lo and positive(t)))
         if positive(t_hi) and not positive(t_lo):
             return t_hi

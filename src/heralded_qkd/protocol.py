@@ -107,7 +107,7 @@ class ProtocolSpec:
         by bisection; it equals q_threshold wherever I_AE^(1) = H and I_AE^(2)
         >= 1 (BB84).
         """
-        floor = min(self.eve_info(self.q_max), self.i_ae_two)
+        floor = _edge_info(self)
         return _bisect(lambda q: 1.0 - _binary_entropy(q) - min(self.eve_info(q), floor),
                        _Q_TOL, 0.5 - _Q_TOL, _Q_TOL)
 
@@ -168,6 +168,13 @@ def eve_info_single(spec: ProtocolSpec, q: float) -> float:
             f"{spec.name} QBER must be in [0, {spec.q_max!r}], got {q}"
         )
     return spec.eve_info(q)
+
+
+def _edge_info(spec: ProtocolSpec) -> float:
+    """min(I_AE^(1)(q_max), I_AE^(2)): at the validity edge Q/y = q_max the
+    margin is 1 - H(Q) less a convex combination of the two, so at most
+    1 - H(Q) - this; from 1 up (BB84) no margin there is positive."""
+    return min(spec.eve_info(spec.q_max), spec.i_ae_two)
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:

@@ -209,11 +209,15 @@ def approx_distance_factor(params: MultiplexedDetectorParams) -> float:
     """Small-dark-count approximation of the distance factor.
 
     Valid when dark_a << eta/(1 - eta) with eta the effective efficiency;
-    NaN at eta = 0 (eta_a = 0, or eta_c**stages underflowing to 0).
+    NaN at eta = 0 (eta_a = 0, or eta_c**stages underflowing to 0), and 0
+    at dark_a = 0 otherwise, where the finite square root below may still
+    overflow at a subnormal eta.
     """
     eta = params.effective_efficiency
     if eta == 0.0:
         return math.nan
+    if params.dark_a == 0.0:
+        return 0.0
     # sqrt(1 + 2**(N+1) (1 - eta)/eta) without forming 2**(N+1), which
     # overflows a float at the largest stage count
     return math.sqrt(params.dark_a) * math.hypot(

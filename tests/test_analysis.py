@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import random
 import sys
@@ -904,6 +905,28 @@ class TestShortDistanceApproxRate:
         # I_AE2 = 2T: the rate's penalty term vanishes
         assert math.isnan(short_distance_approx_rate(BB84, wcp_response(), 0.5))
 
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    @pytest.mark.parametrize("q1, q2, t", [
+        (0.5, 5e-324, 1e-170),  # q1**2/q2 overflows and T**2 underflows
+        (1e-3, 5e-324, 1e-160),  # q1**2/q2 overflows, T**2 does not
+        (0.5, 1e-310, 1e-5),  # the rate itself overflows
+    ])
+    def test_subnormal_q2(self, spec, q1, q2, t):
+        # q1**2/q2 overflows to inf; the rate is (q1 T)**2/q2 p_sift/(2 (I_AE2
+        # - 2T)), against 60 digits: it was inf times 0, NaN, at the first
+        r = HeraldResponse(q0=1e-3, q1=q1, q2=q2)
+        assert short_distance_factor(r) == math.inf
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            d = decimal.Decimal
+            exact = ((d(q1) * d(t)) ** 2 / d(q2) * d(spec.p_sift)
+                     / (2 * (d(spec.i_ae_two) - 2 * d(t))))
+        got = short_distance_approx_rate(spec, r, t)
+        if exact > d(sys.float_info.max):
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(float(exact), rel=1e-14)
+
     @pytest.mark.parametrize("spec, r, t", [
         (BB84, IDEAL_THREE_STAGE, 0.9),
         (SARG04, wcp_response(), 0.4),
@@ -1071,6 +1094,24 @@ class TestMinimumTransmissions:
             tmin_single_photon(BB84, 1e-5) + t_c, abs=1e-15
         )
 
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    @pytest.mark.parametrize("q1", [5e-324, 1e-310])
+    def test_tmin_heralded_at_a_subnormal_q1(self, spec, q1):
+        # sqrt(q0 q2)/q1 overflows to inf: at d_B = 0 the closed form is 0
+        # (it was inf times T_minC = 0, NaN), and at d_B > 0 it is T_min1 +
+        # sqrt(q0 q2) T_minC/q1 against 60 digits (it was inf); q1 = 0 stays NaN
+        r = HeraldResponse(q0=1e-3, q1=q1, q2=0.5)
+        assert distance_factor(r) == math.inf
+        assert tmin_heralded(spec, r, 0.0) == 0.0
+        t_c, _ = tmin_wcp(spec, 1e-300)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            d = decimal.Decimal
+            exact = (d(tmin_single_photon(spec, 1e-300))
+                     + (d(r.q0) * d(r.q2)).sqrt() * d(t_c) / d(q1))
+        assert tmin_heralded(spec, r, 1e-300) == pytest.approx(float(exact), rel=1e-14)
+        assert math.isnan(tmin_heralded(spec, dataclasses.replace(r, q1=0.0), 0.0))
+
     def test_tmin_heralded_vs_numerical(self):
         r = binary_response()
         assert tmin_heralded(BB84, r, 1e-5) == pytest.approx(
@@ -1209,20 +1250,22 @@ def plain_bisection(positive):
     return midpoints, t_lo, t_hi
 
 
-def descent_probes(spec, r, dark_b, lambda_max=1.0):
+def descent_probes(spec, r, dark_b, lambda_max=1.0, tangency=False):
     """The T, in order, that tmin_numerical probes when its descent needs no
     fallback: both ends, the midpoints of the full-search bisection inside
-    [est/1.6, 1.05 est] (est = tmin_heralded), then each end of the final
-    bracket not probed yet, the upper first.  As (settled, optimized): those
-    at or below _tmin_floor, which it takes as negative without an
-    optimize_lambda call, and the others.  Every settled T is certified: the
-    full search there is not positive."""
+    [est/1.6, 1.05 est] (est = tmin_heralded), or none of them when it
+    descends from a tangency root, then each end of the final bracket not
+    probed yet, the upper first.  As (settled, optimized): those at or
+    below _tmin_floor, which it takes as negative without an
+    optimize_lambda call, and the others.  Every settled T is certified:
+    the full search there is not positive."""
     def positive(t):
         return optimize_lambda(spec, r, ChannelParams(t, dark_b), lambda_max).key_rate > 0.0
 
     est = tmin_heralded(spec, r, dark_b)
     midpoints, t_lo, t_hi = plain_bisection(positive)
-    probes = [1.0, 1e-8] + [t for t in midpoints if est / 1.6 <= t <= 1.05 * est]
+    probes = [1.0, 1e-8] + [t for t in midpoints
+                            if not tangency and est / 1.6 <= t <= 1.05 * est]
     probes += [t for t in (t_hi, t_lo) if t not in probes]
     floor = analysis._tmin_floor(spec, r, dark_b)
     settled = [t for t in probes if t <= floor]
@@ -1233,7 +1276,8 @@ def descent_probes(spec, r, dark_b, lambda_max=1.0):
 class TestTminCertificate:
     """tmin_numerical's steps are sign-only optimize_lambda calls, which read
     a positive sign off the first grid point whose key_rate is positive; it
-    probes only the bisection midpoints near the closed-form estimate."""
+    probes only the bisection midpoints near the closed-form estimate, or,
+    from a tangency root (TestTangencyDescent), none of them."""
 
     def test_equals_reference_bisection(self):
         pool = tmin_pool(seed=11, per_kind=11)
@@ -1295,17 +1339,21 @@ class TestTminCertificate:
         expected = reference_tmin(spec, r, 1e-5)
         got, passes, optimized, scored = traced_tmin(monkeypatch, spec, r, 1e-5)
         assert got == expected
-        # the descent's probes: 2 endpoint tests and the 10 of the 15
-        # bisection midpoints near the closed form, the final bracket's ends
-        # among them; those at or below the floor (1e-8, and for BB84 the
-        # lowest midpoint) are settled without a call, and the others take
-        # one sign-only optimize_lambda each, which makes at most one array
-        # pass
+        # the descent's probes: 2 endpoint tests, then for SARG04 the 10 of
+        # the 15 bisection midpoints near the closed form, the final
+        # bracket's ends among them, and for BB84, which descends from its
+        # tangency root without a probe, only the final bracket's ends t_hi
+        # and t_lo; 1e-8, at or below the floor, is settled without a call,
+        # and the others take one sign-only optimize_lambda each, which
+        # makes at most one array pass
         optimized_t = [t for t, _ in optimized]
-        settled, probes = descent_probes(spec, r, 1e-5)
+        settled, probes = descent_probes(spec, r, 1e-5, tangency=spec is BB84)
         assert optimized_t == probes
-        assert len(optimized_t) == len(set(optimized_t)) == 12 - len(settled)
-        assert 1e-8 in settled and len(settled) == {BB84: 2, SARG04: 1}[spec]
+        assert len(optimized_t) == len(set(optimized_t)) == {BB84: 3, SARG04: 11}[spec]
+        assert settled == [1e-8]
+        if spec is BB84:
+            _, t_lo, t_hi = plain_bisection(lambda t: t >= got)
+            assert optimized_t == [1.0, t_hi, t_lo]
         assert len(passes) == len(set(passes)) and set(passes) <= set(optimized_t)
         # a step whose closed-form grid point is positive makes no array pass
         # and one key_rate call, and returns that point
@@ -1489,6 +1537,105 @@ class TestTminCertificate:
     def test_nonpositive_dark_counts(self, dark_b):
         with pytest.raises(ValueError, match="dark_b must be positive"):
             tmin_numerical(BB84, wcp_response(), dark_b)
+
+
+# The T_min pool's sources, as tmin_pool draws them: WCP, binary and 1- to
+# 5-stage multiplexed detectors
+tmin_sources = st.one_of(
+    st.just(wcp_response()),
+    st.builds(
+        lambda n, eta_a, dark_a, eta_c: multiplexed_response(
+            MultiplexedDetectorParams(n, eta_a, dark_a, eta_c)),
+        st.integers(0, 5), st.floats(0.3, 0.9),
+        st.floats(-7.0, -5.0).map(lambda e: 10.0**e), st.floats(0.95, 1.0),
+    ),
+)
+TANGENCY_R = multiplexed_response(
+    MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1e-6, eta_c=0.98))
+
+
+class TestTangencyDescent:
+    """Where _edge_info is at least 1 (BB84), tmin_numerical walks the
+    bisection tree by the tangency root T* of m = 0 and dm/dlog lam = 0,
+    and probes only the final bracket."""
+
+    @pytest.mark.parametrize("spec", [BB84, SARG04])
+    def test_every_key_rate_call_is_an_evaluation(self, spec, monkeypatch):
+        # the benchmark's traced cross-check: the Newton forms its margins
+        # without key_rate, so every key_rate call during a solve is one of
+        # the evaluations its optimize_lambda calls count
+        got, _, optimized, scored = traced_tmin(monkeypatch, spec, TANGENCY_R, 1e-5)
+        assert isinstance(got, float)
+        assert len(scored) == sum(res.evaluations for _, res in optimized) > 0
+        assert len(optimized) == {BB84: 3, SARG04: 11}[spec]  # BB84 took the Newton's path
+
+    def test_root_is_the_tangency(self):
+        # T* is inside the plain bisection's final bracket, where the
+        # optimized rate changes sign, and the sign changes within 1e-6 of it
+        t_star = analysis._tangency_root(BB84, TANGENCY_R, 1e-5, 1.0)
+        _, t_lo, t_hi = plain_bisection(
+            lambda t: optimize_lambda(BB84, TANGENCY_R, ChannelParams(t, 1e-5)).key_rate > 0.0)
+        assert t_lo < t_star < t_hi
+        rates = [optimize_lambda(BB84, TANGENCY_R, ChannelParams(t_star * f, 1e-5)).key_rate
+                 for f in (1.0 - 1e-6, 1.0 + 1e-6)]
+        assert rates[0] <= 0.0 < rates[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=tmin_sources, dark_b=st.floats(-6.0, -3.0).map(lambda e: 10.0**e),
+           lambda_max=st.sampled_from([3.0, 1.0, 0.5, 1e-2, 1e-4]))
+    @example(r=binary_response(dark_a=0.0), dark_b=1e-5, lambda_max=1.0)  # q0 = 0
+    @example(r=HeraldResponse(q0=1e-3, q1=0.6, q2=0.0), dark_b=1e-5, lambda_max=1.0)  # q2 = 0
+    @example(r=wcp_response(), dark_b=1e-5, lambda_max=1e-3)  # lambda_opt_heralded > lambda_max
+    def test_equals_reference_bisection(self, r, dark_b, lambda_max):
+        assert tmin_outcome(tmin_numerical, BB84, r, dark_b, lambda_max) == tmin_outcome(
+            reference_tmin, BB84, r, dark_b, lambda_max)
+
+    @pytest.mark.parametrize("r, lambda_max", [
+        (binary_response(dark_a=0.0), 1.0),  # q0 = 0: lambda_opt_heralded is 0
+        (HeraldResponse(q0=1e-3, q1=0.0, q2=1.0), 1.0),  # q1 = 0: tmin_heralded is NaN
+        (HeraldResponse(q0=1e-3, q1=0.6, q2=0.0), 1.0),  # q2 = 0: lambda_opt_heralded is NaN
+        (wcp_response(), 1e-3),  # lambda_opt_heralded, 0.011, above lambda_max
+    ], ids=["q0_zero", "q1_zero", "q2_zero", "above_lambda_max"])
+    def test_no_newton_start(self, r, lambda_max):
+        assert math.isnan(analysis._tangency_root(BB84, r, 1e-5, lambda_max))
+
+    def test_root_held_at_lambda_max_is_no_estimate(self):
+        # lambda_opt_heralded, 0.0097, is below lambda_max = 0.01, but the
+        # tangency's pump strength is above it: the Newton converges in T
+        # with lam held at lambda_max, which solves only m = 0 there
+        r, dark_b = wcp_response(), 8.391138872547444e-06
+        assert lambda_opt_heralded(BB84, r, dark_b) < 1e-2
+        assert math.isnan(analysis._tangency_root(BB84, r, dark_b, 1e-2))
+        assert 0.0 < analysis._tangency_root(BB84, r, dark_b, 1.0) < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), r=responses,
+           dark_b=st.one_of(tiny.filter(lambda d: d > 0.0), st.floats(1e-300, 0.99)),
+           lambda_max=st.sampled_from([3.0, 1.0, 1e-4, 2e-8]))
+    def test_newton_never_raises(self, spec, r, dark_b, lambda_max):
+        # any valid input gives a T in (0, 1] or NaN, no exception
+        t = analysis._tangency_root(spec, r, dark_b, lambda_max)
+        assert math.isnan(t) or 0.0 < t <= 1.0
+
+    @pytest.mark.parametrize("r, dark_b", [
+        (binary_response(eta_a=0.6), 1e-5),
+        (TANGENCY_R, 1e-5),
+        (multiplexed_response(MultiplexedDetectorParams(0, 0.898131, 7.03942e-06, 0.95625)),
+         2.79353e-06),
+    ], ids=["binary", "multiplexed", "edge"])
+    def test_sarg04_keeps_the_closed_form_band(self, r, dark_b, monkeypatch):
+        # SARG04's min(I_AE^(1)(q_max), I_AE^(2)) is 1/2: its maximum at
+        # T_min may sit on the validity edge, where dm/dlam is not 0, and T*
+        # then lies above T_min (at the edge config by 7%, so that its walk
+        # would be contradicted).  So the gate keeps its descent on the
+        # band, probe for probe, though its Newton has a root
+        assert analysis._edge_info(SARG04) < 1.0 <= analysis._edge_info(BB84)
+        t_star = analysis._tangency_root(SARG04, r, dark_b, 1.0)
+        got, _, optimized, _ = traced_tmin(monkeypatch, SARG04, r, dark_b)
+        assert got == tmin_outcome(reference_tmin, SARG04, r, dark_b)
+        assert [t for t, _ in optimized] == descent_probes(SARG04, r, dark_b)[1]
+        assert 0.0 < t_star <= 1.0
+        assert (t_star > 1.05 * got) == (dark_b < 1e-5)
 
 
 # tmin_numerical's floor, over both protocols; WCP, binary, multiplexed and

@@ -261,6 +261,16 @@ class TestApproxDistanceFactor:
             assert params.effective_efficiency == 0.0
             assert math.isnan(approx_distance_factor(params))
 
+    @pytest.mark.parametrize("stages, eta_a", [(2, 1e-320), (2, 5e-324), (1023, 0.5)])
+    def test_no_dark_counts_at_a_subnormal_efficiency(self, stages, eta_a):
+        # (1 - eta)/eta, or the factor's square root, overflows to inf, and
+        # sqrt(dark_a) = 0 times it was NaN; the factor is 0, as the distance
+        # factor of the detector's response is
+        params = MultiplexedDetectorParams(stages=stages, eta_a=eta_a, dark_a=0.0)
+        assert params.effective_efficiency > 0.0
+        assert approx_distance_factor(params) == 0.0
+        assert distance_factor(multiplexed_response(params)) == 0.0
+
     @pytest.mark.parametrize("stages, eta_a", [(1023, 0.5), (1023, 1e-3), (1022, 0.05)])
     def test_large_stage_counts(self, stages, eta_a):
         # 2.0**(stages + 1) (1 - eta)/eta overflows a float; the factor does not
