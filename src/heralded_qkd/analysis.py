@@ -501,9 +501,11 @@ def short_distance_approx_rate(
     if not (penalty := _short_distance_penalty(spec, t)) > 0.0 or r.q2 == 0.0:
         return math.nan
     if (factor := short_distance_factor(r)) == math.inf:
-        # q1**2/q2 overflows at a subnormal q2: (q1 T/sqrt(q2))**2 overflows
-        # only where the rate does, and T**2 no longer underflows against it
-        return (r.q1 * t / math.sqrt(r.q2)) ** 2 * spec.p_sift / (2.0 * penalty)
+        # q1**2/q2 overflows at a subnormal q2: x = q1 T/sqrt(q2) is finite,
+        # x*x overflows (to inf, where ** would raise) only where the rate
+        # does, and T**2 no longer underflows against it
+        x = r.q1 * t / math.sqrt(r.q2)
+        return x * x * spec.p_sift / (2.0 * penalty)
     return factor * spec.p_sift * t**2 / (2.0 * penalty)
 
 

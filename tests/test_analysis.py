@@ -909,7 +909,8 @@ class TestShortDistanceApproxRate:
     @pytest.mark.parametrize("q1, q2, t", [
         (0.5, 5e-324, 1e-170),  # q1**2/q2 overflows and T**2 underflows
         (1e-3, 5e-324, 1e-160),  # q1**2/q2 overflows, T**2 does not
-        (0.5, 1e-310, 1e-5),  # the rate itself overflows
+        (0.5, 1e-310, 1e-5),  # q1**2/q2 overflows, the rate is ~6e298
+        (1.0, 5e-324, 0.1),  # the rate itself overflows: inf, not a raise
     ])
     def test_subnormal_q2(self, spec, q1, q2, t):
         # q1**2/q2 overflows to inf; the rate is (q1 T)**2/q2 p_sift/(2 (I_AE2

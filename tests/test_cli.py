@@ -363,6 +363,16 @@ class TestScan:
         assert run_cli(capsys, *argv, "--points", "50") == (0, plain, "")
 
 
+    def test_overflowing_short_distance_rate(self, capsys):
+        # q1**2/q2 overflows at a subnormal q2, and at T = 0.1 so does the rate
+        code, out, err = run_cli(
+            capsys, "scan", "--source", "custom", "--q0", "1e-3", "--q1", "1",
+            "--q2", "1e-320", "--dark-b", "1e-5", "--t", "0.1",
+        )
+        assert (code, err) == (0, "")
+        assert "# short_distance_approx T:K = 0.1:inf\n" in out
+
+
 class TestTmin:
     def test_binary_detector(self, capsys):
         code, out, _ = run_cli(
