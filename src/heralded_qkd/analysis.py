@@ -577,53 +577,30 @@ def tmin_heralded(spec: ProtocolSpec, r: HeraldResponse, dark_b: float) -> float
     return t1 + factor * t_min_c
 
 
-# _tmin_floor's relative rounding margin.  Its bounds hold for the exact
+# _tmin_floor's relative rounding margin.  Its bound holds for the exact
 # margin at exact pair statistics; key_rate's floats differ by:
 # - p2's cancellation, below 5e-8 relative at lam >= 1e-8 (measured: 3.1e-8
 #   at most against 60-digit decimal); p0 and p1 within 2e-16;
 # - the thresholds' bisection error, 5e-13 in Q;
 # - a few ulp in Q and y, and about 1e-15 in the margin's O(1) terms.
 # Lowering T by this margin, 1e-6, less p2's error, d = 9.5e-7, raises Q
-# (bound 1) or Q/y (bound 2) above its threshold q by at least
-# q (1 - 2q) d = 8e-8.  The margin is then at most -2.4e-7 under bound 1,
-# where H' >= 3; under bound 2, y (1 - H - I1) <= -4.8e-7 y (2H' >= 6), or,
-# for y < 2^-10, the concavity gap H(Q) - y H(Q/y) >= y (0.11 log2(1/y) - 0.531)
-# >= 0.57 y, with y >= 2Q >= min(d_B, 1/2): at most -min(4.7e-10, 0.57 d_B),
-# and bound 2 is used only from d_B = 1e-12, so every margin stays 500 times
-# key_rate's rounding below 0.
+# above Q* by at least Q* (1 - 2Q*) d = 8e-8.  The margin is then at most
+# -2.4e-7, where H' >= 3, which stays 500 times key_rate's rounding below 0.
 _TMIN_FLOOR_MARGIN = 1e-6
 
 
 def _tmin_floor(spec: ProtocolSpec, r: HeraldResponse, dark_b: float) -> float:
     """A transmission at and below which no pump strength gives a positive
-    key_rate: tmin_numerical takes its probes there as negative unoptimized.
+    key_rate, for every detector r: tmin_numerical takes its probes there as
+    negative unoptimized.
 
-    The larger of two bounds, lowered by _TMIN_FLOOR_MARGIN; both start from
-    dark >= d_B (p1 q1 + p2 q2) and p_exp = T (p1 q1 + 2 p2 q2) + 2 dark.
-    1. Every protocol: a positive margin needs Q < Q* = spec.q_ceiling, and
-       Q >= d_B / (2 (T + d_B)), which is Q* at T = d_B (1 - 2Q*) / (2Q*).
-    2. Where I_AE^(2) >= 1, assuming H + I_AE^(1) >= 1 on [q_th, q_max]
-       (BB84: 2H): the concavity of H, H(Q) >= y H(z) at z = Q/y, and
-       (1 - y) I_AE^(2) >= 1 - y make the margin at most
-       y (1 - H(z) - I_AE^(1)(z)), so a positive one needs z < q_th, that is
-       (T - T1) p1 q1 > T1 p0 q0 + (1 + T1 - 2T) p2 q2, T1 = tmin_single_photon.
-       With p0/p1 = 1/lam and p2/p1 >= lam/2 the right side is at least
-       p1 sqrt(2 T1 q0 q2 (1 + T1 - 2T)), by AM-GM over lam.  So no lam gives
-       a positive rate at a T <= 1/2 with (T - T1) q1 at most that root: up
-       to T1 + u, u the larger root of q1^2 u^2 + 2 s^2 u - s^2 (1 - T1) = 0,
-       s^2 = 2 T1 q0 q2, or to 1/2 where q1 = s = 0.
-    tmin_heralded is T1 + s sqrt(xi) / q1, so (tmin_heralded - T1) / u is
-    sqrt(xi / (1 + T1 - 2T)) at T = T1 + u.
+    A positive margin needs Q < Q* = spec.q_ceiling, and dark >= d_B (p1 q1
+    + p2 q2) with p_exp = T (p1 q1 + 2 p2 q2) + 2 dark give Q >= d_B / (2 (T
+    + d_B)), which is Q* at T = d_B (1 - 2Q*) / (2Q*): the floor, lowered
+    by _TMIN_FLOOR_MARGIN.
     """
     q = spec.q_ceiling
-    floor = dark_b * (1.0 - 2.0 * q) / (2.0 * q)
-    if spec.i_ae_two >= 1.0 and dark_b >= 1e-12:
-        t1 = tmin_single_photon(spec, dark_b)
-        s, a = math.sqrt(2.0 * t1 * r.q0 * r.q2), max(1.0 - t1, 0.0)
-        # u in a form without cancellation, nor underflow at tiny q1 or s
-        den = s + math.hypot(s, r.q1 * math.sqrt(a))
-        floor = max(floor, min(t1 + (s * a / den if den > 0.0 else math.inf), 0.5))
-    return floor * (1.0 - _TMIN_FLOOR_MARGIN)
+    return dark_b * (1.0 - 2.0 * q) / (2.0 * q) * (1.0 - _TMIN_FLOOR_MARGIN)
 
 
 def _tangency_root(
@@ -711,8 +688,9 @@ def tmin_numerical(
     grid point, at the first positive grid candidate, or at a proof that
     the rest of the search is nonpositive.  A probe at or below _tmin_floor,
     where no pump strength gives a positive key_rate, is negative without
-    a call: the T = 1e-8 end wherever the floor is above it, and the lowest
-    midpoints of a closed-form band.
+    a call: that settles the T = 1e-8 end wherever the floor is above it,
+    and no band midpoint, since the floor, 3.5 d_B, is below T_min1/1.6
+    (4.4 d_B for BB84, 5.2 d_B for SARG04), the lowest a band starts.
 
     After probing both ends, the bisection descends along its own midpoints
     through the band that _descent_band gives, probing only those inside

@@ -128,7 +128,13 @@ def multiplexed_response(params: MultiplexedDetectorParams) -> HeraldResponse:
     eta = params.effective_efficiency
     m = params.n_bins
     d = params.dark_a
-    no_dark = (1.0 - d) ** (m - 1)
+    # (1 - d)**(m - 1) through log1p, since rounding 1 - d first costs m - 1
+    # ulp: at 60 stages and d = 1e-17, 1 - d is 1.0 and q0 would be 11.5.
+    # log1p(-1) raises; at d = 1 every other bin fires, unless there is none
+    if d < 1.0:
+        no_dark = math.exp((m - 1) * math.log1p(-d))
+    else:
+        no_dark = float(m == 1)
     q0 = no_dark * m * d
     q1 = no_dark * (m * d * (1.0 - eta) + eta)
     q2 = no_dark * (
@@ -219,10 +225,11 @@ def approx_distance_factor(params: MultiplexedDetectorParams) -> float:
     if params.dark_a == 0.0:
         return 0.0
     # sqrt(1 + 2**(N+1) (1 - eta)/eta) without forming 2**(N+1), which
-    # overflows a float at the largest stage count
-    return math.sqrt(params.dark_a) * math.hypot(
-        1.0, 2.0 ** ((params.stages + 1) / 2) * math.sqrt((1.0 - eta) / eta)
-    )
+    # overflows a float at the largest stage count, nor, where it overflows
+    # at a subnormal eta, (1 - eta)/eta
+    ratio = (1.0 - eta) / eta
+    root = math.sqrt(ratio) if ratio < math.inf else math.sqrt(1.0 - eta) / math.sqrt(eta)
+    return math.sqrt(params.dark_a) * math.hypot(1.0, 2.0 ** ((params.stages + 1) / 2) * root)
 
 
 def advantage_threshold(stages: int) -> float:

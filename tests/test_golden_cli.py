@@ -39,6 +39,9 @@ CASES = {
     "detector_oracle": ["detector", "--stages", "3", "--eta-a", "0.6",
                         "--dark-a", "1e-6", "--eta-c", "0.98", "--oracle"],
     "detector_never_heralds": ["detector", "--eta-a", "0", "--dark-a", "0"],
+    # 1 - dark_a rounds to 1, yet 2**60 bins make a dark count likely
+    "detector_many_stages": ["detector", "--stages", "60", "--eta-a", "0.6",
+                             "--dark-a", "1e-17"],
     "keyrate_lam": ["keyrate", *_BINARY, "--t", "0.01", "--dark-b", "1e-5",
                     "--lam", "0.05"],
     "keyrate_opt": ["keyrate", *_BINARY, "--t", "0.01", "--dark-b", "1e-5"],

@@ -107,6 +107,27 @@ class TestMultiplexedResponse:
         )
         assert (r.q0, r.q1, r.q2) == (1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("stages, dark_a", [(40, 1e-10), (50, 3e-16), (60, 1e-17)])
+    def test_many_stages_against_decimal(self, stages, dark_a):
+        # (1 - d)**(m - 1) from a rounded 1 - d was 9.1e-6 and 3.65e-2 off,
+        # relative, at the first two, and at the third, where 1 - d rounds to
+        # 1, gave q0 = 11.5, which HeraldResponse rejects
+        params = MultiplexedDetectorParams(stages=stages, eta_a=0.6, dark_a=dark_a)
+        r = multiplexed_response(params)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            eta, d, m = (decimal.Decimal(x) for x in (params.eta_a, dark_a, params.n_bins))
+            no_dark = (1 - d) ** (params.n_bins - 1)
+            exact = (no_dark * m * d, no_dark * (m * d * (1 - eta) + eta),
+                     no_dark * (m * d * (1 - eta) ** 2 + 2 * eta * (1 - eta) + eta**2 / m))
+        for q, q_exact in zip((r.q0, r.q1, r.q2), exact):
+            assert q == pytest.approx(float(q_exact), rel=1e-13, abs=0.0)
+
+    def test_always_dark_detector_with_many_bins(self):
+        # log1p(-1) raises: at dark_a = 1 a second bin always fires too
+        r = multiplexed_response(MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=1.0))
+        assert (r.q0, r.q1, r.q2) == (0.0, 0.0, 0.0)
+
     @given(st.integers(0, 12), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.floats(0.0, 1.0))
     def test_every_valid_detector_has_a_response(self, stages, eta_a, dark_a, eta_c):
@@ -271,9 +292,11 @@ class TestApproxDistanceFactor:
         assert approx_distance_factor(params) == 0.0
         assert distance_factor(multiplexed_response(params)) == 0.0
 
-    @pytest.mark.parametrize("stages, eta_a", [(1023, 0.5), (1023, 1e-3), (1022, 0.05)])
+    @pytest.mark.parametrize("stages, eta_a", [(1023, 0.5), (1023, 1e-3), (1022, 0.05),
+                                               (2, 1e-320), (2, 5e-324)])
     def test_large_stage_counts(self, stages, eta_a):
-        # 2.0**(stages + 1) (1 - eta)/eta overflows a float; the factor does not
+        # 2.0**(stages + 1) (1 - eta)/eta overflows a float, and so does
+        # (1 - eta)/eta at a subnormal eta; the factor does not
         params = MultiplexedDetectorParams(stages=stages, eta_a=eta_a, dark_a=1e-6)
         with decimal.localcontext() as ctx:
             ctx.prec = 50
