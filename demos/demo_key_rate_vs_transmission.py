@@ -39,13 +39,12 @@ scans = {
 }
 
 print(f"# ideal-source floor T_min1 = {tmin_single_photon(BB84, DARK_B):.4e}")
-# the closed form beside the certified floor, below which no pump strength
-# gives a positive rate, and the numerical root, always above the floor
-print("# minimum transmission: closed form, certified floor, numerical")
+# below the certified floor no pump strength gives any source a positive rate
+print(f"# certified floor = {analysis._tmin_floor(BB84, DARK_B):.4e}")
+print("# minimum transmission: closed form, numerical")
 for name, r in sources.items():
     closed = tmin_wcp(BB84, DARK_B)[0] if name == "wcp" else tmin_heralded(BB84, r, DARK_B)
-    print(f"# {name}: {closed:.4e}, {analysis._tmin_floor(BB84, r, DARK_B):.4e}, "
-          f"{tmin_numerical(BB84, r, DARK_B):.4e}")
+    print(f"# {name}: {closed:.4e}, {tmin_numerical(BB84, r, DARK_B):.4e}")
 
 print("T," + ",".join(f"K_{name}" for name in sources))
 for i, t in enumerate(t_grid):

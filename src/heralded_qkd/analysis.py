@@ -589,9 +589,9 @@ def tmin_heralded(spec: ProtocolSpec, r: HeraldResponse, dark_b: float) -> float
 _TMIN_FLOOR_MARGIN = 1e-6
 
 
-def _tmin_floor(spec: ProtocolSpec, r: HeraldResponse, dark_b: float) -> float:
+def _tmin_floor(spec: ProtocolSpec, dark_b: float) -> float:
     """A transmission at and below which no pump strength gives a positive
-    key_rate, for every detector r: tmin_numerical takes its probes there as
+    key_rate, for every detector: tmin_numerical takes its probes there as
     negative unoptimized.
 
     A positive margin needs Q < Q* = spec.q_ceiling, and dark >= d_B (p1 q1
@@ -719,7 +719,7 @@ def tmin_numerical(
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
-    floor = _tmin_floor(spec, r, dark_b)
+    floor = _tmin_floor(spec, dark_b)
     probed: dict[float, bool] = {}
 
     def positive(t: float) -> bool:

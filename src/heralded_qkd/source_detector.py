@@ -216,20 +216,17 @@ def approx_distance_factor(params: MultiplexedDetectorParams) -> float:
 
     Valid when dark_a << eta/(1 - eta) with eta the effective efficiency;
     NaN at eta = 0 (eta_a = 0, or eta_c**stages underflowing to 0), and 0
-    at dark_a = 0 otherwise, where the finite square root below may still
-    overflow at a subnormal eta.
+    at dark_a = 0 otherwise.
     """
     eta = params.effective_efficiency
     if eta == 0.0:
         return math.nan
-    if params.dark_a == 0.0:
-        return 0.0
-    # sqrt(1 + 2**(N+1) (1 - eta)/eta) without forming 2**(N+1), which
-    # overflows a float at the largest stage count, nor, where it overflows
-    # at a subnormal eta, (1 - eta)/eta
-    ratio = (1.0 - eta) / eta
-    root = math.sqrt(ratio) if ratio < math.inf else math.sqrt(1.0 - eta) / math.sqrt(eta)
-    return math.sqrt(params.dark_a) * math.hypot(1.0, 2.0 ** ((params.stages + 1) / 2) * root)
+    # sqrt(dark_a) sqrt(1 + 2**(N+1) (1 - eta)/eta), with sqrt(dark_a)
+    # applied first, so that neither 2**(N+1) at the largest stage count nor
+    # (1 - eta)/eta at a subnormal eta overflows where the product is finite
+    s = math.sqrt(params.dark_a)
+    return math.hypot(s, s * 2.0 ** ((params.stages + 1) / 2)
+                      * math.sqrt(1.0 - eta) / math.sqrt(eta))
 
 
 def advantage_threshold(stages: int) -> float:

@@ -1268,7 +1268,7 @@ def descent_probes(spec, r, dark_b, lambda_max=1.0, tangency=False):
     probes = [1.0, 1e-8] + [t for t in midpoints
                             if not tangency and est / 1.6 <= t <= 1.05 * est]
     probes += [t for t in (t_hi, t_lo) if t not in probes]
-    floor = analysis._tmin_floor(spec, r, dark_b)
+    floor = analysis._tmin_floor(spec, dark_b)
     settled = [t for t in probes if t <= floor]
     assert not any(positive(t) for t in settled)
     return settled, [t for t in probes if t > floor]
@@ -1444,7 +1444,7 @@ class TestTminCertificate:
         monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
         # the floor is key_rate's physics, so it goes with it: a floor of 0
         # settles no probe, and holds for any rate
-        monkeypatch.setattr(analysis, "_tmin_floor", lambda spec, r, dark_b: 0.0)
+        monkeypatch.setattr(analysis, "_tmin_floor", lambda spec, dark_b: 0.0)
         t_min = tmin_numerical(BB84, wcp_response(), 1e-5)
         assert t_min == reference_tmin(BB84, wcp_response(), 1e-5)
         assert 0.01 <= t_min < 0.01 * (1.0 + analysis._TMIN_REL_TOL)
@@ -1495,7 +1495,7 @@ class TestTminCertificate:
         monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
         monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
         monkeypatch.setattr(analysis, "optimize_lambda", counting_optimize)
-        monkeypatch.setattr(analysis, "_tmin_floor", lambda spec, r, dark_b: 0.0)  # as above
+        monkeypatch.setattr(analysis, "_tmin_floor", lambda spec, dark_b: 0.0)  # as above
         t_min = tmin_numerical(BB84, r, 1e-5)
         assert t_min == reference_tmin(BB84, r, 1e-5)
         assert 0.02 <= t_min < 0.02 * (1.0 + analysis._TMIN_REL_TOL)
@@ -1673,7 +1673,7 @@ class TestTminFloor:
     @example(spec=BB84, r=HeraldResponse(0.0, 2.757420143432862e-215, 0.0),
              dark_b=1e-2)  # q1**2 underflows to 0
     def test_no_positive_rate_at_or_below_the_floor(self, spec, r, dark_b):
-        floor = analysis._tmin_floor(spec, r, dark_b)
+        floor = analysis._tmin_floor(spec, dark_b)
         assert 0.0 < floor <= 0.5
         for t in (floor, math.nextafter(floor, 0.0), floor * 1e-3):
             ch = ChannelParams(t, dark_b)
@@ -1697,7 +1697,7 @@ class TestTminFloor:
         for spec, r, dark_b in tmin_pool(seed, per_kind=8):
             got = tmin_outcome(tmin_numerical, spec, r, dark_b)
             if isinstance(got, float):
-                assert analysis._tmin_floor(spec, r, dark_b) <= got
+                assert analysis._tmin_floor(spec, dark_b) <= got
 
 
 sign_test_transmissions = st.floats(-8.0, 0.0).map(lambda e: 10.0**e)

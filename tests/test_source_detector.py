@@ -292,21 +292,33 @@ class TestApproxDistanceFactor:
         assert approx_distance_factor(params) == 0.0
         assert distance_factor(multiplexed_response(params)) == 0.0
 
+    @staticmethod
+    def assert_finite_against_decimal(params):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            eta = decimal.Decimal(params.effective_efficiency)
+            exact = decimal.Decimal(params.dark_a).sqrt() * (
+                1 + 2 ** decimal.Decimal(params.stages + 1) * (1 - eta) / eta
+            ).sqrt()
+        value = approx_distance_factor(params)
+        assert math.isfinite(value)
+        assert value == pytest.approx(float(exact), rel=1e-12)
+
     @pytest.mark.parametrize("stages, eta_a", [(1023, 0.5), (1023, 1e-3), (1022, 0.05),
                                                (2, 1e-320), (2, 5e-324)])
     def test_large_stage_counts(self, stages, eta_a):
         # 2.0**(stages + 1) (1 - eta)/eta overflows a float, and so does
         # (1 - eta)/eta at a subnormal eta; the factor does not
-        params = MultiplexedDetectorParams(stages=stages, eta_a=eta_a, dark_a=1e-6)
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            eta = decimal.Decimal(params.effective_efficiency)
-            exact = decimal.Decimal(params.dark_a).sqrt() * (
-                1 + 2 ** decimal.Decimal(stages + 1) * (1 - eta) / eta
-            ).sqrt()
-        value = approx_distance_factor(params)
-        assert math.isfinite(value)
-        assert value == pytest.approx(float(exact), rel=1e-12)
+        self.assert_finite_against_decimal(
+            MultiplexedDetectorParams(stages=stages, eta_a=eta_a, dark_a=1e-6))
+
+    @pytest.mark.parametrize("stages, eta_a, dark_a", [
+        (2, 1e-320, 1e-300), (1000, 1e-320, 1e-300), (1023, 5e-309, 1e-10)])
+    def test_tiny_dark_counts_at_a_subnormal_efficiency(self, stages, eta_a, dark_a):
+        # 2**((stages + 1)/2) sqrt((1 - eta)/eta) overflows before the small
+        # sqrt(dark_a) factor applies; the factor is finite
+        self.assert_finite_against_decimal(
+            MultiplexedDetectorParams(stages=stages, eta_a=eta_a, dark_a=dark_a))
 
     @pytest.mark.parametrize("stages", [0, 1, 2, 5, 17, 100, 511, 1000, 1022])
     @pytest.mark.parametrize("eta_a", [1.0, 0.999, 0.6, 0.4])
