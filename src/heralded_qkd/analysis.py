@@ -71,10 +71,11 @@ _TANGENCY_TOL = 1e-9
 _TANGENCY_STEPS = 30
 # A golden-section step in lockstep costs one array pass however few T it
 # moves, so a scan with fewer single-candidate T than this runs none of them
-# in lockstep.  Measured on the scan_sweep pool: entering at 1 or 4 made its
-# 12-point scans 1.43x slower than 16, which runs them scalar; its 50- and
-# 200-point scans did not change.  Entering at 1 makes every point cost 2
-# key_rate calls, and still the whole pool 6% slower.
+# in lockstep.  Measured on the scan_sweep pool, whose every T has one
+# candidate, in process time: entering at 8, or at any cut-off up to 12, made
+# its 64 12-point scans 1.4x slower than 16, which runs them scalar (130 ->
+# 185 ms), and the whole pool 5% slower, although every point then costs 2
+# key_rate calls; its 50- and 200-point scans enter at any cut-off up to 50.
 _LOCKSTEP_MIN_ROWS = 16
 # T rows per coarse-grid array pass of a scan: bounds the pass's temporaries
 # (measured on 200-point scans: peak memory +3.6 MB in one pass, +0.6 MB in
@@ -126,17 +127,17 @@ def _log_grid(lo_exp: float, hi_exp: float, n: int) -> list[float]:
 
 
 def _libm(f):
-    """The math function f mapped over a 1-D float array: libm's results,
-    which unlike numpy's ufuncs (np.exp runs AVX-512 code where the CPU has
-    it) are the same on every CPU."""
-    return lambda x: np.fromiter(map(f, x.tolist()), float, len(x))
+    """The math function f mapped over a float array: libm's results, which
+    unlike numpy's ufuncs (np.exp runs AVX-512 code where the CPU has it)
+    are the same on every CPU."""
+    return lambda x: np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 _EXP, _EXPM1 = _libm(math.exp), _libm(math.expm1)
 
 
 def _LOG2(x) -> np.ndarray:
-    """libm's log2 of |x|, x a 1-D float array: math.log2 bit for bit where
+    """libm's log2 of |x|, x a float array: math.log2 bit for bit where
     x > 0, as in every model-valid entry (the information functions map a 0
     to 1); |x| spares math.log2 the negatives of entries the validity mask
     discards."""
@@ -193,8 +194,8 @@ def _key_rate_array(
     optimizer's score for it.  log2 is the one difference from key_rate:
     with np.log2, the default, whose SIMD code follows the CPU, any other
     score is within _KEY_RATE_ARRAY_TOL times its own p_exp of key_rate's,
-    and scores are compared only through _beats; with _LOG2, for 1-D
-    arrays, every score is key_rate's bit for bit.
+    and scores are compared only through _beats; with _LOG2 every score is
+    key_rate's bit for bit.
     """
     # invalid entries hold NaN, inf or garbage until masked; numpy stays quiet
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -712,10 +713,21 @@ def tmin_numerical(
     probed so far.  So the result is the plain bisection's wherever the
     sign is monotone outside the band, and always the upper end of a
     probed sign change at most 1e-3 wide; each probe's sign is the one a
-    full optimize_lambda gives.  On the
-    benchmark's 512 T_min pool configs a BB84 solve makes 3 sign-only
-    calls and a SARG04 solve 11.22, 7.34 on average; the floor settles 512
-    of the 4,268 probes.
+    full optimize_lambda gives.  On the benchmark's 512 T_min pool configs
+    a BB84 solve makes 3 sign-only calls and a SARG04 solve 11.22, 7.34 on
+    average; the floor settles 512 of the 4,268 probes.
+
+    For BB84 the sign is monotone, by a lemma: at fixed lambda its margin
+    m = y (1 - H(z)) - H(Q), z = Q/y, does not fall as T rises.  dark does
+    not depend on T, while p_exp and w = p_exp y = p_exp - p2 q2 rise with
+    it, so Q = dark/p_exp and z = dark/w fall and y rises; with Q and z in
+    [0, 1/2], where H rises, no term of m falls, and the valid set z <= 1/2
+    only grows.  So the sign at every lambda, and that of the maximum over
+    lambda, changes at most once in T, and BB84's result is the plain
+    bisection's wherever each probe's sign is that maximum's, which only
+    the optimizer's tolerance near T_min can miss.  SARG04's I_AE^(1)
+    falls on [1/3, 1/2], so where z is above 1/3 a rise in T can lower m:
+    by up to 0.038 on its 270 pool configs.
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
@@ -765,16 +777,22 @@ def scan_key_rate(
     transmissions in (T x lambda) array passes.  When at least
     _LOCKSTEP_MIN_ROWS T have one grid candidate, whose bracket the grid
     fixes, those T run optimize_lambda's golden-section steps in lockstep,
-    one _key_rate_array pass per step.  The lockstep scores through _LOG2,
-    so each score is key_rate's optimizer score bit for bit, and each step
-    decides fc >= fd exactly as the scalar loop does, -inf ties included:
-    no step is undecided.  A T leaves only when its bracket has converged,
-    so its plan does not depend on the other T in the scan.  optimize_lambda
-    then finishes each T from its plan, its candidates and the converged
-    interval (a, b) it left the lockstep with (None if it never entered),
-    with key_rate: a T that ran the lockstep costs two calls, its candidate
-    and the interval's midpoint.  A point's evaluations counts only those
-    calls, not the array passes.
+    one _key_rate_array pass per step, with np.log2.  A step takes the
+    scalar loop's fc >= fd only where it is proven: false where _beats
+    proves d above c, true where it proves c above d or both scores are
+    -inf, an exact tie, since the validity mask is key_rate's.  The rows
+    that neither proof settles, mostly near convergence, are rescored at c
+    and d through _LOG2, key_rate's scores bit for bit, and decided by
+    fc >= fd.  So every step is the scalar loop's.  The worst case is a row
+    that ties within the tolerance at every step, such as a flat or plateau
+    row: each of its steps pays one np.log2 pass and two exact scores.  A T
+    leaves only when its bracket has converged, so its plan does not depend
+    on the other T in the scan.  optimize_lambda then finishes each T from
+    its plan, its candidates and the converged interval (a, b) it left the
+    lockstep with (None if it never entered), with key_rate: a T that ran
+    the lockstep costs two calls, its candidate and the interval's
+    midpoint.  A point's evaluations counts only those calls, not the
+    array passes.
     """
     t_grid = list(t_grid)
     if not t_grid:
@@ -791,37 +809,49 @@ def scan_key_rate(
         rows, top = np.arange(len(scores)), np.argmax(scores, axis=1)
         best = scores[rows, top]
         near = ~_beats(best[:, None], p_exp[rows, top][:, None], scores, p_exp)
-        # a row at -inf is model-invalid throughout: no candidate
-        candidates += [tuple(np.flatnonzero(row).tolist()) if row_best > -math.inf else ()
-                       for row, row_best in zip(near, best.tolist())]
+        near[best == -np.inf] = False  # model-invalid throughout: no candidate
+        # one nonzero over the block: its row-major columns, split per row
+        columns, ends = np.nonzero(near)[1].tolist(), np.cumsum(near.sum(axis=1)).tolist()
+        candidates += [tuple(columns[start:end]) for start, end in zip([0] + ends, ends)]
     intervals = [None] * len(t_grid)
     rows = np.array([i for i, found in enumerate(candidates) if len(found) == 1])
     if len(rows) >= _LOCKSTEP_MIN_ROWS:
         top, t = np.array([candidates[i][0] for i in rows]), np.array(t_grid)[rows]
         # optimize_lambda's arithmetic, elementwise, so every bracket is its
-        # own, and its scores, through _LOG2, so every step is its own
+        # own, and its fc >= fd, proven or exact, so every step is its own
         a = np.array(grid)[np.maximum(top - 1, 0)]
         b = np.array(grid)[np.minimum(top + 1, _LAMBDA_GRID_POINTS - 1)]
         c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
 
-        def lockstep_scores(lams, t):
+        def lockstep_scores(lams, t, log2=np.log2):
             pairs = _pair_probabilities(lams, _EXP, _EXPM1)
-            return _key_rate_array(spec, pairs, r, t, dark_b, _LOG2)[1]
+            return _key_rate_array(spec, pairs, r, t, dark_b, log2)
 
-        fc, fd = lockstep_scores(c, t), lockstep_scores(d, t)
+        (pc, fc), (pd, fd) = lockstep_scores(c, t), lockstep_scores(d, t)
         while True:
             stay = _searching(a, b)
-            for i, a_i, b_i in zip(*(x[~stay].tolist() for x in (rows, a, b))):
-                intervals[i] = (a_i, b_i)
-            if not stay.any():
-                break
-            rows, t, a, b, c, d, fc, fd = (x[stay] for x in (rows, t, a, b, c, d, fc, fd))
-            left = fc >= fd
+            if not stay.all():  # rows leave on few steps: compress only on those
+                for i, a_i, b_i in zip(*(x[~stay].tolist() for x in (rows, a, b))):
+                    intervals[i] = (a_i, b_i)
+                if not stay.any():
+                    break
+                rows, t, a, b, c, d, fc, fd, pc, pd = (
+                    x[stay] for x in (rows, t, a, b, c, d, fc, fd, pc, pd))
+            # fc >= fd is false where d is proven above c, and true where c is
+            # proven above d or both are -inf (a tie); where neither settles
+            # it, it is taken on key_rate's scores at c and d, through _LOG2
+            right = _beats(fd, pd, fc, pc)
+            left = _beats(fc, pc, fd, pd) | (np.maximum(fc, fd) == -np.inf)
+            if (undecided := ~(left | right)).any():
+                exact_c, exact_d = lockstep_scores(
+                    np.stack((c[undecided], d[undecided])), t[undecided], _LOG2)[1]
+                left[undecided] = exact_c >= exact_d
             a, b = np.where(left, a, c), np.where(left, d, b)
             c, d = (np.where(left, b - _INV_GOLDEN * (b - a), d),
                     np.where(left, c, a + _INV_GOLDEN * (b - a)))
-            f_new = lockstep_scores(np.where(left, c, d), t)
+            p_new, f_new = lockstep_scores(np.where(left, c, d), t)
             fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+            pc, pd = np.where(left, p_new, pd), np.where(left, pc, p_new)
     return ScanSeries(points=[
         (ch.transmission, optimize_lambda(spec, r, ch, lambda_max, _plan=plan))
         for ch, plan in zip(channels, zip(candidates, intervals))])

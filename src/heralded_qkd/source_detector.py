@@ -214,9 +214,14 @@ def distance_factor(r: HeraldResponse) -> float:
 def approx_distance_factor(params: MultiplexedDetectorParams) -> float:
     """Small-dark-count approximation of the distance factor.
 
-    Valid when dark_a << eta/(1 - eta) with eta the effective efficiency;
-    NaN at eta = 0 (eta_a = 0, or eta_c**stages underflowing to 0), and 0
-    at dark_a = 0 otherwise.
+    sqrt(dark_a A), A = 1 + 2**(N+1) (1 - eta)/eta, eta the effective
+    efficiency and N the stage count; NaN at eta = 0 (eta_a = 0, or
+    eta_c**stages underflowing to 0), and 0 at dark_a = 0 otherwise.  With
+    x = 2**N dark_a (1 - eta)/eta, its ratio to the exact factor
+    sqrt(q0 q2)/q1 of multiplexed_response is bounded by
+    0 <= approx/exact - 1 <= x.  The (1 - dark_a)**(2**N - 1) factor of
+    q0, q1 and q2 cancels, and approx/exact = (1 + x)/sqrt(1 + x**2/A)
+    with A >= 1.
     """
     eta = params.effective_efficiency
     if eta == 0.0:

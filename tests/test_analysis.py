@@ -339,15 +339,18 @@ class TestKeyRateArray:
                lambda e: 10.0**e)), min_size=1, max_size=40))
     def test_lockstep_shapes_equal_key_rate(self, spec, r, dark_b, points):
         # a lockstep pass: a vector of T against as many off-grid lambda,
-        # scored through _LOG2, is key_rate at each (T, lambda) bit for bit
+        # and a rescoring pass: those T against a (2, T) stack of lambda,
+        # each scored through _LOG2, is key_rate at each (T, lambda) bit for bit
         t, lams = (list(x) for x in zip(*points))
-        pairs = _pair_probabilities(np.array(lams), analysis._EXP, analysis._EXPM1)
-        p_exp, scores = _key_rate_array(spec, pairs, r, np.array(t), dark_b, analysis._LOG2)
-        reports = [key_rate(spec, poisson_pair_stats(lam), r, ChannelParams(ti, dark_b))
-                   for ti, lam in points]
-        assert p_exp.tolist() == [rep.p_exp for rep in reports]
-        assert [x.hex() for x in scores.tolist()] == [
-            optimizer_score(rep.key_rate).hex() for rep in reports]
+        for lam_rows in ([lams], [lams, lams[::-1]]):
+            pairs = _pair_probabilities(np.array(lam_rows), analysis._EXP, analysis._EXPM1)
+            p_exp, scores = _key_rate_array(spec, pairs, r, np.array(t), dark_b,
+                                            analysis._LOG2)
+            reports = [key_rate(spec, poisson_pair_stats(lam), r, ChannelParams(ti, dark_b))
+                       for row in lam_rows for ti, lam in zip(t, row)]
+            assert p_exp.ravel().tolist() == [rep.p_exp for rep in reports]
+            assert [x.hex() for x in scores.ravel().tolist()] == [
+                optimizer_score(rep.key_rate).hex() for rep in reports]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
@@ -358,6 +361,8 @@ class TestKeyRateArray:
         expected = [math.log2(x).hex() for x in xs]
         assert [y.hex() for y in analysis._LOG2(np.array(xs)).tolist()] == expected
         assert [y.hex() for y in analysis._LOG2(-np.array(xs)).tolist()] == expected
+        assert [y.hex() for y in analysis._LOG2(np.array([xs, xs])).ravel().tolist()] == (
+            2 * expected)
         assert math.isnan(analysis._LOG2(np.array([math.nan]))[0])
 
     @settings(max_examples=150, deadline=None)
@@ -612,6 +617,35 @@ def recorded_plans(monkeypatch):
     return plans
 
 
+def seeded_response(rng, source):
+    """A herald response over the benchmark pool's detector ranges."""
+    eta_a, dark_a = rng.uniform(0.3, 0.9), 10.0 ** rng.uniform(-7.0, -5.0)
+    return {
+        "wcp": wcp_response,
+        "binary": lambda: binary_response(eta_a, dark_a),
+        "multiplexed": lambda: multiplexed_response(MultiplexedDetectorParams(
+            rng.randint(1, 5), eta_a, dark_a, rng.uniform(0.95, 1.0))),
+    }[source]()
+
+
+def jittered_key_rate_array(seed, exact_passes):
+    """_key_rate_array at the edge of its contract: through _LOG2 key_rate's
+    scores, recording each such pass's size in exact_passes, and through
+    np.log2 key_rate's scores moved by 0.9 _KEY_RATE_ARRAY_TOL p_exp, up or
+    down by seeded random signs."""
+    signs = np.random.default_rng(seed)
+
+    def kernel(spec, pairs, r, t, dark_b, log2=np.log2):
+        p_exp, scores = _key_rate_array(spec, pairs, r, t, dark_b, exact_log2)
+        if log2 is analysis._LOG2:
+            exact_passes.append(scores.size)
+            return p_exp, scores
+        error = signs.choice([-0.9, 0.9], size=scores.shape) * _KEY_RATE_ARRAY_TOL
+        return p_exp, scores + error * p_exp
+
+    return kernel
+
+
 class TestScanLockstep:
     """scan_key_rate's (T x lambda) array passes and lockstep golden section
     against the per-T scalar optimizer."""
@@ -654,8 +688,9 @@ class TestScanLockstep:
         # plateau_key_rate with lambda_max = 0.26: only the top grid point
         # reaches the plateau, so every T has one candidate and enters the
         # lockstep; once c and d both sit on the plateau their rates tie
-        # exactly, and the lockstep, whose scores are key_rate's, takes the
-        # tie as fc >= fd, as the scalar loop does, until the bracket converges
+        # exactly, no proof settles the step, and the lockstep rescores c and
+        # d through _LOG2, whose scores are key_rate's, and takes the tie as
+        # fc >= fd, as the scalar loop does, until the bracket converges
         monkeypatch.setattr(analysis, "key_rate", plateau_key_rate)
         monkeypatch.setattr(analysis, "_key_rate_array", plateau_key_rate_array)
         plans = recorded_plans(monkeypatch)
@@ -670,6 +705,31 @@ class TestScanLockstep:
             assert res.evaluations == 2  # the candidate and the bracket's midpoint
             assert res.converged and 0.259 < res.lambda_opt < 0.26  # p1 = 0.2 at 0.2592
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("source", ["wcp", "binary", "multiplexed"])
+    @pytest.mark.parametrize("spec", [BB84, SARG04], ids=["bb84", "sarg04"])
+    def test_acts_only_on_proven_decisions(self, spec, source, seed):
+        # the np.log2 scores moved as far as the kernel's contract allows,
+        # 0.9 _KEY_RATE_ARRAY_TOL p_exp up or down at random: a step decided
+        # on a score that _beats does not prove would move its bracket, and
+        # the point would leave the lone call's result
+        rng = random.Random(f"proven-{spec.name}-{source}-{seed}")
+        r = seeded_response(rng, source)
+        dark_b = 10.0 ** rng.uniform(-6.0, -4.0)
+        t_grid = analysis._log_grid(-6.0, math.log10(0.5), rng.randint(16, 60))
+        exact_passes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_key_rate_array",
+                       jittered_key_rate_array(rng.getrandbits(32), exact_passes))
+            plans = recorded_plans(mp)
+            series = scan_key_rate(spec, r, dark_b, t_grid)
+        assert exact_passes  # the proofs left some steps to exact rescoring
+        assert sum(bracket is not None for _, bracket in plans) >= analysis._LOCKSTEP_MIN_ROWS
+        for t, got in series.points:
+            lone = optimize_lambda(spec, r, ChannelParams(t, dark_b))
+            assert repr(dataclasses.replace(got, evaluations=0)) == repr(
+                dataclasses.replace(lone, evaluations=0))
+
     @pytest.mark.parametrize("points", [50, 200])
     @pytest.mark.parametrize("source", ["wcp", "binary", "multiplexed"])
     @pytest.mark.parametrize("spec", [BB84, SARG04], ids=["bb84", "sarg04"])
@@ -679,13 +739,7 @@ class TestScanLockstep:
         # bracket, and costs two key_rate calls, its candidate and the
         # bracket's midpoint
         rng = random.Random(f"{spec.name}-{source}-{points}")
-        eta_a, dark_a = rng.uniform(0.3, 0.9), 10.0 ** rng.uniform(-7.0, -5.0)
-        r = {
-            "wcp": wcp_response,
-            "binary": lambda: binary_response(eta_a, dark_a),
-            "multiplexed": lambda: multiplexed_response(MultiplexedDetectorParams(
-                rng.randint(1, 5), eta_a, dark_a, rng.uniform(0.95, 1.0))),
-        }[source]()
+        r = seeded_response(rng, source)
         dark_b = 10.0 ** rng.uniform(-6.0, -4.0)
         t_grid = analysis._log_grid(-6.0, math.log10(0.5), points)
         plans = recorded_plans(monkeypatch)
@@ -1272,6 +1326,40 @@ def descent_probes(spec, r, dark_b, lambda_max=1.0, tangency=False):
     settled = [t for t in probes if t <= floor]
     assert not any(positive(t) for t in settled)
     return settled, [t for t in probes if t > floor]
+
+
+def margin_at(spec, lam, r, t, dark_b):
+    """key_rate's margin K/(p_exp p_sift) at (T, lam), NaN where model-invalid."""
+    rep = key_rate(spec, poisson_pair_stats(lam), r, ChannelParams(t, dark_b))
+    return protocol._security_terms(spec, rep.qber, rep.y)[0]
+
+
+class TestMarginInTransmission:
+    """The lemma in tmin_numerical's docstring: at fixed lambda, BB84's
+    margin does not fall as T rises, and SARG04's can."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=responses, lam=st.floats(-8.0, 1.0).map(lambda e: 10.0**e),
+           t=transmissions, rise=st.floats(-16.0, 0.0).map(lambda e: 10.0**e),
+           dark_b=dark_counts)
+    def test_bb84_margin_does_not_fall(self, r, lam, t, rise, dark_b):
+        # up to rounding: the margin's O(1) terms each round by about 1e-16
+        m_lo, m_hi = (margin_at(BB84, lam, r, x, dark_b) for x in (t, min(t + rise, 1.0)))
+        if not math.isnan(m_lo):  # a valid point stays valid
+            assert m_hi >= m_lo - 4e-15
+
+    def test_sarg04_margin_falls(self):
+        # Q/y near q_max, where SARG04's I_AE^(1) falls toward 1/2 as Q/y
+        # rises: a higher T lowers Q/y, raises I_AE^(1) and lowers the
+        # margin, while BB84's rises at the same point
+        r, dark_b, lam = wcp_response(), 1e-5, 0.01
+        for t in (0.00498, 0.00502):
+            rep = key_rate(SARG04, poisson_pair_stats(lam), r, ChannelParams(t, dark_b))
+            assert 1.0 / 3.0 < rep.qber / rep.y < 0.5
+        assert margin_at(SARG04, lam, r, 0.00502, dark_b) < margin_at(
+            SARG04, lam, r, 0.00498, dark_b) - 0.02
+        assert margin_at(BB84, lam, r, 0.00502, dark_b) > margin_at(
+            BB84, lam, r, 0.00498, dark_b)
 
 
 class TestTminCertificate:

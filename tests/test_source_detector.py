@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heralded_qkd.source_detector import (
@@ -330,6 +330,19 @@ class TestApproxDistanceFactor:
             1.0 + 2.0 ** (stages + 1) * (1.0 - eta) / eta
         )
         assert approx_distance_factor(params) == pytest.approx(direct, rel=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stages=st.integers(0, 10), eta_a=st.floats(0.05, 1.0),
+           eta_c=st.floats(0.9, 1.0), dark_a=st.floats(-9.0, -2.0).map(lambda e: 10.0**e))
+    def test_error_bound(self, stages, eta_a, eta_c, dark_a):
+        # the docstring's 0 <= approx/exact - 1 <= x, x = 2**N dark_a (1 -
+        # eta)/eta, up to rounding, against the exact response's factor
+        params = MultiplexedDetectorParams(stages, eta_a, dark_a, eta_c)
+        eta = params.effective_efficiency
+        x = 2.0**stages * dark_a * (1.0 - eta) / eta
+        error = approx_distance_factor(params) / distance_factor(
+            multiplexed_response(params)) - 1.0
+        assert -1e-13 <= error <= x * (1.0 + 1e-13) + 1e-13
 
 
 class TestAdvantageThreshold:
