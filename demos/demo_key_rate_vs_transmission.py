@@ -12,7 +12,6 @@ import numpy as np
 from heralded_qkd import (
     BB84,
     MultiplexedDetectorParams,
-    analysis,
     multiplexed_response,
     scan_key_rate,
     tmin_heralded,
@@ -39,8 +38,6 @@ scans = {
 }
 
 print(f"# ideal-source floor T_min1 = {tmin_single_photon(BB84, DARK_B):.4e}")
-# below the certified floor no pump strength gives any source a positive rate
-print(f"# certified floor = {analysis._tmin_floor(BB84, DARK_B):.4e}")
 print("# minimum transmission: closed form, numerical")
 for name, r in sources.items():
     closed = tmin_wcp(BB84, DARK_B)[0] if name == "wcp" else tmin_heralded(BB84, r, DARK_B)

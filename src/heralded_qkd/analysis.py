@@ -578,32 +578,6 @@ def tmin_heralded(spec: ProtocolSpec, r: HeraldResponse, dark_b: float) -> float
     return t1 + factor * t_min_c
 
 
-# _tmin_floor's relative rounding margin.  Its bound holds for the exact
-# margin at exact pair statistics; key_rate's floats differ by:
-# - p2's cancellation, below 5e-8 relative at lam >= 1e-8 (measured: 3.1e-8
-#   at most against 60-digit decimal); p0 and p1 within 2e-16;
-# - the thresholds' bisection error, 5e-13 in Q;
-# - a few ulp in Q and y, and about 1e-15 in the margin's O(1) terms.
-# Lowering T by this margin, 1e-6, less p2's error, d = 9.5e-7, raises Q
-# above Q* by at least Q* (1 - 2Q*) d = 8e-8.  The margin is then at most
-# -2.4e-7, where H' >= 3, which stays 500 times key_rate's rounding below 0.
-_TMIN_FLOOR_MARGIN = 1e-6
-
-
-def _tmin_floor(spec: ProtocolSpec, dark_b: float) -> float:
-    """A transmission at and below which no pump strength gives a positive
-    key_rate, for every detector: tmin_numerical takes its probes there as
-    negative unoptimized.
-
-    A positive margin needs Q < Q* = spec.q_ceiling, and dark >= d_B (p1 q1
-    + p2 q2) with p_exp = T (p1 q1 + 2 p2 q2) + 2 dark give Q >= d_B / (2 (T
-    + d_B)), which is Q* at T = d_B (1 - 2Q*) / (2Q*): the floor, lowered
-    by _TMIN_FLOOR_MARGIN.
-    """
-    q = spec.q_ceiling
-    return dark_b * (1.0 - 2.0 * q) / (2.0 * q) * (1.0 - _TMIN_FLOOR_MARGIN)
-
-
 def _tangency_root(
     spec: ProtocolSpec, r: HeraldResponse, dark_b: float, lambda_max: float
 ) -> float:
@@ -687,35 +661,32 @@ def tmin_numerical(
     that sign, so each is one optimize_lambda call with _sign_only, which
     stops as soon as the sign is known: at the closed-form pump strength's
     grid point, at the first positive grid candidate, or at a proof that
-    the rest of the search is nonpositive.  A probe at or below _tmin_floor,
-    where no pump strength gives a positive key_rate, is negative without
-    a call: that settles the T = 1e-8 end wherever the floor is above it,
-    and no band midpoint, since the floor, 3.5 d_B, is below T_min1/1.6
-    (4.4 d_B for BB84, 5.2 d_B for SARG04), the lowest a band starts.
+    the rest of the search is nonpositive.
 
-    After probing both ends, the bisection descends along its own midpoints
-    through the band that _descent_band gives, probing only those inside
-    it, taking one above it as positive and one below it as negative, and
-    at the end probing each end of its bracket whose sign it took.  Where
+    One rule decides the result: the upper end of a probed sign change,
+    t_hi positive and t_lo not, at most 1e-3 wide; where no bisection
+    brackets one, the RuntimeError.  So an end of [1e-8, 1] is probed only
+    when a final bracket reaches it.  The first bisection descends through
+    the band that _descent_band gives, probing only midpoints inside it and
+    taking those above it as positive and those below as negative.  Where
     _edge_info = min(I_AE^(1)(q_max), I_AE^(2)) is at least 1 (BB84), the
     band is the single T* of _tangency_root: at the validity edge Q/y =
     q_max the margin is at most 1 - H(Q) - _edge_info <= 0, so a positive
-    maximum over lambda is never there.  It is interior, where T_min has
-    m = K/(p_exp p_sift) and dm/dlog lambda both 0, or at a bound, where
-    a wrong T* fails a bracket check.  The descent then costs no call, and
-    a solve probes 1.0 and the final bracket's two ends.  SARG04's maximum
-    at T_min can sit at the edge, so it keeps the closed-form band: there,
-    and where the Newton has no start or does not converge, the band is
-    [est/1.6, 1.05 est], est the closed form tmin_heralded, or, where
-    lambda_opt_heralded is above lambda_max, tmin_bound_heralded at
-    lambda_max.  If either end's probe contradicts, or there is no band,
-    the plain bisection probing every midpoint runs, reusing the signs
-    probed so far.  So the result is the plain bisection's wherever the
-    sign is monotone outside the band, and always the upper end of a
-    probed sign change at most 1e-3 wide; each probe's sign is the one a
-    full optimize_lambda gives.  On the benchmark's 512 T_min pool configs
-    a BB84 solve makes 3 sign-only calls and a SARG04 solve 11.22, 7.34 on
-    average; the floor settles 512 of the 4,268 probes.
+    maximum over lambda is interior, where T_min has m = K/(p_exp p_sift)
+    and dm/dlog lambda both 0, or at a bound, where a wrong T* fails the
+    bracket check; a solve then probes only its final bracket.  SARG04's
+    maximum at T_min can sit at the edge, so it keeps the closed-form band,
+    as do solves where the Newton has no start or does not converge:
+    [est/1.6, 1.05 est], est tmin_heralded, or tmin_bound_heralded at
+    lambda_max where lambda_opt_heralded is above lambda_max.  Where the
+    check fails, or there is no band, the plain bisection probing every
+    midpoint runs, reusing the signs probed so far.  Each probe's sign is a
+    full optimize_lambda's, so the result is the plain bisection's wherever
+    the sign is monotone.  A bisection that raises unless 1.0 is positive
+    and 1e-8 is not differs only where the sign at an end disagrees with a
+    change inside: it raises, and this returns the change.  On the
+    benchmark's 512 T_min pool configs a BB84 solve makes 2 sign-only calls
+    and a SARG04 solve 10.22, 6.34 on average.
 
     For BB84 the sign is monotone, by a lemma: at fixed lambda its margin
     m = y (1 - H(z)) - H(Q), z = Q/y, does not fall as T rises.  dark does
@@ -731,13 +702,15 @@ def tmin_numerical(
     """
     if dark_b <= 0.0:
         raise ValueError(f"dark_b must be positive, got {dark_b}")
-    floor = _tmin_floor(spec, dark_b)
+    # the channel, then the pump-strength range, before any closed form
+    ChannelParams(transmission=1.0, dark_b=dark_b)
+    _lambda_grid(lambda_max)
     probed: dict[float, bool] = {}
 
     def positive(t: float) -> bool:
         if t not in probed:
             ch = ChannelParams(transmission=t, dark_b=dark_b)
-            probed[t] = t > floor and optimize_lambda(
+            probed[t] = optimize_lambda(
                 spec, r, ch, lambda_max, _sign_only=True).key_rate > 0.0
         return probed[t]
 
@@ -751,16 +724,14 @@ def tmin_numerical(
                 t_lo = t_mid
         return t_lo, t_hi
 
-    if not positive(1.0) or positive(1e-8):
-        raise RuntimeError(
-            "no sign change of the optimized key rate on [1e-8, 1]"
-        )
+    signs = [positive]
     if band := _descent_band(spec, r, dark_b, lambda_max):
-        band_lo, band_hi = band
-        t_lo, t_hi = bisection(lambda t: t > band_hi or (t >= band_lo and positive(t)))
+        signs.insert(0, lambda t: t > band[1] or (t >= band[0] and positive(t)))
+    for sign in signs:
+        t_lo, t_hi = bisection(sign)
         if positive(t_hi) and not positive(t_lo):
             return t_hi
-    return bisection(positive)[1]
+    raise RuntimeError("no sign change of the optimized key rate on [1e-8, 1]")
 
 
 def scan_key_rate(

@@ -399,10 +399,14 @@ def cmd_compare_stages(args) -> tuple:
         responses = analysis._stage_responses(eta_a, args.eta_c, args.dark_a, args.n_max)
         factors = [short_distance_factor(r) for r in responses]
         best_n = analysis._best_stage(factors)  # optimal_stage_count's
+        # the factors divided by u, the power of two at stage 0's q1: exact
+        # where they are normal, and still their ratio where they underflow
+        u = math.ldexp(1.0, math.frexp(responses[0].q1)[1])
+        scaled = [r.q1 / u * (r.q1 / r.q2) if r.q2 else f for r, f in zip(responses, factors)]
         if args.fit:
             fitted = [_fitted_prefactor(spec, r, args.dark_b) for r in responses]
         for n in range(args.n_max + 1):
-            row = [eta_a, n, factors[n] / factors[0], n == best_n]
+            row = [eta_a, n, scaled[n] / scaled[0], n == best_n]
             if args.fit:
                 row.append(fitted[n] / fitted[0])
             rows.append(row)

@@ -73,8 +73,8 @@ class ProtocolSpec:
     eve_info is Eve's single-photon information gain I_AE^(1)(Q), defined on
     the closed QBER domain [0, q_max]; it takes a float, or a numpy array
     with np.log2 as its second argument.  i_ae_two is her two-photon gain
-    I_AE^(2).  The threshold and ceiling QBERs and the linearization factor
-    follow from these and are computed lazily on first access, then cached.  Instances
+    I_AE^(2).  The threshold QBER and the linearization factor follow from
+    these and are computed lazily on first access, then cached.  Instances
     are immutable and safe to share across threads (a cache race merely
     recomputes the same value).
     """
@@ -93,23 +93,6 @@ class ProtocolSpec:
         y = 1, by bisection: the entropy derivative diverges at 0.
         """
         return _contour_q(self, 1.0, 0.5 - _Q_TOL)
-
-    @cached_property
-    def q_ceiling(self) -> float:
-        """QBER Q* from which no single-photon fraction y gives a positive margin.
-
-        At every y in (0, 1] with Q/y in the domain, the margin is 1 - H(Q)
-        less a convex combination of I_AE^(1)(Q/y) and I_AE^(2), so at most
-        g(Q) = 1 - H(Q) - min(I_AE^(1)(Q), I_AE^(1)(q_max), I_AE^(2)): Q/y is in
-        [Q, q_max], where the single-peaked I_AE^(1) (see analysis._margin_bound)
-        is smallest at an end.  g falls on [0, 1/2] (1 - H falls, and the
-        minimum of I_AE^(1) over [Q, q_max] does not), so Q* is its one root,
-        by bisection; it equals q_threshold wherever I_AE^(1) = H and I_AE^(2)
-        >= 1 (BB84).
-        """
-        floor = _edge_info(self)
-        return _bisect(lambda q: 1.0 - _binary_entropy(q) - min(self.eve_info(q), floor),
-                       _Q_TOL, 0.5 - _Q_TOL, _Q_TOL)
 
     @cached_property
     def xi(self) -> float:

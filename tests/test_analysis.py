@@ -1305,27 +1305,44 @@ def plain_bisection(positive):
     return midpoints, t_lo, t_hi
 
 
+def synthetic_sign(monkeypatch, sign):
+    """Replace key_rate and its array form by a rate of 1 at T where sign(T)
+    and -1 elsewhere, at p_exp = 1; the list returned records the T of each
+    optimize_lambda call tmin_numerical makes."""
+    def fake_key_rate(spec, stats, r, ch):
+        k = 1.0 if sign(ch.transmission) else -1.0
+        return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
+
+    def fake_key_rate_array(spec, pairs, r, t, dark_b):
+        shape = np.broadcast_shapes(np.shape(t), pairs[1].shape)
+        k = np.where(np.vectorize(sign)(t), 1.0, -1.0)
+        return np.ones(shape), np.broadcast_to(k, shape)
+
+    probed = []
+
+    def counting_optimize(spec, r, ch, lambda_max, *, _sign_only=False):
+        probed.append(ch.transmission)
+        return optimize_lambda(spec, r, ch, lambda_max, _sign_only=_sign_only)
+
+    monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
+    monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
+    monkeypatch.setattr(analysis, "optimize_lambda", counting_optimize)
+    return probed
+
+
 def descent_probes(spec, r, dark_b, lambda_max=1.0, tangency=False):
     """The T, in order, that tmin_numerical probes when its descent needs no
-    fallback: both ends, the midpoints of the full-search bisection inside
+    fallback: the midpoints of the full-search bisection inside
     [est/1.6, 1.05 est] (est = tmin_heralded), or none of them when it
     descends from a tangency root, then each end of the final bracket not
-    probed yet, the upper first.  As (settled, optimized): those at or
-    below _tmin_floor, which it takes as negative without an
-    optimize_lambda call, and the others.  Every settled T is certified:
-    the full search there is not positive."""
+    probed yet, the upper first."""
     def positive(t):
         return optimize_lambda(spec, r, ChannelParams(t, dark_b), lambda_max).key_rate > 0.0
 
     est = tmin_heralded(spec, r, dark_b)
     midpoints, t_lo, t_hi = plain_bisection(positive)
-    probes = [1.0, 1e-8] + [t for t in midpoints
-                            if not tangency and est / 1.6 <= t <= 1.05 * est]
-    probes += [t for t in (t_hi, t_lo) if t not in probes]
-    floor = analysis._tmin_floor(spec, dark_b)
-    settled = [t for t in probes if t <= floor]
-    assert not any(positive(t) for t in settled)
-    return settled, [t for t in probes if t > floor]
+    probes = [t for t in midpoints if not tangency and est / 1.6 <= t <= 1.05 * est]
+    return probes + [t for t in (t_hi, t_lo) if t not in probes]
 
 
 def margin_at(spec, lam, r, t, dark_b):
@@ -1428,21 +1445,18 @@ class TestTminCertificate:
         expected = reference_tmin(spec, r, 1e-5)
         got, passes, optimized, scored = traced_tmin(monkeypatch, spec, r, 1e-5)
         assert got == expected
-        # the descent's probes: 2 endpoint tests, then for SARG04 the 10 of
-        # the 15 bisection midpoints near the closed form, the final
-        # bracket's ends among them, and for BB84, which descends from its
-        # tangency root without a probe, only the final bracket's ends t_hi
-        # and t_lo; 1e-8, at or below the floor, is settled without a call,
-        # and the others take one sign-only optimize_lambda each, which
-        # makes at most one array pass
+        # the descent's probes: for SARG04 the 10 of the 15 bisection
+        # midpoints near the closed form, the final bracket's ends among
+        # them, and for BB84, which descends from its tangency root without
+        # a probe, only the final bracket's ends t_hi and t_lo; neither end
+        # of [1e-8, 1] is probed.  Each takes one sign-only optimize_lambda,
+        # which makes at most one array pass
         optimized_t = [t for t, _ in optimized]
-        settled, probes = descent_probes(spec, r, 1e-5, tangency=spec is BB84)
-        assert optimized_t == probes
-        assert len(optimized_t) == len(set(optimized_t)) == {BB84: 3, SARG04: 11}[spec]
-        assert settled == [1e-8]
+        assert optimized_t == descent_probes(spec, r, 1e-5, tangency=spec is BB84)
+        assert len(optimized_t) == len(set(optimized_t)) == {BB84: 2, SARG04: 10}[spec]
         if spec is BB84:
             _, t_lo, t_hi = plain_bisection(lambda t: t >= got)
-            assert optimized_t == [1.0, t_hi, t_lo]
+            assert optimized_t == [t_hi, t_lo]
         assert len(passes) == len(set(passes)) and set(passes) <= set(optimized_t)
         # a step whose closed-form grid point is positive makes no array pass
         # and one key_rate call, and returns that point
@@ -1478,15 +1492,15 @@ class TestTminCertificate:
         # WCP's closed-form pump strength at d_B = 1e-5, 0.011 (BB84) or 0.016
         # (SARG04), is above lambda_max, which moves the root above
         # tmin_heralded's band, so steering by it would be contradicted and
-        # fall back to the plain bisection (21-25 probes); steered by the
-        # bound at lambda_max, the descent probes no more than at
-        # lambda_max = 1 (13)
+        # fall back to the plain bisection (19-23 probes); steered by the
+        # bound at lambda_max, the descent probes no more than SARG04 does
+        # at lambda_max = 1 (11)
         r = wcp_response()
         assert lambda_opt_heralded(spec, r, 1e-5) > lambda_max
         got, _, optimized, _ = traced_tmin(monkeypatch, spec, r, 1e-5, lambda_max)
         assert got == tmin_outcome(reference_tmin, spec, r, 1e-5, lambda_max)
         assert isinstance(got, float)
-        assert len(optimized) <= 13
+        assert len(optimized) <= 11
 
     @pytest.mark.parametrize("spec", [BB84, SARG04])
     def test_closed_form_point_without_vacuum_heralds(self, spec, monkeypatch):
@@ -1503,17 +1517,14 @@ class TestTminCertificate:
     def test_no_closed_form_point_without_multiphoton_heralds(self, spec, monkeypatch):
         # q2 = 0 has no closed-form pump strength: every step starts with its
         # array pass.  The closed-form T_min is the ideal-source floor, and
-        # the descent probes 2 endpoints and the 10 (BB84) or 11 (SARG04) of
-        # the 15 midpoints near it, the final bracket's ends among them.
-        # _tmin_floor, 3.5 d_B, is below them all, so it settles only 1e-8
+        # the descent probes the 10 (BB84) or 11 (SARG04) of the 15
+        # midpoints near it, the final bracket's ends among them
         r = HeraldResponse(q0=1e-3, q1=0.6, q2=0.0)
         got, passes, optimized, _ = traced_tmin(monkeypatch, spec, r, 1e-5)
         assert got == tmin_outcome(reference_tmin, spec, r, 1e-5)
         assert isinstance(got, float)
-        settled, probes = descent_probes(spec, r, 1e-5)
-        assert [t for t, _ in optimized] == probes
-        assert len(settled) + len(probes) == {BB84: 12, SARG04: 13}[spec]
-        assert len(passes) == len(optimized) == {BB84: 11, SARG04: 12}[spec]
+        assert [t for t, _ in optimized] == descent_probes(spec, r, 1e-5)
+        assert len(passes) == len(optimized) == {BB84: 10, SARG04: 11}[spec]
 
     def test_array_rate_within_the_bound_is_not_certified(self, monkeypatch):
         # a synthetic rate, 0 below T = 0.01 and 1 from there, at p_exp = 1,
@@ -1530,9 +1541,6 @@ class TestTminCertificate:
 
         monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
         monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
-        # the floor is key_rate's physics, so it goes with it: a floor of 0
-        # settles no probe, and holds for any rate
-        monkeypatch.setattr(analysis, "_tmin_floor", lambda spec, dark_b: 0.0)
         t_min = tmin_numerical(BB84, wcp_response(), 1e-5)
         assert t_min == reference_tmin(BB84, wcp_response(), 1e-5)
         assert 0.01 <= t_min < 0.01 * (1.0 + analysis._TMIN_REL_TOL)
@@ -1562,28 +1570,10 @@ class TestTminCertificate:
         def sign(t):
             return 1e-6 <= t < 1e-5 or t >= 0.02
 
-        def fake_key_rate(spec, stats, r, ch):
-            k = 1.0 if sign(ch.transmission) else -1.0
-            return KeyRateReport(1.0, 0.0, 1.0, k, True, k > 0.0)
-
-        def fake_key_rate_array(spec, pairs, r, t, dark_b):
-            shape = np.broadcast_shapes(np.shape(t), pairs[1].shape)
-            k = np.where(np.vectorize(sign)(t), 1.0, -1.0)
-            return np.ones(shape), np.broadcast_to(k, shape)
-
-        probed = []
-
-        def counting_optimize(spec, r, ch, lambda_max, *, _sign_only=False):
-            probed.append(ch.transmission)
-            return optimize_lambda(spec, r, ch, lambda_max, _sign_only=_sign_only)
-
         r = wcp_response()
         est = tmin_heralded(BB84, r, 1e-5)
         assert est / 1.6 < 0.01 < 1.05 * est < 0.02
-        monkeypatch.setattr(analysis, "key_rate", fake_key_rate)
-        monkeypatch.setattr(analysis, "_key_rate_array", fake_key_rate_array)
-        monkeypatch.setattr(analysis, "optimize_lambda", counting_optimize)
-        monkeypatch.setattr(analysis, "_tmin_floor", lambda spec, dark_b: 0.0)  # as above
+        probed = synthetic_sign(monkeypatch, sign)
         t_min = tmin_numerical(BB84, r, 1e-5)
         assert t_min == reference_tmin(BB84, r, 1e-5)
         assert 0.02 <= t_min < 0.02 * (1.0 + analysis._TMIN_REL_TOL)
@@ -1591,11 +1581,13 @@ class TestTminCertificate:
         # below the band too, reusing the descent's probes: each T once
         midpoints, t_lo, t_hi = plain_bisection(sign)
         assert t_hi == t_min
-        assert len(probed) == len(set(probed)) > 2 + len(midpoints)
-        assert set(probed) >= {1.0, 1e-8, *midpoints}
+        assert len(probed) == len(set(probed)) > len(midpoints)
+        assert set(probed) >= set(midpoints)
         assert min(midpoints) < est / 1.6  # a T the descent takes without probing
-        # the returned bracket's ends were both probed
+        # the returned bracket's ends were both probed, and neither end of
+        # [1e-8, 1], which no final bracket reached
         assert {t_lo, t_hi} <= set(probed) and not sign(t_lo)
+        assert not {1e-8, 1.0} & set(probed)
 
     def test_grid_scores_match_a_fresh_pass(self):
         r, ch = binary_response(), ChannelParams(0.01, 1e-5)
@@ -1655,7 +1647,7 @@ class TestTangencyDescent:
         got, _, optimized, scored = traced_tmin(monkeypatch, spec, TANGENCY_R, 1e-5)
         assert isinstance(got, float)
         assert len(scored) == sum(res.evaluations for _, res in optimized) > 0
-        assert len(optimized) == {BB84: 3, SARG04: 11}[spec]  # BB84 took the Newton's path
+        assert len(optimized) == {BB84: 2, SARG04: 10}[spec]  # BB84 took the Newton's path
 
     def test_root_is_the_tangency(self):
         # T* is inside the plain bisection's final bracket, where the
@@ -1721,71 +1713,51 @@ class TestTangencyDescent:
         t_star = analysis._tangency_root(SARG04, r, dark_b, 1.0)
         got, _, optimized, _ = traced_tmin(monkeypatch, SARG04, r, dark_b)
         assert got == tmin_outcome(reference_tmin, SARG04, r, dark_b)
-        assert [t for t, _ in optimized] == descent_probes(SARG04, r, dark_b)[1]
+        assert [t for t, _ in optimized] == descent_probes(SARG04, r, dark_b)
         assert 0.0 < t_star <= 1.0
         assert (t_star > 1.05 * got) == (dark_b < 1e-5)
 
 
-# tmin_numerical's floor, over both protocols; WCP, binary, multiplexed and
-# custom responses, q0, q1 and q2 = 0 among them; d_B over 1e-9 to 1e-2
-zero_or_unit = st.one_of(st.just(0.0), unit)
-floor_responses = st.one_of(
-    source_responses, st.builds(HeraldResponse, zero_or_unit, zero_or_unit, zero_or_unit))
-floor_dark_counts = st.floats(-9.0, -2.0).map(lambda e: 10.0**e)
-FLOOR_LAMBDAS = analysis._log_grid(-8.0, 0.0, 2000)
+class TestProbedSignChange:
+    """tmin_numerical returns the upper end of a sign change it probed, and
+    raises where no bisection brackets one; it probes an end of [1e-8, 1]
+    only when a final bracket reaches it."""
 
+    @settings(max_examples=100, deadline=None)
+    @given(r=tmin_sources, dark_b=st.floats(-14.0, math.log10(0.5)).map(lambda e: 10.0**e))
+    @example(r=wcp_response(), dark_b=0.5)  # no T is secure
+    @example(r=binary_response(), dark_b=1e-14)  # T = 1e-8 is already secure
+    def test_bb84_equals_reference_bisection(self, r, dark_b):
+        # BB84's sign is monotone in T, so the reference, which probes both
+        # ends first, has the same outcome, either raise included
+        assert tmin_outcome(tmin_numerical, BB84, r, dark_b) == tmin_outcome(
+            reference_tmin, BB84, r, dark_b)
 
-def amgm_lambda(spec, r, dark_b, t):
-    """A pump strength in [1e-8, 1] near the paper's closed-form one: the
-    minimizer over lam of T1 q0/lam + (1 + T1 - 2T) q2 lam/2, which is
-    lambda_opt_heralded with xi -> 1 at small T."""
-    t1 = tmin_single_photon(spec, dark_b)
-    weight = (1.0 + t1 - 2.0 * t) * r.q2
-    lam = math.sqrt(2.0 * t1 * r.q0 / weight) if weight > 0.0 else 1.0
-    return min(max(lam, 1e-8), 1.0)
+    def test_returns_the_change_inside_where_the_reference_raises(self, monkeypatch):
+        # a synthetic rate, positive on [1e-8, 2e-8) and from T = 0.02 up:
+        # the sign at 1e-8 disagrees with the change near 0.02, which is
+        # returned, with 1e-8 never probed
+        def sign(t):
+            return t < 2e-8 or t >= 0.02
 
+        probed = synthetic_sign(monkeypatch, sign)
+        t_min = tmin_numerical(BB84, wcp_response(), 1e-9)
+        assert t_min == plain_bisection(sign)[2]
+        assert 0.02 <= t_min < 0.02 * (1.0 + analysis._TMIN_REL_TOL)
+        assert 1e-8 not in probed
+        with pytest.raises(RuntimeError, match="no sign change"):
+            reference_tmin(BB84, wcp_response(), 1e-9)
 
-class TestTminFloor:
-    """_tmin_floor: no pump strength gives a positive key_rate at or below it,
-    so tmin_numerical settles its probes there without optimizing."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(spec=st.sampled_from([BB84, SARG04]), r=floor_responses,
-           dark_b=floor_dark_counts)
-    @example(spec=BB84, r=HeraldResponse(0.0, 0.6, 0.3), dark_b=1e-5)  # q0 = 0
-    @example(spec=BB84, r=HeraldResponse(1e-3, 0.0, 0.3), dark_b=1e-5)  # q1 = 0
-    @example(spec=BB84, r=HeraldResponse(1e-3, 0.6, 0.0), dark_b=1e-5)  # q2 = 0
-    @example(spec=BB84, r=HeraldResponse(0.0, 0.0, 0.0), dark_b=1e-9)  # nothing heralded
-    @example(spec=SARG04, r=HeraldResponse(0.0, 0.6, 0.0), dark_b=1e-2)
-    @example(spec=BB84, r=wcp_response(), dark_b=1e-9)
-    @example(spec=BB84, r=HeraldResponse(0.0, 2.757420143432862e-215, 0.0),
-             dark_b=1e-2)  # q1**2 underflows to 0
-    def test_no_positive_rate_at_or_below_the_floor(self, spec, r, dark_b):
-        floor = analysis._tmin_floor(spec, dark_b)
-        assert 0.0 < floor <= 0.5
-        for t in (floor, math.nextafter(floor, 0.0), floor * 1e-3):
-            ch = ChannelParams(t, dark_b)
-            lams = [amgm_lambda(spec, r, dark_b, t), *FLOOR_LAMBDAS]
-            assert not any(key_rate(spec, poisson_pair_stats(lam), r, ch).key_rate > 0.0
-                           for lam in lams)
-            assert not optimize_lambda(spec, r, ch).key_rate > 0.0
-
-    @pytest.mark.parametrize("spec", [BB84, SARG04])
-    def test_premises_on_a_dense_grid(self, spec):
-        # the margin's y-free bound g is nonpositive from Q* to 1/2
-        q_star = spec.q_ceiling
-        floor = min(spec.eve_info(spec.q_max), spec.i_ae_two)
-        qs = analysis._linear_grid(q_star + protocol._Q_TOL, 0.5, 100_001)
-        assert all(1.0 - binary_entropy(q) - min(spec.eve_info(min(q, spec.q_max)), floor)
-                   <= 0.0 for q in qs)
-        assert 0.1100 < q_star < 0.1101  # both built-in protocols
-
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4242])  # 4242 held out
-    def test_below_tmin_on_seeded_pools(self, seed):
-        for spec, r, dark_b in tmin_pool(seed, per_kind=8):
-            got = tmin_outcome(tmin_numerical, spec, r, dark_b)
-            if isinstance(got, float):
-                assert analysis._tmin_floor(spec, dark_b) <= got
+    @pytest.mark.parametrize("secure, end, other_end", [
+        (True, 1e-8, 1.0), (False, 1.0, 1e-8),
+    ], ids=["positive_everywhere", "positive_nowhere"])
+    def test_one_sign_raises_after_probing_its_end(self, monkeypatch, secure, end,
+                                                   other_end):
+        probed = synthetic_sign(monkeypatch, lambda t: secure)
+        with pytest.raises(RuntimeError) as exc:
+            tmin_numerical(BB84, wcp_response(), 1e-9)
+        assert str(exc.value) == "no sign change of the optimized key rate on [1e-8, 1]"
+        assert end in probed and other_end not in probed
 
 
 sign_test_transmissions = st.floats(-8.0, 0.0).map(lambda e: 10.0**e)

@@ -550,6 +550,16 @@ class TestCompareStages:
         assert [(row["stages"], row["ratio_vs_binary"]) for row in parse_csv(out)] == [
             ("0", "1"), ("1", "1"), ("2", "1")]
 
+    def test_underflowing_factor_ratio_is_one(self, capsys):
+        # at q1 = 5e-324 the factor q1 (q1/q2) itself underflows to 0 at every
+        # stage, while the true ratio is 1: no 0/0, and stage 0 wins the tie
+        code, out, err = run_cli(capsys, "compare-stages", "--eta-a-list", "5e-324",
+                                 "--dark-a", "0", "--n-max", "2")
+        assert (code, err) == (0, "")
+        assert [(row["stages"], row["ratio_vs_binary"], row["is_optimal"])
+                for row in parse_csv(out)] == [
+            ("0", "1", "true"), ("1", "1", "false"), ("2", "1", "false")]
+
     def test_dark_b_required_with_fit(self, capsys):
         code, out, err = run_cli(
             capsys, "compare-stages", "--eta-a-list", "0.6", "--dark-a", "1e-6",
