@@ -4,19 +4,26 @@
 Shows the two figures of merit for a tree of binary detectors: q1^2/q2
 governs the short-distance key rate, sqrt(q0 q2)/q1 governs the maximum
 secure distance.  More stages improve number resolution but multiply dark
-counts and coupler loss.  A last table sets the small-dark-count
-approximation of the distance factor against the exact one, beside its
-stated error bound.
+counts and coupler loss.  Two last tables set the paper's approximations
+against the exact forms, beside their stated error laws: the
+small-dark-count distance factor, and the short-distance key rate.
 """
 
+import math
+
 from heralded_qkd import (
+    BB84,
     MultiplexedDetectorParams,
     advantage_threshold,
     approx_distance_factor,
     distance_factor,
     multiplexed_response,
     optimal_stage_count,
+    short_distance_approx_rate,
     short_distance_factor,
+    short_distance_key_rate,
+    short_distance_lambda,
+    wcp_response,
 )
 
 ETA_C = 0.98
@@ -52,3 +59,24 @@ for dark_a in (1e-6, 1e-3):
         eta = params.effective_efficiency
         bound = 2**stages * dark_a * (1.0 - eta) / eta
         print(f"{stages:>3} {dark_a:>7.0e} {error:>15.3e} {bound:>10.3e}")
+
+# short_distance_approx_rate over the dark-count-free rate at its exact
+# maximizer s = short_distance_lambda is R(s) = s^2 e^s / (2 (1 - s)^2
+# (s^2/(1 - s) + 1 + s - e^s)) = 1 + 4s/3 + O(s^2), here with expm1
+print()
+print("--- short_distance_approx_rate against the exact optimum (BB84, d_B = 0) ---")
+print(f"{'source':>7} {'T':>6} {'lambda*':>9} {'approx/exact':>13} {'R(lambda*)':>11}")
+for name, r in (
+    ("wcp", wcp_response()),
+    ("binary", multiplexed_response(
+        MultiplexedDetectorParams(stages=0, eta_a=0.6, dark_a=DARK_A))),
+    ("N = 3", multiplexed_response(
+        MultiplexedDetectorParams(stages=3, eta_a=0.6, dark_a=DARK_A, eta_c=ETA_C))),
+):
+    for t in (1e-3, 1e-2, 0.1):
+        s = short_distance_lambda(BB84, r, t)
+        ratio = short_distance_approx_rate(BB84, r, t) / short_distance_key_rate(
+            BB84, r, t, s)
+        em1 = math.expm1(s)
+        law = s * s * (1.0 + em1) / (2.0 * (1.0 - s) * (s * s - (1.0 - s) * (em1 - s)))
+        print(f"{name:>7} {t:>6.0e} {s:>9.5f} {ratio:>13.9f} {law:>11.9f}")

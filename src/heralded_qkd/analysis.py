@@ -478,8 +478,10 @@ def short_distance_lambda(spec: ProtocolSpec, r: HeraldResponse, t: float) -> fl
     """Pump strength maximizing the dark-count-free key rate.
 
     T q1 / (T q1 + (I_AE2 - 2T) q2): 1 at q2 = 0 < q1 and 0 at q1 = 0 < q2.
-    NaN where I_AE2 <= 2T, where the rate has no interior optimum in the
-    pump strength, and at q1 = q2 = 0, where it is 0 at every pump strength.
+    It is short_distance_key_rate's exact maximizer, the one zero of its
+    slope p_sift e^-lam [T q1 (1 - lam) - (I_AE2 - 2T) q2 lam].  NaN where
+    I_AE2 <= 2T, where the rate has no interior optimum in the pump
+    strength, and at q1 = q2 = 0, where it is 0 at every pump strength.
     """
     penalty = _short_distance_penalty(spec, t)
     if not (penalty > 0.0 and (top := max(r.q1, r.q2)) > 0.0):
@@ -498,6 +500,9 @@ def short_distance_approx_rate(
     counterpart recovers the q1**2/q2 enhancement factor.  NaN where
     I_AE2 <= 2T, where the rate has no interior optimum in the pump strength,
     and at q2 = 0, where lambda_opt = 1 and the small-lambda expansion fails.
+    Its error depends on s = short_distance_lambda alone: this rate over
+    short_distance_key_rate at s is R(s) = s**2 e**s / (2 (1 - s)**2
+    (s**2/(1 - s) + 1 + s - e**s)) = 1 + 4s/3 + O(s**2), an overestimate.
     """
     if not (penalty := _short_distance_penalty(spec, t)) > 0.0 or r.q2 == 0.0:
         return math.nan

@@ -133,12 +133,9 @@ PROTOCOLS = {"bb84": BB84, "sarg04": SARG04}
 
 def get_protocol(name: str) -> ProtocolSpec:
     """Look up a built-in protocol by (case-insensitive) name."""
-    try:
-        return PROTOCOLS[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown protocol {name!r}; expected one of {sorted(PROTOCOLS)}"
-        ) from None
+    if isinstance(name, str) and (spec := PROTOCOLS.get(name.lower())) is not None:
+        return spec
+    raise ValueError(f"unknown protocol {name!r}; expected one of {sorted(PROTOCOLS)}")
 
 
 def eve_info_single(spec: ProtocolSpec, q: float) -> float:
@@ -160,35 +157,30 @@ def _edge_info(spec: ProtocolSpec) -> float:
     return min(spec.eve_info(spec.q_max), spec.i_ae_two)
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise RuntimeError(
-            f"no sign change bracketed on [{lo}, {hi}] (f={flo}, {fhi})"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 _Q_TOL = 1e-12  # bisection tolerance in Q, and the Q bracket's margin from 0 and 1/2
 
 
 def _contour_q(spec: ProtocolSpec, y: float, q_hi: float) -> float:
-    """Q in [_Q_TOL, q_hi] on the positivity margin's zero contour at fixed y."""
-    return _bisect(lambda q: positivity_margin(spec, q, y), _Q_TOL, q_hi, _Q_TOL)
+    """Q in [_Q_TOL, q_hi] on the positivity margin's zero contour at fixed y.
+
+    One monotone bisection, which raises RuntimeError unless the margin is
+    positive at _Q_TOL and negative at q_hi.  [lo, hi] is halved on the sign
+    of the margin at its midpoint while it is wider than _Q_TOL, and the
+    midpoint of the last one is returned.
+    """
+    lo, hi = _Q_TOL, q_hi
+    f_lo, f_hi = positivity_margin(spec, lo, y), positivity_margin(spec, hi, y)
+    if not f_lo > 0.0 > f_hi:
+        raise RuntimeError(
+            f"no sign change bracketed on [{lo}, {hi}] (f={f_lo}, {f_hi})"
+        )
+    while hi - lo > _Q_TOL:
+        mid = 0.5 * (lo + hi)
+        if positivity_margin(spec, mid, y) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _margin(spec: ProtocolSpec, q, y, i_ae_one, log2=math.log2):

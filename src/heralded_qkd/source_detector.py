@@ -240,6 +240,8 @@ def advantage_threshold(stages: int) -> float:
     Below this value the heralded source cannot beat weak coherent pulses in
     the short-distance regime.
     """
+    if stages % 1 != 0:  # NaN and inf leave a NaN remainder
+        raise ValueError(f"stages must be an integer, got {stages}")
     if stages < 0:
         raise ValueError(f"stages must be nonnegative, got {stages}")
-    return 2.0 / (3.0 - 2.0 ** (-stages))
+    return 2.0 / (3.0 - math.ldexp(1.0, -int(stages)))  # 2**-stages, at any int

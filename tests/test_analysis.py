@@ -992,6 +992,74 @@ class TestShortDistanceApproxRate:
         assert math.isnan(short_distance_approx_rate(spec, r, t))
 
 
+def approx_over_exact(s):
+    """R(s) = s**2 e**s / (2 (1 - s)**2 (s**2/(1 - s) + 1 + s - e**s)), the
+    stated ratio of short_distance_approx_rate to short_distance_key_rate at
+    lambda* = s; e**s - 1 - s is formed from expm1, since 1 + s - e**s
+    cancels to O(s**2)."""
+    em1 = math.expm1(s)
+    return s * s * (1.0 + em1) / (2.0 * (1.0 - s) * (s * s - (1.0 - s) * (em1 - s)))
+
+
+def short_distance_detector(stages, eta_a):
+    """WCP at stages None, else a tree (3 stages with 0.98 couplers) or a
+    binary detector with dark_a 1e-6."""
+    if stages is None:
+        return wcp_response()
+    return multiplexed_response(MultiplexedDetectorParams(
+        stages=stages, eta_a=eta_a, dark_a=1e-6, eta_c=0.98 if stages else 1.0))
+
+
+short_distance_cases = dict(
+    spec=st.sampled_from([BB84, SARG04]),
+    r=st.builds(short_distance_detector, st.sampled_from([None, 0, 3]),
+                st.floats(0.3, 0.9)),
+    t=st.floats(1e-3, 0.3),
+)
+
+
+class TestShortDistanceErrorLaw:
+    # the short-distance pair against the dark-count-free rate it approximates
+
+    def test_law_is_one_plus_four_thirds_lambda(self):
+        # the O(s**2) term is 49 s**2/36
+        for s in (1e-4, 1e-3, 1e-2):
+            assert abs(approx_over_exact(s) - (1.0 + 4.0 * s / 3.0)) < 1.5 * s * s
+
+    @settings(max_examples=300, deadline=None)
+    @given(**short_distance_cases)
+    def test_approx_rate_errs_by_the_stated_law(self, spec, r, t):
+        lam = short_distance_lambda(spec, r, t)
+        ratio = short_distance_approx_rate(spec, r, t) / short_distance_key_rate(
+            spec, r, t, lam)
+        assert ratio == pytest.approx(approx_over_exact(lam), rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**short_distance_cases)
+    def test_optimizer_reaches_the_exact_maximizer(self, spec, r, t):
+        # wherever the full model is valid at lambda*, the optimizer at d_B = 0
+        # finds lambda* and its rate
+        lam = short_distance_lambda(spec, r, t)
+        ch = ChannelParams(t, 0.0)
+        assume(not math.isnan(key_rate(spec, poisson_pair_stats(lam), r, ch).key_rate))
+        res = optimize_lambda(spec, r, ch)
+        assert res.key_rate == pytest.approx(
+            short_distance_key_rate(spec, r, t, lam), rel=1e-9)
+        assert res.lambda_opt == pytest.approx(lam, rel=1e-5)
+
+    def test_optimizer_stops_at_the_validity_edge_below_lambda_star(self):
+        # SARG04, binary detector, T = 0.2: lambda* = 0.4156 drives y below
+        # 0, so the optimum is the y = 0 edge, about 3e-5 below K(lambda*)
+        r, ch = binary_response(), ChannelParams(0.2, 0.0)
+        lam = short_distance_lambda(SARG04, r, 0.2)
+        assert lam == pytest.approx(0.4156, abs=1e-4)
+        assert math.isnan(key_rate(SARG04, poisson_pair_stats(lam), r, ch).key_rate)
+        res = optimize_lambda(SARG04, r, ch)
+        exact = short_distance_key_rate(SARG04, r, 0.2, lam)
+        assert res.lambda_opt < lam
+        assert res.key_rate / exact - 1.0 == pytest.approx(-3e-5, rel=0.5)
+
+
 class TestMinimumTransmissions:
     def test_tmin_single_photon(self):
         assert tmin_single_photon(BB84, 0.0) == 0.0

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heralded_qkd.keyrate import renormalized_key_rate
 from heralded_qkd.protocol import (
     BB84,
     SARG04,
+    _Q_TOL,
+    ProtocolSpec,
+    _contour_q,
     _security_terms,
     _xlog2x,
     binary_entropy,
@@ -189,25 +192,36 @@ class TestQberThreshold:
         assert binary_entropy(BB84.q_threshold) == pytest.approx(0.5, abs=1e-8)
 
     def test_no_bracket_failure(self):
-        # guards custom protocol extensions whose residual never changes sign
-        from heralded_qkd.protocol import _bisect
+        # a custom protocol whose margin never changes sign: with no Eve
+        # information it is 1 - H(Q) >= 0 at y = 1, so no threshold exists
+        spec = ProtocolSpec(name="no-eve", p_sift=0.5,
+                            eve_info=lambda q, log2=math.log2: 0.0 * q,
+                            q_max=0.5, i_ae_two=1.0)
+        with pytest.raises(RuntimeError, match="no sign change bracketed"):
+            spec.q_threshold
 
-        with pytest.raises(RuntimeError):
-            _bisect(lambda q: 1.0, 1e-12, 0.5 - 1e-12, 1e-9)
 
-    @pytest.mark.parametrize("root, calls", [(0.0, 2), (1.0, 2), (0.5, 3)],
-                             ids=["at_lo", "at_hi", "at_first_midpoint"])
-    def test_exact_root_returned_at_once(self, root, calls):
-        from heralded_qkd.protocol import _bisect
+class TestPinnedConstants:
+    # the contour bisection's bits: a change to its bracket, midpoints or
+    # tolerance moves them, and every closed form built on them
+    @pytest.mark.parametrize("spec, q_threshold, xi", [
+        (BB84, "0.11002786443815746", "1.2533930902252077"),
+        (SARG04, "0.09689248938700384", "0.6342421778031558"),
+    ], ids=["bb84", "sarg04"])
+    def test_repr(self, spec, q_threshold, xi):
+        assert repr(spec.q_threshold) == q_threshold
+        assert repr(spec.xi) == xi
 
-        seen = []
-
-        def f(x):
-            seen.append(x)
-            return x - root
-
-        assert _bisect(f, 0.0, 1.0, 1e-12) == root
-        assert len(seen) == calls
+    @settings(deadline=None)
+    @given(spec=st.sampled_from([BB84, SARG04]), y=st.floats(0.5, 1.0))
+    @example(spec=BB84, y=1.0)
+    @example(spec=SARG04, y=0.5)
+    def test_contour_brackets_the_sign_change(self, spec, y):
+        # the margin falls through 0 on [_Q_TOL, 2 Q_th] for y in [1/2, 1],
+        # and the returned Q is within _Q_TOL of where it does
+        q = _contour_q(spec, y, 2.0 * spec.q_threshold)
+        assert positivity_margin(spec, q - _Q_TOL, y) > 0.0
+        assert not positivity_margin(spec, q + _Q_TOL, y) > 0.0
 
 
 class TestXi:
@@ -223,8 +237,6 @@ class TestXi:
     )
     def test_reproduces_contour(self, spec, rel):
         # exact key-positivity contour vs the linearized threshold
-        from heralded_qkd.protocol import _contour_q
-
         for y in (0.999, 0.99):
             q_exact = _contour_q(spec, y, spec.q_threshold)
             q_lin = spec.q_threshold * (1.0 - spec.xi * (1.0 - y))
@@ -349,6 +361,11 @@ class TestProtocolSpec:
         assert get_protocol("sarg04") is SARG04
         with pytest.raises(ValueError):
             get_protocol("six-state")
+
+    @pytest.mark.parametrize("name", [3, None, b"bb84"])
+    def test_lookup_of_a_non_string_is_an_unknown_protocol(self, name):
+        with pytest.raises(ValueError, match="unknown protocol"):
+            get_protocol(name)
 
     def test_cached_constants_are_stable(self):
         assert BB84.q_threshold == BB84.q_threshold

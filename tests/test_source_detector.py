@@ -353,6 +353,17 @@ class TestAdvantageThreshold:
         with pytest.raises(ValueError, match="stages must be nonnegative, got -1"):
             advantage_threshold(-1)
 
+    @pytest.mark.parametrize("stages", [math.nan, 2.5, math.inf, -math.inf])
+    def test_non_integer_stages_rejected(self, stages):
+        with pytest.raises(ValueError, match=f"stages must be an integer, got {stages}"):
+            advantage_threshold(stages)
+
+    def test_integral_float_accepted(self):
+        assert advantage_threshold(2.0) == advantage_threshold(2)
+
+    def test_stage_count_beyond_float_range(self):
+        assert advantage_threshold(10**400) == 2.0 / 3.0
+
     def test_limit_two_thirds(self):
         assert advantage_threshold(60) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
