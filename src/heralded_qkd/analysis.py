@@ -635,22 +635,6 @@ def _tangency_root(
     return math.nan
 
 
-def _descent_band(
-    spec: ProtocolSpec, r: HeraldResponse, dark_b: float, lambda_max: float
-) -> tuple[float, float] | None:
-    """The T band whose bisection midpoints tmin_numerical's descent probes
-    (see there): (T*, T*) from _tangency_root where _edge_info is at least
-    1, else the closed-form band; None where neither has an estimate."""
-    if _edge_info(spec) >= 1.0 and (t := _tangency_root(spec, r, dark_b, lambda_max)) == t:
-        return t, t
-    est = tmin_heralded(spec, r, dark_b)
-    if lambda_opt_heralded(spec, r, dark_b) > lambda_max:
-        # the closed-form pump strength is out of reach: the bound at lambda_max
-        est = tmin_bound_heralded(spec, r, dark_b, lambda_max)
-    # a NaN est, at q1 = 0, is no estimate
-    return (est * _TMIN_BAND[0], est * _TMIN_BAND[1]) if est < math.inf else None
-
-
 def tmin_numerical(
     spec: ProtocolSpec,
     r: HeraldResponse,
@@ -671,27 +655,28 @@ def tmin_numerical(
     One rule decides the result: the upper end of a probed sign change,
     t_hi positive and t_lo not, at most 1e-3 wide; where no bisection
     brackets one, the RuntimeError.  So an end of [1e-8, 1] is probed only
-    when a final bracket reaches it.  The first bisection descends through
-    the band that _descent_band gives, probing only midpoints inside it and
-    taking those above it as positive and those below as negative.  Where
-    _edge_info = min(I_AE^(1)(q_max), I_AE^(2)) is at least 1 (BB84), the
-    band is the single T* of _tangency_root: at the validity edge Q/y =
-    q_max the margin is at most 1 - H(Q) - _edge_info <= 0, so a positive
-    maximum over lambda is interior, where T_min has m = K/(p_exp p_sift)
-    and dm/dlog lambda both 0, or at a bound, where a wrong T* fails the
-    bracket check; a solve then probes only its final bracket.  SARG04's
-    maximum at T_min can sit at the edge, so it keeps the closed-form band,
-    as do solves where the Newton has no start or does not converge:
-    [est/1.6, 1.05 est], est tmin_heralded, or tmin_bound_heralded at
-    lambda_max where lambda_opt_heralded is above lambda_max.  Where the
-    check fails, or there is no band, the plain bisection probing every
-    midpoint runs, reusing the signs probed so far.  Each probe's sign is a
-    full optimize_lambda's, so the result is the plain bisection's wherever
-    the sign is monotone.  A bisection that raises unless 1.0 is positive
-    and 1e-8 is not differs only where the sign at an end disagrees with a
-    change inside: it raises, and this returns the change.  On the
-    benchmark's 512 T_min pool configs a BB84 solve makes 2 sign-only calls
-    and a SARG04 solve 10.22, 6.34 on average.
+    when a final bracket reaches it.  Two bisections run, each through a
+    band (lo, hi) of T: a midpoint above hi is taken as positive and one
+    below lo as negative, and only one inside is probed.  The first band is
+    the estimate.  Where _edge_info = min(I_AE^(1)(q_max), I_AE^(2)) is at
+    least 1 (BB84), it is the single T* of _tangency_root: at the validity
+    edge Q/y = q_max the margin is at most 1 - H(Q) - _edge_info <= 0, so a
+    positive maximum over lambda is interior, where T_min has
+    m = K/(p_exp p_sift) and dm/dlog lambda both 0, or at a bound, where a
+    wrong T* fails the bracket check; a solve then probes only its final
+    bracket.  SARG04's maximum at T_min can sit at the edge, so it keeps
+    the closed-form band, as do solves where the Newton has no start or
+    does not converge: [est/1.6, 1.05 est], est tmin_heralded, or
+    tmin_bound_heralded at lambda_max where lambda_opt_heralded is above
+    lambda_max; (0, inf) where est is NaN or inf.  The second band is
+    (0, inf), the plain bisection, which reuses the signs probed so far, so
+    it probes nothing after a first walk through (0, inf).  Each probe's
+    sign is a full optimize_lambda's, so the result is the plain
+    bisection's wherever the sign is monotone.  A bisection that raises
+    unless 1.0 is positive and 1e-8 is not differs only where the sign at
+    an end disagrees with a change inside: it raises, and this returns the
+    change.  On the benchmark's 512 T_min pool configs a BB84 solve makes 2
+    sign-only calls and a SARG04 solve 10.22, 6.34 on average.
 
     For BB84 the sign is monotone, by a lemma: at fixed lambda its margin
     m = y (1 - H(z)) - H(Q), z = Q/y, does not fall as T rises.  dark does
@@ -719,21 +704,23 @@ def tmin_numerical(
                 spec, r, ch, lambda_max, _sign_only=True).key_rate > 0.0
         return probed[t]
 
-    def bisection(sign) -> tuple[float, float]:
+    if _edge_info(spec) >= 1.0 and (t := _tangency_root(spec, r, dark_b, lambda_max)) == t:
+        band = t, t
+    else:
+        est = tmin_heralded(spec, r, dark_b)
+        if lambda_opt_heralded(spec, r, dark_b) > lambda_max:
+            # the closed-form pump strength is out of reach: the bound at lambda_max
+            est = tmin_bound_heralded(spec, r, dark_b, lambda_max)
+        # a NaN est, at q1 = 0, or an inf one is no estimate: the widest band
+        band = (est * _TMIN_BAND[0], est * _TMIN_BAND[1]) if est < math.inf else (0.0, math.inf)
+    for lo, hi in (band, (0.0, math.inf)):
         t_lo, t_hi = 1e-8, 1.0
         while t_hi / t_lo - 1.0 > _TMIN_REL_TOL:
             t_mid = math.sqrt(t_lo * t_hi)
-            if sign(t_mid):
+            if t_mid > hi or (t_mid >= lo and positive(t_mid)):
                 t_hi = t_mid
             else:
                 t_lo = t_mid
-        return t_lo, t_hi
-
-    signs = [positive]
-    if band := _descent_band(spec, r, dark_b, lambda_max):
-        signs.insert(0, lambda t: t > band[1] or (t >= band[0] and positive(t)))
-    for sign in signs:
-        t_lo, t_hi = bisection(sign)
         if positive(t_hi) and not positive(t_lo):
             return t_hi
     raise RuntimeError("no sign change of the optimized key rate on [1e-8, 1]")

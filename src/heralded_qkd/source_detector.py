@@ -240,8 +240,12 @@ def advantage_threshold(stages: int) -> float:
     Below this value the heralded source cannot beat weak coherent pulses in
     the short-distance regime.
     """
-    if stages % 1 != 0:  # NaN and inf leave a NaN remainder
-        raise ValueError(f"stages must be an integer, got {stages}")
+    try:  # % would format a str or bytes, so their remainder is never taken
+        whole = not isinstance(stages, (str, bytes, bytearray)) and stages % 1 == 0
+    except TypeError:  # None, a complex: no remainder
+        whole = False
+    if not whole:  # NaN and inf leave a NaN remainder
+        raise ValueError(f"stages must be an integer, got {stages!r}")
     if stages < 0:
         raise ValueError(f"stages must be nonnegative, got {stages}")
     return 2.0 / (3.0 - math.ldexp(1.0, -int(stages)))  # 2**-stages, at any int

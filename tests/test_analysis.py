@@ -1591,8 +1591,29 @@ class TestTminCertificate:
         got, passes, optimized, _ = traced_tmin(monkeypatch, spec, r, 1e-5)
         assert got == tmin_outcome(reference_tmin, spec, r, 1e-5)
         assert isinstance(got, float)
-        assert [t for t, _ in optimized] == descent_probes(spec, r, 1e-5)
-        assert len(passes) == len(optimized) == {BB84: 10, SARG04: 11}[spec]
+        optimized_t = [t for t, _ in optimized]
+        assert optimized_t == descent_probes(spec, r, 1e-5)
+        assert len(passes) == len(set(optimized_t)) == len(optimized_t) == {
+            BB84: 10, SARG04: 11}[spec]
+
+    @pytest.mark.parametrize("spec, r, dark_b, lambda_max, calls", [
+        # q1 = 0: no estimate, so only the plain bisection probes
+        (BB84, HeraldResponse(q0=1e-3, q1=0.0, q2=0.5), 1e-5, 1.0, 15),
+        # lambda_opt_heralded above lambda_max: steered by tmin_bound_heralded
+        (BB84, wcp_response(), 1e-5, 1e-3, 11),
+        (SARG04, wcp_response(), 1e-5, 1e-3, 11),
+        # no T is secure: a whole tree is walked before the raise
+        (BB84, wcp_response(), 0.99, 1.0, 16),
+    ], ids=["no_estimate", "bound_bb84", "bound_sarg04", "raises"])
+    def test_sign_only_calls(self, spec, r, dark_b, lambda_max, calls, monkeypatch):
+        # each walk through a band probes only midpoints inside it, and the
+        # walk through (0, inf) after it reuses every sign probed: the count
+        # of sign-only calls, each at a T of its own (q2 = 0's 10 and 11 are
+        # pinned above)
+        got, _, optimized, _ = traced_tmin(monkeypatch, spec, r, dark_b, lambda_max)
+        assert got == tmin_outcome(reference_tmin, spec, r, dark_b, lambda_max)
+        optimized_t = [t for t, _ in optimized]
+        assert len(optimized_t) == len(set(optimized_t)) == calls
 
     def test_array_rate_within_the_bound_is_not_certified(self, monkeypatch):
         # a synthetic rate, 0 below T = 0.01 and 1 from there, at p_exp = 1,

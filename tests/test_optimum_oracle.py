@@ -24,6 +24,7 @@ optimizer score the edge.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from heralded_qkd.keyrate import ChannelParams, key_rate
 from heralded_qkd.protocol import BB84, SARG04
 from heralded_qkd.source_detector import (
     MultiplexedDetectorParams,
+    _pair_probabilities,
     multiplexed_response,
     poisson_pair_stats,
     wcp_response,
@@ -105,6 +107,42 @@ def test_bb84_optimum_reaches_dense_supremum(r, t, dark_b, lambda_max):
     ch = ChannelParams(t, dark_b)
     supremum, _ = dense_supremum(BB84, r, ch, lambda_max)
     assert reaches(optimize_lambda(BB84, r, ch, lambda_max).key_rate, supremum)
+
+
+def moves(k, p_exp, tol=1e-11):
+    """The directions, 1 a rise and -1 a fall, of k's moves by more than
+    tol p_exp (at the point a move reaches), in order: each is measured
+    from the extreme of the move before it, so a wiggle within the
+    tolerance never counts, and each direction differs from the last."""
+    dirs, ref = [], k[0] if k else None
+    for x, p in zip(k[1:], p_exp[1:]):
+        if dirs and (x - ref) * dirs[-1] > 0:  # the move goes on
+            ref = x
+        elif abs(x - ref) > tol * p:  # a move begins, or turns
+            dirs.append(1 if x > ref else -1)
+            ref = x
+    return dirs
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=sources, t=log_uniform(1e-7, 1.0), dark_b=log_uniform(1e-8, 1e-3),
+       lambda_max=st.sampled_from([1e-2, 1.0, 3.0]))
+def test_bb84_rate_falls_rises_falls_in_lambda(r, t, dark_b, lambda_max):
+    # ROADMAP item 15's conjecture on BB84's shape in the pump strength,
+    # on a 4,001-point log grid of [1e-8, lambda_max]: the model-valid
+    # lambda form one interval, on which K turns at most twice, in the
+    # order fall, rise, fall, and a final rise ends at lambda_max, never
+    # at a validity edge below it
+    lams = np.array(analysis._log_grid(math.log10(LAMBDA_MIN), math.log10(lambda_max), 4001))
+    pairs = _pair_probabilities(lams, analysis._EXP, analysis._EXPM1)
+    p_exp, k = analysis._key_rate_array(BB84, pairs, r, t, dark_b)
+    valid = np.flatnonzero(k > -np.inf)
+    assert valid.size == 0 or valid[-1] - valid[0] + 1 == valid.size
+    span = slice(valid[0], valid[-1] + 1) if valid.size else slice(0)
+    dirs = moves(k[span].tolist(), p_exp[span].tolist())
+    assert dirs in [[-1, 1, -1][i:j] for i in range(4) for j in range(i, 4)]
+    if dirs[-1:] == [1]:
+        assert valid[-1] == lams.size - 1
 
 
 # (T, multiplexed detector (stages, eta_a, dark_a, eta_c), d_B) at which
