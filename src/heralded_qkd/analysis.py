@@ -219,14 +219,14 @@ def _grid_pass(
     spec: ProtocolSpec, r: HeraldResponse, ch: ChannelParams, lambda_max: float
 ) -> tuple[int, ...]:
     """The grid indices, in order, that key_rate's first maximum over the
-    coarse pump-strength grid can be at, from one _key_rate_array pass: those
-    the array maximum does not _beat (empty when no point is model-valid)."""
+    coarse pump-strength grid can be at, from one _key_rate_array pass: the
+    model-valid points the array maximum does not _beat, so none where no
+    point is model-valid."""
     p_exp, scores = _key_rate_array(spec, _lambda_grid(lambda_max)[1], r,
                                     ch.transmission, ch.dark_b)
     top = int(np.argmax(scores))
-    if scores[top] == -np.inf:  # the validity mask is key_rate's, bit for bit
-        return ()
-    return tuple(np.flatnonzero(~_beats(scores[top], p_exp[top], scores, p_exp)).tolist())
+    near = (scores > -np.inf) & ~_beats(scores[top], p_exp[top], scores, p_exp)
+    return tuple(np.flatnonzero(near).tolist())
 
 
 def _searching(a, b):
@@ -741,14 +741,14 @@ def scan_key_rate(
     _LOCKSTEP_MIN_ROWS T have one grid candidate, whose bracket the grid
     fixes, those T run optimize_lambda's golden-section steps in lockstep,
     one _key_rate_array pass per step, with np.log2.  A step takes the
-    scalar loop's fc >= fd only where it is proven: false where _beats
-    proves d above c, true where it proves c above d or both scores are
-    -inf, an exact tie, since the validity mask is key_rate's.  The rows
-    that neither proof settles, mostly near convergence, are rescored at c
-    and d through _LOG2, key_rate's scores bit for bit, and decided by
-    fc >= fd.  So every step is the scalar loop's.  The worst case is a row
-    that ties within the tolerance at every step, such as a flat or plateau
-    row: each of its steps pays one np.log2 pass and two exact scores.  A T
+    scalar loop's fc >= fd only where _beats proves it: false where d is
+    proven above c, true where c is proven above d.  The rows that neither
+    proof settles, mostly near convergence or between two model-invalid
+    points, are rescored at c and d through _LOG2, key_rate's scores bit
+    for bit (-inf where it is NaN), and decided by fc >= fd.  So every step
+    is the scalar loop's.  The worst case is a row that ties within the
+    tolerance at every step, such as a flat or plateau row: each of its
+    steps pays one np.log2 pass and two exact scores.  A T
     leaves only when its bracket has converged, so its plan does not depend
     on the other T in the scan.  optimize_lambda then finishes each T from
     its plan, its candidates and the converged interval (a, b) it left the
@@ -771,8 +771,8 @@ def scan_key_rate(
         p_exp, scores = _key_rate_array(spec, pairs, r, block, dark_b)
         rows, top = np.arange(len(scores)), np.argmax(scores, axis=1)
         best = scores[rows, top]
-        near = ~_beats(best[:, None], p_exp[rows, top][:, None], scores, p_exp)
-        near[best == -np.inf] = False  # model-invalid throughout: no candidate
+        near = (scores > -np.inf) & ~_beats(best[:, None], p_exp[rows, top][:, None],
+                                            scores, p_exp)
         # one nonzero over the block: its row-major columns, split per row
         columns, ends = np.nonzero(near)[1].tolist(), np.cumsum(near.sum(axis=1)).tolist()
         candidates += [tuple(columns[start:end]) for start, end in zip([0] + ends, ends)]
@@ -800,11 +800,10 @@ def scan_key_rate(
                     break
                 rows, t, a, b, c, d, fc, fd, pc, pd = (
                     x[stay] for x in (rows, t, a, b, c, d, fc, fd, pc, pd))
-            # fc >= fd is false where d is proven above c, and true where c is
-            # proven above d or both are -inf (a tie); where neither settles
-            # it, it is taken on key_rate's scores at c and d, through _LOG2
-            right = _beats(fd, pd, fc, pc)
-            left = _beats(fc, pc, fd, pd) | (np.maximum(fc, fd) == -np.inf)
+            # fc >= fd is false where d is proven above c and true where c is
+            # proven above d; where neither settles it, it is taken on
+            # key_rate's scores at c and d, through _LOG2
+            right, left = _beats(fd, pd, fc, pc), _beats(fc, pc, fd, pd)
             if (undecided := ~(left | right)).any():
                 exact_c, exact_d = lockstep_scores(
                     np.stack((c[undecided], d[undecided])), t[undecided], _LOG2)[1]

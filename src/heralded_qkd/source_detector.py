@@ -240,11 +240,11 @@ def advantage_threshold(stages: int) -> float:
     Below this value the heralded source cannot beat weak coherent pulses in
     the short-distance regime.
     """
-    try:  # % would format a str or bytes, so their remainder is never taken
-        whole = not isinstance(stages, (str, bytes, bytearray)) and stages % 1 == 0
-    except TypeError:  # None, a complex: no remainder
+    try:
+        whole = stages == math.floor(stages)
+    except (TypeError, ValueError, ArithmeticError):  # no floor: None, a str, a NaN, an inf
         whole = False
-    if not whole:  # NaN and inf leave a NaN remainder
+    if not whole:
         raise ValueError(f"stages must be an integer, got {stages!r}")
     if stages < 0:
         raise ValueError(f"stages must be nonnegative, got {stages}")

@@ -756,9 +756,11 @@ class TestScanLockstep:
         # p1 / P, P being the p1 of grid point 150: within 0.5% of 1, where
         # it peaks at 0 on that grid point, every T's one candidate; and in
         # [0.93, 0.97], between grid points, where it is 1e-3.  The first two
-        # golden-section points fall in neither, and fc >= fd between their
-        # two -inf scores moves the bracket down onto the higher window.
+        # golden-section points fall in neither: no proof orders their two
+        # -inf scores, so the first exact pass scores them, and its
+        # fc >= fd moves the bracket down onto the higher window.
         peak = grid_stats(1.0)[150].p1
+        exact_passes = []
 
         def window_rate(p1, invalid):
             off = p1 / peak - 1.0
@@ -772,6 +774,8 @@ class TestScanLockstep:
         def window_key_rate_array(spec, pairs, r, t, dark_b, log2=np.log2):
             # the kernel's scores: -inf where key_rate is NaN
             scores = window_rate(pairs[1] + np.zeros(np.shape(t)), -np.inf)
+            if log2 is analysis._LOG2:
+                exact_passes.append(scores)
             return np.ones(scores.shape), scores
 
         monkeypatch.setattr(analysis, "key_rate", window_key_rate)
@@ -781,6 +785,7 @@ class TestScanLockstep:
         series = assert_scan_matches_scalar_optimizer(BB84, wcp_response(), 0.0, t_grid)
         assert all(candidates == (150,) and bracket is not None
                    for candidates, bracket in plans)
+        assert (exact_passes[0] == -np.inf).all()
         assert all(res.key_rate == 1e-3 for _, res in series.points)
 
     @pytest.mark.parametrize("spec, r, dark_b", [

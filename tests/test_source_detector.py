@@ -368,8 +368,9 @@ class TestAdvantageThreshold:
         with pytest.raises(ValueError, match="stages must be nonnegative, got -1"):
             advantage_threshold(-1)
 
-    # "3" % 1 is string formatting, not a remainder
-    @pytest.mark.parametrize("stages", [math.nan, 2.5, math.inf, -math.inf, "3", b"3", None])
+    @pytest.mark.parametrize("stages", [
+        math.nan, 2.5, math.inf, -math.inf, "3", b"3", None,
+        decimal.Decimal("Infinity"), decimal.Decimal("-Infinity"), decimal.Decimal("sNaN")])
     def test_non_integer_stages_rejected(self, stages):
         with pytest.raises(ValueError) as exc:
             advantage_threshold(stages)
